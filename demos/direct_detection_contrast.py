@@ -35,9 +35,9 @@ print(f"homodyne:         verdict {homodyne.verdict}")
 print(f"  at j_M = {j_m}: value {value.real:+.3e} +- {error:.3e}")
 
 # the reason sits in the per-coefficient errors
-els = estimate_probabilities(hist)
+ray = estimate_probabilities(hist)
 print("\nbinomial errors fall with the probability itself:")
 for j in (2, 6, 10, 14):
-    print(f"  p_{j:<2d} = {els[j].estimate.real:.5f} +- {els[j].stderr:.5f}")
+    print(f"  p_{j:<2d} = {ray.estimate[j].real:.5f} +- {ray.stderr[j]:.5f}")
 print("homodyne errors would sit near sqrt(2/N) =",
       f"{np.sqrt(2 / 24_000):.5f} for every index")

@@ -15,14 +15,11 @@ from .experiments import (ExperimentConfig, config_hash, default_config,
                           run_fig2, serialize_config)
 from .fock_core import (DensityMatrix, GaussianQuadratureLaw, StateSpec,
                         make_coherent, make_fock, make_thermal, mean_photon)
-from .homodyne import (MeasuredElement, QuadratureData, QuadratureSample,
-                       dump_samples, error_saturation_profile,
-                       estimate_element, pattern_function, quadrature_pdf,
-                       sample_quadratures)
-from .loss_channel import (InversionResult, LossChannel, SeriesCoefficient,
-                           analytic_threshold, apply_loss, decay_ratio,
-                           inverse_coefficient, invert_loss,
-                           series_coefficients)
+from .homodyne import (MeasuredElement, MeasuredRay, QuadratureData,
+                       error_saturation_profile, estimate_element,
+                       pattern_function, quadrature_pdf, sample_quadratures)
+from .loss_channel import (InversionResult, analytic_threshold, apply_loss,
+                           decay_ratio, inverse_coefficient, invert_loss)
 
 __version__ = "0.1.0"
 
@@ -36,11 +33,10 @@ __all__ = [
     "run_direct_contrast", "run_fig1", "run_fig2", "serialize_config",
     "DensityMatrix", "GaussianQuadratureLaw", "StateSpec", "make_coherent",
     "make_fock", "make_thermal", "mean_photon",
-    "MeasuredElement", "QuadratureData", "QuadratureSample", "dump_samples",
+    "MeasuredElement", "MeasuredRay", "QuadratureData",
     "error_saturation_profile", "estimate_element", "pattern_function",
     "quadrature_pdf", "sample_quadratures",
-    "InversionResult", "LossChannel", "SeriesCoefficient",
-    "analytic_threshold", "apply_loss", "decay_ratio",
-    "inverse_coefficient", "invert_loss", "series_coefficients",
+    "InversionResult", "analytic_threshold", "apply_loss", "decay_ratio",
+    "inverse_coefficient", "invert_loss",
     "__version__",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from .direct_detection import CountHistogram, estimate_probabilities
 from .exceptions import NumericalSanityError
 from .fock_core import DensityMatrix
-from .homodyne import MeasuredElement, QuadratureData, estimate_element
+from .homodyne import MeasuredRay, QuadratureData, estimate_element
 from .loss_channel import inverse_coefficient
 
 
@@ -45,41 +45,33 @@ class CompensationResult:
     verdict: str
 
 
-def measure_ray(source, n: int, d: int, j_max: int) -> list[MeasuredElement]:
+def measure_ray(source, n: int, d: int, j_max: int) -> MeasuredRay:
     """Coefficient estimates ``c_j`` for j = 0..j_max from any source.
 
     Accepts homodyne samples, a photocount histogram (diagonal rays
-    only), an exact density matrix (zero errors), or an already-built
-    coefficient list, which is passed through unchanged.
+    only), an exact density matrix (zero errors), or a measured ray,
+    which is sliced to the requested elements.  Raises ValueError when
+    the source does not reach every element.
     """
     if isinstance(source, QuadratureData):
-        return [estimate_element(source, n + j, d) for j in range(j_max + 1)]
+        els = [estimate_element(source, n + j, d) for j in range(j_max + 1)]
+        return MeasuredRay(n, d, [e.estimate for e in els], [e.stderr for e in els])
     if isinstance(source, CountHistogram):
         if d != 0:
             raise ValueError("photocounting only measures diagonal elements")
-        return estimate_probabilities(source)
-    if isinstance(source, DensityMatrix):
-        return [
-            MeasuredElement(n=n + j, d=d, estimate=source.element(n + j, n + d + j),
-                            stderr=0.0, n_samples=0)
-            for j in range(j_max + 1)
-        ]
-    if isinstance(source, (list, tuple)):
-        return list(source)
-    raise TypeError(f"unsupported coefficient source: {type(source).__name__}")
-
-
-def _coefficient_arrays(coeffs, n, d, j_max):
-    by_index = {(c.n, c.d): c for c in coeffs}
-    est = np.empty(j_max + 1, dtype=complex)
-    err = np.empty(j_max + 1)
-    for j in range(j_max + 1):
-        c = by_index.get((n + j, d))
-        if c is None:
-            raise ValueError(f"no measured coefficient for element ({n + j}, {n + d + j})")
-        est[j] = c.estimate
-        err[j] = c.stderr
-    return est, err
+        source = estimate_probabilities(source)
+    elif isinstance(source, DensityMatrix):
+        diagonal = np.diagonal(source.elements, offset=d)
+        source = MeasuredRay(0, d, diagonal, np.zeros(diagonal.size))
+    elif not isinstance(source, MeasuredRay):
+        raise TypeError(f"unsupported coefficient source: {type(source).__name__}")
+    lo = n - source.n
+    reach = source.estimate.size - lo if source.d == d and lo >= 0 else 0
+    if reach <= j_max:
+        j = max(reach, 0)
+        raise ValueError(f"no measured coefficient for element ({n + j}, {n + d + j})")
+    return MeasuredRay(n, d, source.estimate[lo:lo + j_max + 1],
+                       source.stderr[lo:lo + j_max + 1])
 
 
 def _finalize_value(value, d):
@@ -91,18 +83,19 @@ def _finalize_value(value, d):
     return value
 
 
-def compensated_element(coeffs, n: int, d: int, eta: float, j_max: int):
+def compensated_element(source, n: int, d: int, eta: float, j_max: int):
     """Truncated compensation series and its propagated error.
 
-    ``coeffs`` must cover the ray elements (n+j, n+d+j) for j up to
-    ``j_max`` (ValueError otherwise).  The error treats coefficients as
-    uncorrelated, which overlaps-in-data make approximate; the scan
-    machinery reports cross-trial spreads alongside when available.
+    ``source`` is anything :func:`measure_ray` accepts and must cover the
+    ray elements (n+j, n+d+j) for j up to ``j_max`` (ValueError
+    otherwise).  The error treats coefficients as uncorrelated, which
+    overlaps-in-data make approximate; the scan machinery reports
+    cross-trial spreads alongside when available.
     """
-    est, err = _coefficient_arrays(coeffs, n, d, j_max)
-    weights = np.array([inverse_coefficient(n, d, j, eta) for j in range(j_max + 1)])
-    value = complex(np.sum(weights * est))
-    error = float(np.sqrt(np.sum(weights**2 * err**2)))
+    ray = measure_ray(source, n, d, j_max)
+    weights = inverse_coefficient(n, d, np.arange(j_max + 1), eta)
+    value = complex(np.sum(weights * ray.estimate))
+    error = float(np.sqrt(np.sum(weights**2 * ray.stderr**2)))
     return _finalize_value(value, d), error
 
 
@@ -141,12 +134,10 @@ def convergence_scan(source, n: int, d: int, eta: float, j_list) -> Compensation
         raise ValueError("truncation indices must be strictly ascending")
     if not j_list or j_list[0] < 0:
         raise ValueError("need at least one nonnegative truncation index")
-    coeffs = measure_ray(source, n, d, j_list[-1])
-    est, err = _coefficient_arrays(coeffs, n, d, j_list[-1])
-    weights = np.array(
-        [inverse_coefficient(n, d, j, eta) for j in range(j_list[-1] + 1)])
-    value_partial = np.cumsum(weights * est)
-    var_partial = np.cumsum(weights**2 * err**2)
+    ray = measure_ray(source, n, d, j_list[-1])
+    weights = inverse_coefficient(n, d, np.arange(j_list[-1] + 1), eta)
+    value_partial = np.cumsum(weights * ray.estimate)
+    var_partial = np.cumsum(weights**2 * ray.stderr**2)
     trace = [
         (j, _finalize_value(complex(value_partial[j]), d), float(np.sqrt(var_partial[j])))
         for j in j_list
@@ -158,22 +149,18 @@ def convergence_scan(source, n: int, d: int, eta: float, j_list) -> Compensation
 def error_vs_eta(source, n: int, d: int, eta_list, j_list):
     """Normalized error profile ``sqrt(sum_j z^{2j} eps_j^2)`` on a grid.
 
-    ``source`` may be a single coefficient source (same measured errors
-    reused at every efficiency) or a callable ``eta -> source`` when
-    each efficiency has its own dataset.  Returns rows
+    The measured errors of ``source`` (anything :func:`measure_ray`
+    accepts) are reused at every efficiency.  Returns rows
     ``(eta, j_max, error)`` for the full grid in input order.
     """
     j_list = [int(j) for j in j_list]
-    j_top = max(j_list)
-    fixed = None if callable(source) else measure_ray(source, n, d, j_top)
+    err = measure_ray(source, n, d, max(j_list)).stderr
     rows = []
     for eta in eta_list:
         if not 0.0 < eta <= 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
-        coeffs = fixed if fixed is not None else measure_ray(source(eta), n, d, j_top)
-        _, err = _coefficient_arrays(coeffs, n, d, j_top)
         z = 1.0 - 1.0 / eta
-        var_partial = np.cumsum(z ** (2 * np.arange(j_top + 1)) * err**2)
+        var_partial = np.cumsum(z ** (2 * np.arange(err.size)) * err**2)
         for j in j_list:
             rows.append((float(eta), j, float(np.sqrt(var_partial[j]))))
     return rows

@@ -7,7 +7,7 @@ import numpy as np
 
 from .exceptions import NumericalSanityError
 from .fock_core import DensityMatrix
-from .homodyne import MeasuredElement
+from .homodyne import MeasuredRay
 
 
 @dataclass
@@ -49,21 +49,16 @@ def sample_counts(rho: DensityMatrix, n: int, rng: np.random.Generator) -> Count
     return CountHistogram(counts=rng.multinomial(n, probs / probs.sum()))
 
 
-def estimate_probabilities(hist: CountHistogram) -> list[MeasuredElement]:
+def estimate_probabilities(hist: CountHistogram) -> MeasuredRay:
     """Binomial point estimates and errors for every diagonal element.
 
-    Bins with observed frequency exactly 0 or 1 get ``degenerate=True``:
-    the plug-in error formula returns zero there, which is a floor, not
-    an estimate.
+    Returns the diagonal ray from ``<0|rho|0>`` over all bins.  Bins with
+    observed frequency exactly 0 or 1 get zero error: the plug-in formula
+    returns a floor there, not an estimate.
     """
     n = hist.n_samples
     if n < 1:
         raise ValueError("empty histogram")
     p_hat = hist.counts / n
-    err = np.sqrt(p_hat * (1.0 - p_hat) / n)
-    return [
-        MeasuredElement(
-            n=k, d=0, estimate=complex(p_hat[k]), stderr=float(err[k]),
-            n_samples=n, degenerate=bool(p_hat[k] in (0.0, 1.0)))
-        for k in range(hist.dim)
-    ]
+    return MeasuredRay(n=0, d=0, estimate=p_hat,
+                       stderr=np.sqrt(p_hat * (1.0 - p_hat) / n))

@@ -14,12 +14,12 @@ rows that the averages came from.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .compensation import convergence_scan, error_vs_eta, measure_ray
+from .compensation import convergence_scan, error_vs_eta
 from .direct_detection import sample_counts
 from .fock_core import StateSpec
 from .homodyne import sample_quadratures
@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ValueError("n_samples must be at least 2")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed {self.master_seed} must be nonnegative")
         if self.target_n < 0 or self.target_d < 0:
             raise ValueError("target indices must be nonnegative")
         j_top = max(max(self.truncation_grid(eta)) for eta in self.eta_list)
@@ -104,11 +106,7 @@ class ExperimentConfig:
         return grid
 
 
-_CONFIG_FIELDS = (
-    "state_kind", "state_nbar", "state_alpha", "state_m", "dim",
-    "target_n", "target_d", "detection", "eta_list", "n_samples",
-    "jm_list", "trials", "master_seed", "output_path",
-)
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _format_value(name, value):
@@ -216,6 +214,35 @@ def _trials_path(path: Path) -> Path:
     return path.with_name(path.stem + "_trials" + path.suffix)
 
 
+def _scan_cells(config, scan):
+    """The (eta, trial) cell loop behind every figure table.
+
+    Validates ``config``, damps the signal once per efficiency, and hands
+    each cell a fresh dataset drawn from its own RNG stream to
+    ``scan(source, eta, jm_grid)``.  Returns the signal state and, per
+    efficiency, ``(eta, jm_grid, [scan result per trial])``.
+    """
+    config.validate()
+    signal = config.state().build()
+    table = []
+    for eta_index, eta in enumerate(config.eta_list):
+        jm_grid = config.truncation_grid(eta)
+        damped = apply_loss(signal, eta)
+        table.append((eta, jm_grid, [
+            scan(_measurement_source(config, damped, _trial_rng(config, eta_index, trial)),
+                 eta, jm_grid)
+            for trial in range(config.trials)]))
+    return signal, table
+
+
+def _write_tables(config, out, columns, mean_rows, trial_columns, trial_rows):
+    out_path = Path(out) if out is not None else Path(config.output_path)
+    _write_csv(out_path, ["eta", "j_M", *columns, "config_hash"], mean_rows)
+    _write_csv(_trials_path(out_path),
+               ["eta", "trial", "j_M", *trial_columns, "config_hash"], trial_rows)
+    return out_path, _trials_path(out_path)
+
+
 def run_scan_table(config: ExperimentConfig, out=None):
     """Shared engine behind ``run_fig1`` and ``run_direct_contrast``.
 
@@ -225,24 +252,17 @@ def run_scan_table(config: ExperimentConfig, out=None):
     parts; off-diagonal targets keep their full complex values in the
     library API only.
     """
-    config.validate()
-    chash = config_hash(config)
-    signal = config.state().build()
     n, d = config.target_n, config.target_d
+    signal, table = _scan_cells(
+        config, lambda source, eta, grid: convergence_scan(source, n, d, eta, grid))
+    chash = config_hash(config)
     theory = signal.element(n, n + d).real
     mean_rows, trial_rows = [], []
-    for eta_index, eta in enumerate(config.eta_list):
-        jm_grid = config.truncation_grid(eta)
-        damped = apply_loss(signal, eta)
-        values = np.empty((config.trials, len(jm_grid)))
-        errors = np.empty_like(values)
-        for trial in range(config.trials):
-            rng = _trial_rng(config, eta_index, trial)
-            source = _measurement_source(config, damped, rng)
-            result = convergence_scan(source, n, d, eta, jm_grid)
-            for k, (jm, value, error) in enumerate(result.trace):
-                values[trial, k] = value.real
-                errors[trial, k] = error
+    for eta, jm_grid, results in table:
+        values = np.array([[value.real for _, value, _ in r.trace] for r in results])
+        errors = np.array([[error for _, _, error in r.trace] for r in results])
+        for trial, result in enumerate(results):
+            for jm, value, error in result.trace:
                 trial_rows.append([
                     _fmt(eta), _fmt(trial), _fmt(jm), _fmt(value.real),
                     _fmt(error), result.verdict, chash])
@@ -252,13 +272,9 @@ def run_scan_table(config: ExperimentConfig, out=None):
             mean_rows.append([
                 _fmt(eta), _fmt(jm), _fmt(values[:, k].mean()),
                 _fmt(errors[:, k].mean()), _fmt(spread[k]), _fmt(theory), chash])
-    out_path = Path(out) if out is not None else Path(config.output_path)
-    _write_csv(out_path, ["eta", "j_M", "value", "propagated_error",
-                          "empirical_error", "theory", "config_hash"], mean_rows)
-    _write_csv(_trials_path(out_path),
-               ["eta", "trial", "j_M", "value", "propagated_error",
-                "verdict", "config_hash"], trial_rows)
-    return out_path, _trials_path(out_path)
+    return _write_tables(
+        config, out, ["value", "propagated_error", "empirical_error", "theory"],
+        mean_rows, ["value", "propagated_error", "verdict"], trial_rows)
 
 
 def run_fig1(config: ExperimentConfig | None = None, out=None):
@@ -280,32 +296,18 @@ def run_fig2(config: ExperimentConfig | None = None, out=None):
     dataset per (eta, trial) cell, averaged over trials.
     """
     config = config if config is not None else default_config("fig2")
-    config.validate()
-    chash = config_hash(config)
-    signal = config.state().build()
     n, d = config.target_n, config.target_d
-    jm_grid = config.truncation_grid(config.eta_list[0])
-    j_top = max(jm_grid)
+    _, table = _scan_cells(
+        config, lambda source, eta, grid: error_vs_eta(source, n, d, [eta], grid))
+    chash = config_hash(config)
     mean_rows, trial_rows = [], []
-    for eta_index, eta in enumerate(config.eta_list):
-        per_trial = np.empty((config.trials, len(jm_grid)))
-        for trial in range(config.trials):
-            rng = _trial_rng(config, eta_index, trial)
-            source = _measurement_source(config, damped=apply_loss(signal, eta),
-                                         rng=rng)
-            coeffs = measure_ray(source, n, d, j_top)
-            rows = error_vs_eta(coeffs, n, d, [eta], jm_grid)
-            for k, (_, jm, error) in enumerate(rows):
-                per_trial[trial, k] = error
-                trial_rows.append(
-                    [_fmt(eta), _fmt(trial), _fmt(jm), _fmt(error), chash])
+    for eta, jm_grid, results in table:
+        per_trial = np.array([[error for _, _, error in rows] for rows in results])
+        for trial, rows in enumerate(results):
+            for _, jm, error in rows:
+                trial_rows.append([_fmt(eta), _fmt(trial), _fmt(jm), _fmt(error), chash])
         for k, jm in enumerate(jm_grid):
             mean_rows.append(
                 [_fmt(eta), _fmt(jm), _fmt(per_trial[:, k].mean()), chash])
-    out_path = Path(out) if out is not None else Path(config.output_path)
-    _write_csv(out_path, ["eta", "j_M", "propagated_error", "config_hash"],
-               mean_rows)
-    _write_csv(_trials_path(out_path),
-               ["eta", "trial", "j_M", "propagated_error", "config_hash"],
-               trial_rows)
-    return out_path, _trials_path(out_path)
+    return _write_tables(config, out, ["propagated_error"], mean_rows,
+                         ["propagated_error"], trial_rows)

@@ -13,19 +13,13 @@ anchored to.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import oscillator
 from .exceptions import NumericalSanityError
 from .fock_core import DensityMatrix
-
-
-class QuadratureSample(NamedTuple):
-    x: float
-    phi: float
 
 
 @dataclass
@@ -44,13 +38,6 @@ class QuadratureData:
     def __len__(self) -> int:
         return self.x.size
 
-    def __getitem__(self, i) -> QuadratureSample:
-        return QuadratureSample(float(self.x[i]), float(self.phi[i]))
-
-    def __iter__(self) -> Iterator[QuadratureSample]:
-        for i in range(len(self)):
-            yield self[i]
-
 
 @dataclass
 class MeasuredElement:
@@ -58,9 +45,7 @@ class MeasuredElement:
 
     ``estimate`` approximates ``<n|rho|n+d>``; ``stderr`` is the sample
     standard deviation of the kernel summands over sqrt(N) (the larger
-    of the real/imaginary components for d > 0).  ``degenerate`` marks
-    frequency estimates that hit 0 or 1 exactly, where the binomial
-    error formula returns 0.
+    of the real/imaginary components for d > 0).
     """
 
     n: int
@@ -68,19 +53,26 @@ class MeasuredElement:
     estimate: complex
     stderr: float
     n_samples: int
-    degenerate: bool = False
 
 
-def _psi_matrix(dim, x):
-    """psi_n(x) for n < dim as a (dim, len(x)) array."""
-    y = np.sqrt(2.0) * x
-    out = np.empty((dim, x.size))
-    out[0] = (2.0 / np.pi) ** 0.25 * np.exp(-(x**2))
-    if dim > 1:
-        out[1] = np.sqrt(2.0) * y * out[0]
-    for n in range(2, dim):
-        out[n] = np.sqrt(2.0 / n) * y * out[n - 1] - np.sqrt((n - 1.0) / n) * out[n - 2]
-    return out
+@dataclass
+class MeasuredRay:
+    """Estimates of the ray ``<n+j|rho|n+d+j>``, j = 0, 1, ..., with errors.
+
+    ``estimate[j]`` (complex) approximates the element at offset ``j``
+    and ``stderr[j]`` is its standard error; exact sources carry zeros.
+    """
+
+    n: int
+    d: int
+    estimate: np.ndarray
+    stderr: np.ndarray
+
+    def __post_init__(self):
+        self.estimate = np.asarray(self.estimate, dtype=complex)
+        self.stderr = np.asarray(self.stderr, dtype=float)
+        if self.estimate.shape != self.stderr.shape or self.estimate.ndim != 1:
+            raise ValueError("estimate and stderr must be 1-d arrays of equal length")
 
 
 def quadrature_pdf(rho: DensityMatrix, phi: float, x) -> np.ndarray:
@@ -89,7 +81,7 @@ def quadrature_pdf(rho: DensityMatrix, phi: float, x) -> np.ndarray:
     Accepts scalar or array ``x`` and returns matching shape.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    psi = _psi_matrix(rho.dim, xa)
+    psi = oscillator._psi_half(rho.dim - 1, xa)
     rotated = psi * np.exp(1j * phi * np.arange(rho.dim))[:, None]
     dens = np.einsum("nx,nx->x", rotated, rho.elements @ rotated.conj()).real
     return dens if np.ndim(x) else float(dens[0])
@@ -124,7 +116,7 @@ def _sample_rejection(rho, n, rng):
     for every phi); accepted pairs follow the joint density exactly.
     """
     grid = _grid_for(rho)
-    psi = _psi_matrix(rho.dim, grid)
+    psi = oscillator._psi_half(rho.dim - 1, grid)
     envelope = np.zeros(grid.size)
     for d in range(rho.dim):
         ray = np.diagonal(rho.elements, offset=d)
@@ -144,7 +136,7 @@ def _sample_rejection(rho, n, rng):
         xc = np.interp(rng.random(batch) * cum[-1], cum, grid)
         pc = rng.uniform(0.0, np.pi, batch)
         height = rng.random(batch) * np.interp(xc, grid, envelope)
-        rotated = _psi_matrix(rho.dim, xc) * np.exp(1j * np.outer(modes, pc))
+        rotated = oscillator._psi_half(rho.dim - 1, xc) * np.exp(1j * np.outer(modes, pc))
         dens = np.einsum("nx,nx->x", rotated, rho.elements @ rotated.conj()).real
         keep = np.nonzero(height <= np.maximum(dens, 0.0))[0][: n - filled]
         xs_out[filled:filled + keep.size] = xc[keep]
@@ -229,10 +221,3 @@ def error_saturation_profile(samples: QuadratureData, j_list, n0: int, d: int):
         el = estimate_element(samples, n0 + j, d)
         out.append((int(j), el.stderr * np.sqrt(el.n_samples)))
     return out
-
-
-def dump_samples(samples: QuadratureData, path) -> None:
-    """Write raw samples as ``x<TAB>phi`` lines, 12 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(len(samples)):
-            fh.write(f"{samples.x[i]:.12g}\t{samples.phi[i]:.12g}\n")

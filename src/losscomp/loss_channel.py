@@ -24,81 +24,47 @@ from .exceptions import NoConvergenceError, UndefinedRatioError
 from .fock_core import DensityMatrix, GaussianQuadratureLaw
 
 
-@dataclass(frozen=True)
-class LossChannel:
-    """Efficiency ``eta`` with its derived series and damping parameters."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("efficiency must lie in (0, 1]")
-
-    @property
-    def z(self) -> float:
-        """Series expansion parameter ``1 - 1/eta`` (nonpositive)."""
-        return 1.0 - 1.0 / self.eta
-
-    @property
-    def t(self) -> float:
-        """Damping time ``-ln(eta)``; additive under channel composition."""
-        return -log(self.eta)
-
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return apply_loss(rho, self.eta)
-
-    def invert(self, rho: DensityMatrix, j_max: int) -> "InversionResult":
-        return invert_loss(rho, self.eta, j_max)
-
-
-@dataclass(frozen=True)
-class SeriesCoefficient:
-    """One inverse-series weight ``A_j(n, d, eta)``."""
-
-    n: int
-    d: int
-    j: int
-    value: float
-
-
-def _forward_coefficient(n, d, j, g):
-    """Forward-map weight with ``g`` in place of the efficiency.
+def _weights(n, d, j, g):
+    """Coefficient of ``<n+j|rho|n+d+j>`` in the image ``<n|rho'|n+d>``.
 
     ``g`` in (0, 1] gives the damping weights; ``g = 1/eta > 1`` gives the
-    inverse-series weights A_j (the sign then alternates with j).
+    inverse-series weights A_j (the sign then alternates with j).  ``n``
+    and ``j`` are broadcastable integer arrays; entries with ``j < 0`` are
+    zero.
     """
-    if j == 0:
-        return float(np.exp(0.5 * (2 * n + d) * log(g)))
-    if g == 1.0:
-        return 0.0
-    log_mag = (
-        0.5 * (2 * n + d) * log(g)
-        + 0.5 * (gammaln(n + j + 1) + gammaln(n + d + j + 1)
-                 - gammaln(n + 1) - gammaln(n + d + 1))
-        - gammaln(j + 1)
-        + j * log(abs(1.0 - g))
-    )
-    sign = -1.0 if (g > 1.0 and j % 2 == 1) else 1.0
-    return float(sign * np.exp(log_mag))
+    n, j = np.asarray(n), np.asarray(j)
+    k = n + j
+    lg = gammaln(np.arange(np.max(k) + d + 1) + 1.0)
+    valid = j >= 0
+    with np.errstate(invalid="ignore"):
+        log_mag = (
+            0.5 * (2 * n + d) * log(g)
+            + 0.5 * (lg[k] + lg[k + d] - lg[n] - lg[n + d])
+            - lg[np.abs(j)]
+        )
+        if g == 1.0:
+            log_mag = np.where(j == 0, log_mag, -np.inf)
+        else:
+            log_mag = log_mag + np.where(j == 0, 0.0, j * log(abs(1.0 - g)))
+    w = np.exp(np.where(valid, log_mag, -np.inf))
+    if g > 1.0:
+        w = w * np.where(j % 2 == 1, -1.0, 1.0)
+    return np.where(valid, w, 0.0)
 
 
-def inverse_coefficient(n: int, d: int, j: int, eta: float) -> float:
+def inverse_coefficient(n: int, d: int, j, eta: float):
     """Inverse-series coefficient ``A_j(n, d, eta)``.
 
     ``A_j = eta^(-(2n+d)/2) * sqrt((n+j)!(n+d+j)!) / (sqrt(n!(n+d)!) j!)
-    * (1 - 1/eta)^j``, evaluated in log space.
+    * (1 - 1/eta)^j``, evaluated in log space.  ``j`` may be an integer
+    (returns a float) or an array of them (returns the matching array).
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("efficiency must lie in (0, 1]")
-    if n < 0 or d < 0 or j < 0:
+    if n < 0 or d < 0 or np.any(np.asarray(j) < 0):
         raise ValueError("indices must be nonnegative")
-    return _forward_coefficient(n, d, j, 1.0 / eta)
-
-
-def series_coefficients(n: int, d: int, eta: float, count: int) -> list[SeriesCoefficient]:
-    """The first ``count`` inverse coefficients for the ray at (n, d)."""
-    return [SeriesCoefficient(n, d, j, inverse_coefficient(n, d, j, eta))
-            for j in range(count)]
+    weights = _weights(n, d, j, 1.0 / eta)
+    return weights if np.ndim(j) else float(weights)
 
 
 def _ray_weights(L, d, g, j_cap=None):
@@ -107,27 +73,10 @@ def _ray_weights(L, d, g, j_cap=None):
     Rows are output indices, columns input indices along the ray of
     length ``L``; entries beyond ``j_cap`` terms are zero.
     """
-    lg = gammaln(np.arange(L + d + 1) + 1.0)
     nn = np.arange(L)[:, None]
-    kk = np.arange(L)[None, :]
-    jj = kk - nn
-    valid = jj >= 0
-    if j_cap is not None:
-        valid &= jj <= j_cap
-    with np.errstate(invalid="ignore"):
-        log_mag = (
-            0.5 * (2 * nn + d) * log(g)
-            + 0.5 * (lg[kk] + lg[kk + d] - lg[nn] - lg[nn + d])
-            - lg[np.abs(jj)]
-        )
-        if g == 1.0:
-            log_mag = np.where(jj == 0, log_mag, -np.inf)
-        else:
-            log_mag = log_mag + np.where(jj == 0, 0.0, jj * log(abs(1.0 - g)))
-    w = np.exp(np.where(valid, log_mag, -np.inf))
-    if g > 1.0:
-        w = w * np.where(jj % 2 == 1, -1.0, 1.0)
-    return np.where(valid, w, 0.0)
+    jj = np.arange(L)[None, :] - nn
+    w = _weights(nn, d, jj, g)
+    return w if j_cap is None else np.where(jj <= j_cap, w, 0.0)
 
 
 def _transform(rho: DensityMatrix, g: float, j_cap=None):

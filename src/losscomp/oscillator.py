@@ -35,8 +35,11 @@ def _range_for(max_index):
 
 
 def _psi_half(nmax, x):
-    # three-term recursion for normalized oscillator eigenfunctions,
-    # rescaled to the vacuum-variance-1/4 convention
+    """psi_n(x) for n <= nmax as a (nmax + 1, len(x)) array.
+
+    Three-term recursion for normalized oscillator eigenfunctions,
+    rescaled to the vacuum-variance-1/4 convention.
+    """
     y = np.sqrt(2.0) * x
     out = np.empty((nmax + 1, x.size))
     out[0] = (2.0 / np.pi) ** 0.25 * np.exp(-(x**2))

@@ -6,11 +6,12 @@ import pytest
 
 from losscomp import (
     CompensationResult,
-    MeasuredElement,
+    MeasuredRay,
     apply_loss,
     compensated_element,
     convergence_scan,
     error_vs_eta,
+    estimate_element,
     invert_loss,
     make_thermal,
     measure_ray,
@@ -26,11 +27,8 @@ def rng_from(*key):
 
 
 def ray(estimates, errors, n0=0, d=0):
-    """Hand-built coefficient list for the ray starting at (n0, n0+d)."""
-    return [
-        MeasuredElement(n=n0 + j, d=d, estimate=complex(c), stderr=e, n_samples=1000)
-        for j, (c, e) in enumerate(zip(estimates, errors))
-    ]
+    """Hand-built measured ray starting at (n0, n0+d)."""
+    return MeasuredRay(n=n0, d=d, estimate=estimates, stderr=errors)
 
 
 class TestCompensatedElement:
@@ -73,9 +71,9 @@ class TestCompensatedElement:
 
     def test_missing_coefficient_rejected(self):
         coeffs = ray([1.0, 0.5], [0.1, 0.1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"element \(2, 2\)"):
             compensated_element(coeffs, 0, 0, 0.8, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"element \(1, 2\)"):
             compensated_element(coeffs, 1, 1, 0.8, 1)  # wrong ray entirely
 
     def test_imaginary_residue_on_diagonal_raises(self):
@@ -163,28 +161,42 @@ class TestConvergenceScan:
 class TestMeasureRay:
     def test_homodyne_source(self):
         data = sample_quadratures(make_thermal(1.0, 32), 2000, rng_from(31, 5))
-        coeffs = measure_ray(data, 1, 1, 4)
-        assert [c.n for c in coeffs] == [1, 2, 3, 4, 5]
-        assert all(c.d == 1 and c.n_samples == 2000 for c in coeffs)
+        got = measure_ray(data, 1, 1, 4)
+        assert (got.n, got.d) == (1, 1)
+        assert got.estimate.shape == got.stderr.shape == (5,)
+        el = estimate_element(data, 3, 1)
+        assert (got.estimate[2], got.stderr[2]) == (el.estimate, el.stderr)
 
     def test_exact_source_has_zero_errors(self):
         rho = make_thermal(2.0, 64)
-        coeffs = measure_ray(rho, 0, 0, 3)
-        assert [c.stderr for c in coeffs] == [0.0] * 4
-        assert coeffs[2].estimate == pytest.approx(rho.element(2, 2))
+        got = measure_ray(rho, 0, 0, 3)
+        assert list(got.stderr) == [0.0] * 4
+        assert got.estimate[2] == rho.element(2, 2)
 
     def test_histogram_source_diagonal_only(self):
         hist = sample_counts(make_thermal(1.0, 32), 1000, rng_from(31, 6))
-        coeffs = measure_ray(hist, 0, 0, 5)
-        assert coeffs[0].n == 0
+        got = measure_ray(hist, 2, 0, 5)
+        assert got.n == 2
+        assert np.array_equal(got.estimate, hist.counts[2:8] / 1000)
         with pytest.raises(ValueError):
             measure_ray(hist, 0, 1, 5)
 
-    def test_list_passthrough_and_bad_type(self):
-        coeffs = ray([1.0], [0.1])
-        assert measure_ray(coeffs, 0, 0, 0) == coeffs
+    def test_ray_source_sliced_and_bad_type(self):
+        got = measure_ray(ray([1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4], n0=1), 2, 0, 1)
+        assert (got.n, got.d) == (2, 0)
+        assert list(got.estimate) == [2.0, 3.0]
+        assert list(got.stderr) == [0.2, 0.3]
         with pytest.raises(TypeError):
             measure_ray({"not": "a source"}, 0, 0, 0)
+
+    @pytest.mark.parametrize("source", [
+        make_thermal(2.0, 8),
+        sample_counts(make_thermal(2.0, 8), 100, rng_from(31, 7)),
+        ray([0.5] * 8, [0.1] * 8),
+    ], ids=["exact", "histogram", "ray"])
+    def test_short_source_names_missing_element(self, source):
+        with pytest.raises(ValueError, match=r"element \(8, 8\)"):
+            measure_ray(source, 2, 0, 10)
 
 
 class TestErrorVsEta:
@@ -206,17 +218,6 @@ class TestErrorVsEta:
         rows = error_vs_eta(self.flat_ray(100), 0, 0, [0.4], [10, 100])
         by_j = {j: e for _, j, e in rows}
         assert by_j[100] / by_j[10] > 10.0
-
-    def test_callable_source_queried_per_eta(self):
-        seen = []
-
-        def source(eta):
-            seen.append(eta)
-            return self.flat_ray(5, eps=eta)
-
-        rows = error_vs_eta(source, 0, 0, [0.8, 0.6], [5])
-        assert seen == [0.8, 0.6]
-        assert rows[0][2] != rows[1][2]
 
     def test_grid_order_and_shape(self):
         rows = error_vs_eta(self.flat_ray(4), 0, 0, [0.9, 0.6], [2, 4])

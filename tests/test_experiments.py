@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from losscomp import cli
+from losscomp import cli, experiments
 from losscomp.experiments import (
     ExperimentConfig,
     config_hash,
@@ -116,6 +116,13 @@ class TestConfigHash:
         b = config_hash(replace(default_config("fig1"), master_seed=1))
         assert a != b
 
+    @pytest.mark.parametrize("figure,want", [
+        ("fig1", "0b9919431a57"), ("fig2", "163b9c9e167c"), ("direct", "18b3d5b8782a")])
+    def test_default_hashes_pinned(self, figure, want):
+        # every shipped CSV row carries this hash: the canonical text, its
+        # field order included, must not drift
+        assert config_hash(default_config(figure)) == want
+
 
 class TestValidation:
     @pytest.mark.parametrize("overrides", [
@@ -133,6 +140,15 @@ class TestValidation:
     def test_rejected(self, overrides):
         with pytest.raises(ValueError):
             replace(default_config("fig1"), **overrides).validate()
+
+    def test_negative_seed_rejected_up_front(self, tmp_path):
+        config = parse_config("master_seed = -1\n", base=default_config("direct"))
+        with pytest.raises(ValueError, match="master_seed -1 must be nonnegative"):
+            config.validate()
+        out = tmp_path / "direct.csv"
+        with pytest.raises(ValueError, match="master_seed -1 must be nonnegative"):
+            cli.main(["direct", "--seed", "-1", "--out", str(out)])
+        assert not out.exists()
 
 
 class TestTruncationGrid:
@@ -252,6 +268,19 @@ class TestFig2Table:
         a, _ = run_fig2(config, out=tmp_path / "a.csv")
         b, _ = run_fig2(config, out=tmp_path / "b.csv")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_damps_once_per_efficiency(self, tmp_path, monkeypatch):
+        apply_loss, calls = experiments.apply_loss, []
+
+        def counting_apply_loss(rho, eta):
+            calls.append(eta)
+            return apply_loss(rho, eta)
+
+        monkeypatch.setattr(experiments, "apply_loss", counting_apply_loss)
+        config = replace(default_config("fig2"), eta_list=(0.7, 0.5, 0.45),
+                         n_samples=500, trials=3, jm_list=(5,))
+        run_fig2(config, out=tmp_path / "f2.csv")
+        assert calls == [0.7, 0.5, 0.45]
 
 
 class TestCli:

@@ -4,11 +4,8 @@ import pytest
 from scipy.integrate import simpson
 
 from losscomp import (
-    MeasuredElement,
     QuadratureData,
-    QuadratureSample,
     apply_loss,
-    dump_samples,
     error_saturation_profile,
     estimate_element,
     make_coherent,
@@ -216,10 +213,6 @@ class TestEstimateElement:
         with pytest.raises(ValueError):
             estimate_element(data, 0, -1)
 
-    def test_not_degenerate_by_default(self):
-        data = sample_quadratures(make_fock(0, 8), 100, rng_from(17, 17))
-        assert estimate_element(data, 0, 0).degenerate is False
-
 
 @pytest.mark.parametrize("fixture,seed", [
     ("thermal", (99, 1)),
@@ -290,31 +283,9 @@ class TestErrorSaturation:
 
 
 class TestContainers:
-    def test_sample_fields(self):
-        s = QuadratureSample(0.3, 1.2)
-        assert s.x == 0.3 and s.phi == 1.2
-
-    def test_data_indexing_and_iteration(self):
-        data = QuadratureData(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
-        assert len(data) == 2
-        assert data[1] == QuadratureSample(0.2, 0.4)
-        assert [s.x for s in data] == [0.1, 0.2]
-
     def test_data_validates_shapes(self):
         with pytest.raises(ValueError):
             QuadratureData(np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError):
             QuadratureData(np.zeros((2, 2)), np.zeros((2, 2)))
 
-
-def test_dump_samples_format(tmp_path):
-    data = sample_quadratures(make_thermal(1.0, 32), 50, rng_from(17, 19))
-    path = tmp_path / "raw.tsv"
-    dump_samples(data, path)
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    lines = raw.decode("utf-8").splitlines()
-    assert len(lines) == 50
-    xs, phis = zip(*(map(float, line.split("\t")) for line in lines))
-    assert np.allclose(xs, data.x, rtol=1e-11, atol=1e-14)
-    assert np.allclose(phis, data.phi, rtol=1e-11, atol=1e-14)

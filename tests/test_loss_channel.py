@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from losscomp import (
-    LossChannel,
     analytic_threshold,
     apply_loss,
     decay_ratio,
@@ -14,10 +13,9 @@ from losscomp import (
     make_coherent,
     make_fock,
     make_thermal,
-    series_coefficients,
 )
 from losscomp.exceptions import NoConvergenceError, UndefinedRatioError
-from losscomp.loss_channel import _forward_coefficient
+from losscomp.loss_channel import _ray_weights
 
 
 def brute_force_coefficient(n, d, j, eta):
@@ -60,10 +58,13 @@ class TestInverseCoefficient:
             assert v != 0.0
             assert math.copysign(1.0, v) == (-1.0) ** j
 
-    def test_dual_to_forward_weight(self):
-        """The inverse weight is the forward weight read at 1/eta, bit for bit."""
-        for n, d, j, eta in [(0, 0, 3, 0.5), (2, 1, 5, 0.7), (4, 0, 0, 0.9)]:
-            assert inverse_coefficient(n, d, j, eta) == _forward_coefficient(n, d, j, 1.0 / eta)
+    def test_is_a_row_of_the_ray_weights(self):
+        """Series and matrix inversion share one weight formula, bit for bit."""
+        for n, d in [(0, 0), (2, 0), (0, 2), (3, 0), (2, 1), (5, 3)]:
+            for eta in (0.42, 0.5, 0.6, 0.9, 1.0):
+                row = _ray_weights(n + 41, d, 1.0 / eta)[n, n:]
+                assert np.array_equal(inverse_coefficient(n, d, np.arange(41), eta), row)
+                assert [inverse_coefficient(n, d, j, eta) for j in range(41)] == list(row)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -74,39 +75,8 @@ class TestInverseCoefficient:
             inverse_coefficient(-1, 0, 1, 0.5)
         with pytest.raises(ValueError):
             inverse_coefficient(0, 0, -1, 0.5)
-
-
-def test_series_coefficients_listing():
-    coeffs = series_coefficients(1, 1, 0.7, 6)
-    assert [c.j for c in coeffs] == list(range(6))
-    assert all(c.n == 1 and c.d == 1 for c in coeffs)
-    for c in coeffs:
-        assert c.value == inverse_coefficient(1, 1, c.j, 0.7)
-
-
-class TestLossChannel:
-    def test_derived_parameters(self):
-        ch = LossChannel(0.4)
-        assert ch.z == 1.0 - 1.0 / 0.4
-        assert ch.t == pytest.approx(-math.log(0.4), rel=1e-15)
-
-    def test_damping_time_is_additive(self):
-        assert LossChannel(0.8).t + LossChannel(0.75).t == pytest.approx(
-            LossChannel(0.6).t, rel=1e-12)
-
-    @pytest.mark.parametrize("eta", [0.0, -0.2, 1.01])
-    def test_rejects_bad_efficiency(self, eta):
         with pytest.raises(ValueError):
-            LossChannel(eta)
-
-    def test_methods_delegate_to_module_functions(self):
-        rho = make_thermal(1.5, 32)
-        ch = LossChannel(0.7)
-        assert np.array_equal(ch.apply(rho).elements, apply_loss(rho, 0.7).elements)
-        got = ch.invert(rho, j_max=8)
-        ref = invert_loss(rho, 0.7, 8)
-        assert np.array_equal(got.state.elements, ref.state.elements)
-        assert np.array_equal(got.last_term, ref.last_term)
+            inverse_coefficient(0, 0, np.array([0, 1, -1]), 0.5)
 
 
 class TestApplyLoss:
