@@ -9,14 +9,14 @@ statistical error saturate at sqrt(2) along the diagonal.
 import numpy as np
 
 from losscomp import (error_saturation_profile, estimate_element,
-                      make_coherent, make_thermal, pattern_function,
+                      evaluate_pattern, make_coherent, make_thermal,
                       sample_quadratures)
 
 rng = np.random.default_rng(7)
 
 # kernels are bounded oscillating functions; a few spot values
 xs = np.array([0.0, 0.5, 1.3])
-print("pattern function f_22 at x =", xs, "->", np.round(pattern_function(2, 2, xs), 4))
+print("pattern function f_22 at x =", xs, "->", np.round(evaluate_pattern(2, 2, xs), 4))
 
 alpha = 1.0
 rho = make_coherent(alpha, 32)
@@ -25,11 +25,12 @@ data = sample_quadratures(rho, 100_000, rng)
 print(f"\ncoherent |alpha={alpha}>, N = {len(data)} samples")
 print("element      estimate              truth      pull")
 for n, d in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-    el = estimate_element(data, n, d)
+    ray = estimate_element(data, n, d)
+    est, err = ray.estimate[0], ray.stderr[0]
     truth = rho.element(n, n + d)
-    pull = abs(el.estimate - truth) / el.stderr
-    print(f"({n},{n + d})   {el.estimate.real:+.4f}{el.estimate.imag:+.4f}j "
-          f"+- {el.stderr:.4f}   {truth.real:+.4f}   {pull:.2f} sigma")
+    pull = abs(est - truth) / err
+    print(f"({n},{n + d})   {est.real:+.4f}{est.imag:+.4f}j "
+          f"+- {err:.4f}   {truth.real:+.4f}   {pull:.2f} sigma")
 
 # the error of high-index elements is state independent: scaled by
 # sqrt(N) it saturates at sqrt(2), which is the number that kills the

@@ -15,11 +15,11 @@ from .experiments import (ExperimentConfig, config_hash, default_config,
                           run_fig2, serialize_config)
 from .fock_core import (DensityMatrix, GaussianQuadratureLaw, StateSpec,
                         make_coherent, make_fock, make_thermal, mean_photon)
-from .homodyne import (MeasuredElement, MeasuredRay, QuadratureData,
-                       error_saturation_profile, estimate_element,
-                       pattern_function, quadrature_pdf, sample_quadratures)
+from .homodyne import (MeasuredRay, QuadratureData, error_saturation_profile,
+                       estimate_element, quadrature_pdf, sample_quadratures)
 from .loss_channel import (InversionResult, analytic_threshold, apply_loss,
                            decay_ratio, inverse_coefficient, invert_loss)
+from .oscillator import evaluate_pattern
 
 __version__ = "0.1.0"
 
@@ -33,10 +33,9 @@ __all__ = [
     "run_direct_contrast", "run_fig1", "run_fig2", "serialize_config",
     "DensityMatrix", "GaussianQuadratureLaw", "StateSpec", "make_coherent",
     "make_fock", "make_thermal", "mean_photon",
-    "MeasuredElement", "MeasuredRay", "QuadratureData",
-    "error_saturation_profile", "estimate_element", "pattern_function",
-    "quadrature_pdf", "sample_quadratures",
+    "MeasuredRay", "QuadratureData", "error_saturation_profile",
+    "estimate_element", "quadrature_pdf", "sample_quadratures",
     "InversionResult", "analytic_threshold", "apply_loss", "decay_ratio",
-    "inverse_coefficient", "invert_loss",
+    "inverse_coefficient", "invert_loss", "evaluate_pattern",
     "__version__",
 ]

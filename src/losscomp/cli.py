@@ -7,6 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import acceptance, experiments
+from .exceptions import NumericalSanityError
 
 _RUNNERS = {
     "fig1": experiments.run_fig1,
@@ -66,15 +67,19 @@ def _figure_command(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "selftest":
+    try:
+        if args.command != "selftest":
+            return _figure_command(args)
         results = acceptance.run_all()
-        failed = [r.name for r in results if not r.passed]
-        if failed:
-            print(f"FAILED: {', '.join(failed)}")
-            return 1
-        print(f"all {len(results)} criteria passed")
-        return 0
-    return _figure_command(args)
+    except (ValueError, NumericalSanityError, OSError) as exc:
+        print(f"losscomp: error: {exc}", file=sys.stderr)
+        return 2
+    failed = [r.name for r in results if not r.passed]
+    if failed:
+        print(f"FAILED: {', '.join(failed)}")
+        return 1
+    print(f"all {len(results)} criteria passed")
+    return 0
 
 
 if __name__ == "__main__":

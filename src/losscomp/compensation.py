@@ -54,8 +54,7 @@ def measure_ray(source, n: int, d: int, j_max: int) -> MeasuredRay:
     the source does not reach every element.
     """
     if isinstance(source, QuadratureData):
-        els = [estimate_element(source, n + j, d) for j in range(j_max + 1)]
-        return MeasuredRay(n, d, [e.estimate for e in els], [e.stderr for e in els])
+        return estimate_element(source, n, d, j_max)
     if isinstance(source, CountHistogram):
         if d != 0:
             raise ValueError("photocounting only measures diagonal elements")
@@ -118,6 +117,15 @@ def _verdict_from_trace(trace):
     return "marginal"
 
 
+def truncation_indices(j_list) -> list:
+    """``j_list`` as ints; ValueError unless nonempty, nonnegative and strictly ascending."""
+    j_list = [int(j) for j in j_list]
+    if not j_list or j_list[0] < 0 or any(a >= b for a, b in zip(j_list, j_list[1:])):
+        raise ValueError(f"truncation indices {j_list} must be nonempty, nonnegative "
+                         "and strictly ascending")
+    return j_list
+
+
 def convergence_scan(source, n: int, d: int, eta: float, j_list) -> CompensationResult:
     """Evaluate the series at each truncation index and classify the trend.
 
@@ -129,11 +137,7 @@ def convergence_scan(source, n: int, d: int, eta: float, j_list) -> Compensation
     reported diverging, however much the error grew in the early,
     pre-asymptotic part of the scan.
     """
-    j_list = [int(j) for j in j_list]
-    if j_list != sorted(j_list) or len(set(j_list)) != len(j_list):
-        raise ValueError("truncation indices must be strictly ascending")
-    if not j_list or j_list[0] < 0:
-        raise ValueError("need at least one nonnegative truncation index")
+    j_list = truncation_indices(j_list)
     ray = measure_ray(source, n, d, j_list[-1])
     weights = inverse_coefficient(n, d, np.arange(j_list[-1] + 1), eta)
     value_partial = np.cumsum(weights * ray.estimate)

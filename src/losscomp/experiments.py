@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compensation import convergence_scan, error_vs_eta
+from .compensation import convergence_scan, error_vs_eta, truncation_indices
 from .direct_detection import sample_counts
 from .fock_core import StateSpec
 from .homodyne import sample_quadratures
@@ -89,7 +89,7 @@ class ExperimentConfig:
         self.state().build()  # surfaces bad state parameters early
 
     def truncation_grid(self, eta: float) -> list:
-        """j_M grid for one efficiency: explicit list, or the default.
+        """j_M grid for one efficiency: explicit list (checked), or the default.
 
         The default homodyne grid is 1..20, extended by 25..100 in steps
         of 5 when eta <= 0.53 — the spaced tail is what lets the scan
@@ -97,7 +97,7 @@ class ExperimentConfig:
         like a power of j_M.  Direct detection defaults to 1..40.
         """
         if self.jm_list is not None:
-            return list(self.jm_list)
+            return truncation_indices(self.jm_list)
         if self.detection == "direct":
             return list(range(1, 41))
         grid = list(range(1, 21))

@@ -40,22 +40,6 @@ class QuadratureData:
 
 
 @dataclass
-class MeasuredElement:
-    """An estimated matrix element with its standard error.
-
-    ``estimate`` approximates ``<n|rho|n+d>``; ``stderr`` is the sample
-    standard deviation of the kernel summands over sqrt(N) (the larger
-    of the real/imaginary components for d > 0).
-    """
-
-    n: int
-    d: int
-    estimate: complex
-    stderr: float
-    n_samples: int
-
-
-@dataclass
 class MeasuredRay:
     """Estimates of the ray ``<n+j|rho|n+d+j>``, j = 0, 1, ..., with errors.
 
@@ -75,16 +59,17 @@ class MeasuredRay:
             raise ValueError("estimate and stderr must be 1-d arrays of equal length")
 
 
-def quadrature_pdf(rho: DensityMatrix, phi: float, x) -> np.ndarray:
+def quadrature_pdf(rho: DensityMatrix, phi, x) -> np.ndarray:
     """Quadrature density ``p(x; phi)`` for the given state.
 
-    Accepts scalar or array ``x`` and returns matching shape.
+    ``phi`` is one phase or one per point of ``x``; scalar ``phi`` and
+    ``x`` give a float, anything else an array.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    psi = oscillator._psi_half(rho.dim - 1, xa)
-    rotated = psi * np.exp(1j * phi * np.arange(rho.dim))[:, None]
+    rotated = oscillator._psi_half(rho.dim - 1, xa) * np.exp(
+        1j * np.multiply.outer(np.arange(rho.dim), np.atleast_1d(phi)))
     dens = np.einsum("nx,nx->x", rotated, rho.elements @ rotated.conj()).real
-    return dens if np.ndim(x) else float(dens[0])
+    return dens if np.ndim(x) or np.ndim(phi) else float(dens[0])
 
 
 def _is_phase_invariant(rho):
@@ -98,10 +83,12 @@ def _grid_for(rho, points=4097):
     return np.linspace(-half, half, points)
 
 
-def _sample_inverse_cdf(pdf, grid, n, rng, trace):
-    mass = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))])
+def _sample_inverse_cdf(density, grid, n, rng, trace=None):
+    """``n`` draws from ``density`` on ``grid``; its mass must match ``trace`` if given."""
+    mass = np.concatenate(
+        [[0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(grid))])
     total = mass[-1]
-    if abs(total - trace) > 1e-6:
+    if trace is not None and abs(total - trace) > 1e-6:
         raise NumericalSanityError(
             f"quadrature density integrates to {total:.3g}, trace is {trace:.3g}; "
             "state truncation is inadequate")
@@ -123,9 +110,6 @@ def _sample_rejection(rho, n, rng):
         profile = np.einsum("j,jx,jx->x", ray, psi[: rho.dim - d], psi[d:])
         envelope += (1.0 if d == 0 else 2.0) * np.abs(profile)
     envelope *= 1.005  # headroom for interpolation between grid nodes
-    cum = np.concatenate(
-        [[0.0], np.cumsum((envelope[1:] + envelope[:-1]) * 0.5 * np.diff(grid))])
-    modes = np.arange(rho.dim)
     xs_out = np.empty(n)
     phi_out = np.empty(n)
     filled = 0
@@ -133,11 +117,10 @@ def _sample_rejection(rho, n, rng):
         if filled == n:
             break
         batch = max(2 * (n - filled), 512)
-        xc = np.interp(rng.random(batch) * cum[-1], cum, grid)
+        xc = _sample_inverse_cdf(envelope, grid, batch, rng)
         pc = rng.uniform(0.0, np.pi, batch)
         height = rng.random(batch) * np.interp(xc, grid, envelope)
-        rotated = oscillator._psi_half(rho.dim - 1, xc) * np.exp(1j * np.outer(modes, pc))
-        dens = np.einsum("nx,nx->x", rotated, rho.elements @ rotated.conj()).real
+        dens = quadrature_pdf(rho, pc, xc)
         keep = np.nonzero(height <= np.maximum(dens, 0.0))[0][: n - filled]
         xs_out[filled:filled + keep.size] = xc[keep]
         phi_out[filled:filled + keep.size] = pc[keep]
@@ -174,39 +157,40 @@ def sample_quadratures(rho: DensityMatrix, n: int, rng: np.random.Generator) -> 
     return QuadratureData(x=x, phi=phi)
 
 
-def pattern_function(n: int, m: int, x):
-    """Tomography kernel ``f_nm`` evaluated at ``x`` (scalar or array).
-
-    Defined by unbiasedness:  averaging ``e^{i(m-n) phi} f_nm(x)`` over
-    homodyne samples of any state estimates ``<n|rho|m>``.
-    """
-    values = oscillator.evaluate_pattern(n, m, x)
-    return values if np.ndim(x) else float(values)
+# kernel values evaluated per pass: a ray of J elements over N samples is
+# estimated in (rows, N) blocks of at most this many values
+_BLOCK = 2**20
 
 
-def estimate_element(samples: QuadratureData, n: int, d: int) -> MeasuredElement:
-    """Estimate ``<n|rho|n+d>`` from homodyne samples.
+def estimate_element(samples: QuadratureData, n: int, d: int, j_max: int = 0) -> MeasuredRay:
+    """Estimate the ray ``<n+j|rho|n+d+j>``, j = 0..j_max, from homodyne samples.
 
-    The estimate is the sample mean of ``e^{i d phi} f_{n,n+d}(x)``; its
+    Element j is the sample mean of ``e^{i d phi} f_{n+j,n+d+j}(x)``; its
     standard error is the larger componentwise sample deviation divided
-    by sqrt(N).
+    by sqrt(N).  The kernels are evaluated in one pass per block of rows.
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples")
-    if n < 0 or d < 0:
+    if n < 0 or d < 0 or j_max < 0:
         raise ValueError("indices must be nonnegative")
-    kernel = oscillator.evaluate_pattern(n, n + d, samples.x)
     n_s = len(samples)
-    if d == 0:
-        est = complex(np.mean(kernel))
-        err = float(np.std(kernel, ddof=1) / np.sqrt(n_s))
-    else:
-        summands = np.exp(1j * d * samples.phi) * kernel
-        est = complex(np.mean(summands))
-        err = float(
-            max(np.std(summands.real, ddof=1), np.std(summands.imag, ddof=1))
-            / np.sqrt(n_s))
-    return MeasuredElement(n=n, d=d, estimate=est, stderr=err, n_samples=n_s)
+    phase = np.exp(1j * d * samples.phi) if d else None
+    estimate = np.empty(j_max + 1, dtype=complex)
+    stderr = np.empty(j_max + 1)
+    rows = max(1, _BLOCK // n_s)
+    for lo in range(0, j_max + 1, rows):
+        row_n = np.arange(n + lo, n + min(lo + rows, j_max + 1))
+        block = oscillator.evaluate_pattern(row_n, row_n + d, samples.x)
+        for j, kernel in enumerate(block, start=lo):
+            if phase is None:
+                estimate[j] = np.mean(kernel)
+                stderr[j] = np.std(kernel, ddof=1) / np.sqrt(n_s)
+            else:
+                summands = phase * kernel
+                estimate[j] = np.mean(summands)
+                stderr[j] = max(np.std(summands.real, ddof=1),
+                                np.std(summands.imag, ddof=1)) / np.sqrt(n_s)
+    return MeasuredRay(n, d, estimate, stderr)
 
 
 def error_saturation_profile(samples: QuadratureData, j_list, n0: int, d: int):
@@ -216,8 +200,7 @@ def error_saturation_profile(samples: QuadratureData, j_list, n0: int, d: int):
     the saturation that makes the compensation series diverge at low
     efficiency.
     """
-    out = []
-    for j in j_list:
-        el = estimate_element(samples, n0 + j, d)
-        out.append((int(j), el.stderr * np.sqrt(el.n_samples)))
-    return out
+    j_list = [int(j) for j in j_list]
+    lo = min(j_list)
+    ray = estimate_element(samples, n0 + lo, d, max(j_list) - lo)
+    return [(j, ray.stderr[j - lo] * np.sqrt(len(samples))) for j in j_list]

@@ -148,20 +148,29 @@ def tables_for(max_index: int) -> _Tables:
     return _TABLES
 
 
-def evaluate_pattern(n: int, m: int, x) -> np.ndarray:
-    """Kernel f_nm at points ``x`` via cached cubic interpolation."""
-    if n < 0 or m < n:
+def evaluate_pattern(n, m, x) -> np.ndarray:
+    """Kernel f_nm at points ``x`` via cached cubic interpolation.
+
+    Defined by unbiasedness:  averaging ``e^{i(m-n) phi} f_nm(x)`` over
+    homodyne samples of any state estimates ``<n|rho|m>``.  ``n`` and
+    ``m`` may be equal-length integer arrays: the points are located in
+    the table once and row k holds ``f_{n[k] m[k]}(x)``.
+    """
+    ns, ms = np.asarray(n), np.asarray(m)
+    if ns.shape != ms.shape or np.any(ns < 0) or np.any(ms < ns):
         raise ValueError("kernel indices require 0 <= n <= m")
-    t = tables_for(m)
+    t = tables_for(int(np.max(ms)))
     xa = np.asarray(x, dtype=float)
     if xa.size and np.max(np.abs(xa)) > t.x_max:
         raise ExtrapolationError(
-            f"|x| beyond tabulated range {t.x_max:g} for kernel ({n},{m})")
-    c = t.spline(n, m)
+            f"|x| beyond tabulated range {t.x_max:g} for kernel index {np.max(ms)}")
     idx = np.clip(
         ((xa + t.x_max) / TAB_STEP).astype(np.int64), 0, t.x_full.size - 2)
     dt = xa - t.x_full[idx]
-    return ((c[0, idx] * dt + c[1, idx]) * dt + c[2, idx]) * dt + c[3, idx]
+    out = np.empty((ns.size,) + xa.shape)
+    for k, c in enumerate(map(t.spline, ns.ravel().tolist(), ms.ravel().tolist())):
+        out[k] = ((c[0, idx] * dt + c[1, idx]) * dt + c[2, idx]) * dt + c[3, idx]
+    return out.reshape(ns.shape + xa.shape)[()]
 
 
 def kernel_on_grid(n: int, m: int):

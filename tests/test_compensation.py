@@ -165,7 +165,7 @@ class TestMeasureRay:
         assert (got.n, got.d) == (1, 1)
         assert got.estimate.shape == got.stderr.shape == (5,)
         el = estimate_element(data, 3, 1)
-        assert (got.estimate[2], got.stderr[2]) == (el.estimate, el.stderr)
+        assert (got.estimate[2], got.stderr[2]) == (el.estimate[0], el.stderr[0])
 
     def test_exact_source_has_zero_errors(self):
         rho = make_thermal(2.0, 64)

@@ -126,7 +126,7 @@ def test_direct_errors_collapse_relative_to_homodyne():
     rho = make_thermal(1.2, 64)
     ray = estimate_probabilities(sample_counts(rho, 8000, rng_from(23, 4)))
     data = sample_quadratures(rho, 8000, rng_from(23, 5))
-    ratios = [ray.stderr[j] / estimate_element(data, j, 0).stderr for j in (0, 4, 8)]
+    ratios = [ray.stderr[j] / estimate_element(data, j, 0).stderr[0] for j in (0, 4, 8)]
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] < 0.1
 

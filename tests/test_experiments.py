@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from losscomp import cli, experiments
+from losscomp.exceptions import NumericalSanityError
 from losscomp.experiments import (
     ExperimentConfig,
     config_hash,
@@ -136,19 +137,32 @@ class TestValidation:
         dict(n_samples=10**6, jm_list=(100,)),          # budget: 10^8 > 5*10^7
         dict(detection="direct", target_d=1),
         dict(detection="direct", dim=32, jm_list=(35,)),  # ray leaves truncation
+        dict(jm_list=()),
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ValueError):
             replace(default_config("fig1"), **overrides).validate()
 
-    def test_negative_seed_rejected_up_front(self, tmp_path):
+    def test_negative_seed_rejected_up_front(self, tmp_path, capsys):
         config = parse_config("master_seed = -1\n", base=default_config("direct"))
         with pytest.raises(ValueError, match="master_seed -1 must be nonnegative"):
             config.validate()
         out = tmp_path / "direct.csv"
-        with pytest.raises(ValueError, match="master_seed -1 must be nonnegative"):
-            cli.main(["direct", "--seed", "-1", "--out", str(out)])
+        assert cli.main(["direct", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "losscomp: error: master_seed -1 must be nonnegative\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("jm_list", ["3,1,2", "-1", "1,1,2", "-2,4"])
+    @pytest.mark.parametrize("figure", ["fig1", "fig2"])
+    def test_bad_jm_list_rejected_up_front(self, figure, jm_list, tmp_path):
+        config = parse_config(f"jm_list = {jm_list}\n", base=default_config(figure))
+        with pytest.raises(ValueError, match="must be nonempty, nonnegative and strictly"):
+            config.validate()
+        run = run_fig1 if figure == "fig1" else run_fig2
+        with pytest.raises(ValueError, match="strictly ascending"):
+            run(config, out=tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestTruncationGrid:
@@ -303,6 +317,27 @@ class TestCli:
         # --trials beats the config file; three trials in the sibling
         assert set(r["trial"] for r in read_rows(tmp_path / "table_trials.csv")) == \
             {"0", "1", "2"}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fig1", "--trials", "0"], "trials must be at least 1"),
+        (["fig2", "--config", "no/such/file.conf"], "No such file or directory"),
+    ])
+    def test_library_error_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("losscomp: error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_sanity_error_is_one_line_and_exit_2(self, monkeypatch, capsys):
+        def broken(config, out=None):
+            raise NumericalSanityError("density integrates to 0.9")
+
+        monkeypatch.setitem(cli._RUNNERS, "direct", broken)
+        assert cli.main(["direct"]) == 2
+        assert capsys.readouterr().err == "losscomp: error: density integrates to 0.9\n"
 
     def test_selftest_reports_success(self, monkeypatch, capsys):
         from losscomp import acceptance

@@ -8,19 +8,26 @@ from losscomp import (
     apply_loss,
     error_saturation_profile,
     estimate_element,
+    evaluate_pattern,
     make_coherent,
     make_fock,
     make_thermal,
-    pattern_function,
     quadrature_pdf,
     sample_quadratures,
 )
+from losscomp import homodyne, oscillator
 from losscomp.exceptions import ExtrapolationError, NumericalSanityError
 from losscomp.fock_core import DensityMatrix
 
 
 def rng_from(*key):
     return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def element(data, n, d):
+    """(estimate, stderr) of the single element <n|rho|n+d>."""
+    ray = estimate_element(data, n, d)
+    return ray.estimate[0], ray.stderr[0]
 
 
 def strip_law(rho):
@@ -69,6 +76,16 @@ class TestQuadraturePdf:
         assert vec[1] == pytest.approx(quadrature_pdf(rho, 0.5, 0.7), rel=1e-13)
 
 
+    def test_per_sample_phases_equal_scalar_phase_calls(self):
+        rho = make_coherent(0.7 + 0.3j, 24)
+        rng = rng_from(17, 20)
+        x, phi = rng.normal(size=200), rng.uniform(0.0, np.pi, 200)
+        dens = quadrature_pdf(rho, phi, x)
+        assert dens.shape == (200,)
+        for k in range(200):
+            assert dens[k] == quadrature_pdf(rho, phi[k], x)[k]
+
+
 class TestSampleQuadratures:
     def test_thermal_variance(self):
         data = sample_quadratures(make_thermal(2.0, 64), 100_000, rng_from(17, 12))
@@ -99,7 +116,7 @@ class TestSampleQuadratures:
         rho = make_thermal(2.0, 64)
         a = estimate_element(sample_quadratures(rho, 50_000, rng_from(17, 5)), 1, 0)
         b = estimate_element(sample_quadratures(strip_law(rho), 50_000, rng_from(17, 6)), 1, 0)
-        pull = abs(a.estimate.real - b.estimate.real) / np.hypot(a.stderr, b.stderr)
+        pull = abs(a.estimate[0].real - b.estimate[0].real) / np.hypot(a.stderr[0], b.stderr[0])
         assert pull < 3.0
 
     def test_needs_at_least_one_sample(self):
@@ -126,13 +143,13 @@ class TestPatternFunction:
 
     @pytest.mark.parametrize("n,x", sorted(FROZEN))
     def test_frozen_diagonal_values(self, n, x):
-        assert pattern_function(n, n, x) == pytest.approx(self.FROZEN[(n, x)], abs=1e-7)
+        assert evaluate_pattern(n, n, x) == pytest.approx(self.FROZEN[(n, x)], abs=1e-7)
 
     def test_parity(self):
         x = np.array([0.37, 1.1, 2.6])
         for n, m in [(0, 0), (0, 1), (2, 5), (3, 3)]:
-            left = pattern_function(n, m, -x)
-            right = (-1.0) ** (n + m) * pattern_function(n, m, x)
+            left = evaluate_pattern(n, m, -x)
+            right = (-1.0) ** (n + m) * evaluate_pattern(n, m, x)
             assert np.allclose(left, right, atol=1e-12)
 
     def test_bounded_through_index_40(self):
@@ -140,42 +157,56 @@ class TestPatternFunction:
         worst = 0.0
         for n in range(41):
             for m in {n, min(n + 1, 40), 40}:
-                worst = max(worst, float(np.max(np.abs(pattern_function(n, m, x)))))
+                worst = max(worst, float(np.max(np.abs(evaluate_pattern(n, m, x)))))
         assert np.isfinite(worst)
         assert worst < 50.0
 
+    def test_index_arrays_equal_per_pair_calls(self):
+        n, m = np.array([0, 3, 5, 2, 7]), np.array([0, 4, 9, 2, 7])
+        x = np.linspace(-5.0, 5.0, 301)
+        rows = evaluate_pattern(n, m, x)
+        assert rows.shape == (5, 301)
+        points = evaluate_pattern(n, m, 0.37)
+        assert points.shape == (5,)
+        for k in range(5):
+            assert rows[k].tobytes() == evaluate_pattern(n[k], m[k], x).tobytes()
+            assert points[k] == evaluate_pattern(n[k], m[k], 0.37)
+        assert isinstance(evaluate_pattern(2, 2, 0.37), float)
+        with pytest.raises(ValueError):
+            evaluate_pattern(np.array([0, 3]), np.array([1, 2]), x)
+
     def test_requires_ordered_indices(self):
         with pytest.raises(ValueError):
-            pattern_function(3, 1, 0.0)
+            evaluate_pattern(3, 1, 0.0)
 
     def test_far_outside_table_raises(self):
         with pytest.raises(ExtrapolationError):
-            pattern_function(0, 0, 50.0)
+            evaluate_pattern(0, 0, 50.0)
 
 
 class TestEstimateElement:
     def test_vacuum_diagonal(self):
         data = sample_quadratures(make_fock(0, 16), 100_000, rng_from(17, 0))
-        el = estimate_element(data, 0, 0)
-        assert el.estimate.imag == 0.0
-        assert abs(el.estimate.real - 1.0) < 3.0 * el.stderr
+        est, err = element(data, 0, 0)
+        assert est.imag == 0.0
+        assert abs(est.real - 1.0) < 3.0 * err
 
     def test_orthogonal_element_is_zero(self):
         data = sample_quadratures(make_fock(1, 16), 100_000, rng_from(17, 1))
-        el = estimate_element(data, 0, 0)
-        assert abs(el.estimate.real) < 3.0 * el.stderr
+        est, err = element(data, 0, 0)
+        assert abs(est.real) < 3.0 * err
 
     def test_thermal_diagonal(self):
         data = sample_quadratures(make_thermal(2.0, 64), 24_000, rng_from(17, 2))
-        el = estimate_element(data, 2, 0)
-        assert abs(el.estimate.real - 4.0 / 27.0) < 3.0 * el.stderr
-        assert el.n_samples == 24_000
+        ray = estimate_element(data, 2, 0)
+        assert (ray.n, ray.d, ray.estimate.shape) == (2, 0, (1,))
+        assert abs(ray.estimate[0].real - 4.0 / 27.0) < 3.0 * ray.stderr[0]
 
     def test_coherent_off_diagonal(self):
         data = sample_quadratures(make_coherent(1.0, 32), 100_000, rng_from(17, 3))
-        el = estimate_element(data, 0, 1)
-        assert abs(el.estimate.real - np.exp(-1.0)) < 3.0 * el.stderr
-        assert abs(el.estimate.imag) < 3.0 * el.stderr
+        est, err = element(data, 0, 1)
+        assert abs(est.real - np.exp(-1.0)) < 3.0 * err
+        assert abs(est.imag) < 3.0 * err
 
     def test_complex_amplitude_phase_convention(self):
         """<0|rho|1> of a coherent state is e^{-|a|^2} * conj(a): the sign of
@@ -185,24 +216,24 @@ class TestEstimateElement:
         alpha = 0.6 + 0.8j
         rho = strip_law(make_coherent(alpha, 32))
         data = sample_quadratures(rho, 60_000, rng_from(17, 4))
-        el = estimate_element(data, 0, 1)
+        est, err = element(data, 0, 1)
         want = np.exp(-1.0) * np.conj(alpha)
-        assert abs(el.estimate.real - want.real) < 3.0 * el.stderr
-        assert abs(el.estimate.imag - want.imag) < 3.0 * el.stderr
+        assert abs(est.real - want.real) < 3.0 * err
+        assert abs(est.imag - want.imag) < 3.0 * err
 
     def test_phase_invariant_state_has_zero_off_diagonals(self):
         data = sample_quadratures(make_thermal(2.0, 64), 24_000, rng_from(17, 2))
-        el = estimate_element(data, 0, 2)
-        assert abs(el.estimate.real) < 3.0 * el.stderr
-        assert abs(el.estimate.imag) < 3.0 * el.stderr
+        est, err = element(data, 0, 2)
+        assert abs(est.real) < 3.0 * err
+        assert abs(est.imag) < 3.0 * err
 
     def test_deterministic_estimates(self):
         runs = []
         for _ in range(2):
             data = sample_quadratures(make_thermal(1.0, 32), 4000, rng_from(17, 16))
             runs.append(estimate_element(data, 1, 0))
-        assert runs[0].estimate == runs[1].estimate
-        assert runs[0].stderr == runs[1].stderr
+        assert np.array_equal(runs[0].estimate, runs[1].estimate)
+        assert np.array_equal(runs[0].stderr, runs[1].stderr)
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
@@ -212,6 +243,27 @@ class TestEstimateElement:
             estimate_element(data, -1, 0)
         with pytest.raises(ValueError):
             estimate_element(data, 0, -1)
+        with pytest.raises(ValueError):
+            estimate_element(data, 0, 0, j_max=-1)
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_ray_equals_single_elements_across_blocks(self, d, monkeypatch):
+        data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 19))
+        calls, evaluate = [], oscillator.evaluate_pattern
+
+        def counting(n, m, x):
+            calls.append(np.size(n))
+            return evaluate(n, m, x)
+
+        monkeypatch.setattr(homodyne, "_BLOCK", 4 * len(data))
+        monkeypatch.setattr(homodyne.oscillator, "evaluate_pattern", counting)
+        ray = estimate_element(data, 1, d, j_max=10)
+        assert calls == [4, 4, 3]
+        assert (ray.n, ray.d, ray.estimate.shape, ray.stderr.shape) == (1, d, (11,), (11,))
+        for j in range(11):
+            one = estimate_element(data, 1 + j, d)
+            assert one.estimate.tobytes() == ray.estimate[j:j + 1].tobytes()
+            assert one.stderr.tobytes() == ray.stderr[j:j + 1].tobytes()
 
 
 @pytest.mark.parametrize("fixture,seed", [
@@ -234,7 +286,7 @@ def test_estimator_unbiased_over_many_runs(fixture, seed):
     for total in range(12):
         for n in range(total + 1):
             d = total - n
-            kernel = pattern_function(n, n + d, data.x)
+            kernel = evaluate_pattern(n, n + d, data.x)
             summands = kernel if d == 0 else np.exp(1j * d * data.phi) * kernel
             runs = np.asarray(summands).reshape(200, 2000).mean(axis=1)
             truth = rho.element(n, n + d)
