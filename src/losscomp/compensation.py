@@ -154,11 +154,12 @@ def error_vs_eta(source, n: int, d: int, eta_list, j_list):
     """Normalized error profile ``sqrt(sum_j z^{2j} eps_j^2)`` on a grid.
 
     The measured errors of ``source`` (anything :func:`measure_ray`
-    accepts) are reused at every efficiency.  Returns rows
-    ``(eta, j_max, error)`` for the full grid in input order.
+    accepts) are reused at every efficiency; ``j_list`` follows
+    :func:`truncation_indices`.  Returns rows ``(eta, j_max, error)`` for
+    the full grid in input order.
     """
-    j_list = [int(j) for j in j_list]
-    err = measure_ray(source, n, d, max(j_list)).stderr
+    j_list = truncation_indices(j_list)
+    err = measure_ray(source, n, d, j_list[-1]).stderr
     rows = []
     for eta in eta_list:
         if not 0.0 < eta <= 1.0:

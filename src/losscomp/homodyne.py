@@ -167,12 +167,14 @@ def estimate_element(samples: QuadratureData, n: int, d: int, j_max: int = 0) ->
 
     Element j is the sample mean of ``e^{i d phi} f_{n+j,n+d+j}(x)``; its
     standard error is the larger componentwise sample deviation divided
-    by sqrt(N).  The kernels are evaluated in one pass per block of rows.
+    by sqrt(N).  One kernel table, sized for the largest index and the
+    samples' reach, serves every block of rows.
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples")
     if n < 0 or d < 0 or j_max < 0:
         raise ValueError("indices must be nonnegative")
+    oscillator.tables_for(n + d + j_max, float(np.max(np.abs(samples.x))))
     n_s = len(samples)
     phase = np.exp(1j * d * samples.phi) if d else None
     estimate = np.empty(j_max + 1, dtype=complex)

@@ -14,9 +14,10 @@ same equation, fixed uniquely by giving it the parity opposite to
 Numerov scheme; the kernel normalization is then pinned per pair by the
 unbiasedness anchor ``integral psi_n psi_m f_nm dx = 1``.
 
-Tables are cached at module level and grown on demand.  The tabulation
-range always extends past the classical turning point of the largest
-index in play, which the normalization integrals need.
+One table is cached at module level and rebuilt larger on demand.  Its
+range extends past the samples' reach a caller names and past the
+classical turning point of the largest index, which the normalization
+integrals need.
 """
 from __future__ import annotations
 
@@ -28,10 +29,6 @@ from .exceptions import ExtrapolationError
 TAB_STEP = 0.002          # kernel tabulation grid step
 _FINE_SUB = 2             # Numerov substeps per tabulation step
 _TURNING_MARGIN = 4.0     # grid range beyond the classical turning point
-
-
-def _range_for(max_index):
-    return float(np.ceil(np.sqrt(max_index + 0.5) + _TURNING_MARGIN))
 
 
 def _psi_half(nmax, x):
@@ -88,24 +85,20 @@ def _chi_half(mmax, x):
 
 
 class _Tables:
-    def __init__(self, max_index):
+    def __init__(self, max_index, reach=0.0):
         self.max_index = max_index
-        self.x_max = _range_for(max_index)
+        self.x_max = float(np.ceil(max(np.sqrt(max_index + 0.5) + _TURNING_MARGIN, reach)))
         nh = int(round(self.x_max / TAB_STEP))
-        h = TAB_STEP / _FINE_SUB
-        fine = np.arange(_FINE_SUB * nh + 2) * h
-        psi_f = _psi_half(max_index + 1, fine)
-        chi_f, dchi_f = _chi_half(max_index, fine)
-        keep = slice(0, _FINE_SUB * nh + 1, _FINE_SUB)
-        self.x_half = fine[keep]
-        self.psi = psi_f[:, keep]
-        self.chi = chi_f[:, keep]
-        self.dchi = dchi_f[:, keep]
-        # psi_n' = sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}
-        self.dpsi = np.empty((max_index + 1, self.x_half.size))
-        for n in range(max_index + 1):
-            lower = np.sqrt(n) * self.psi[n - 1] if n >= 1 else 0.0
-            self.dpsi[n] = lower - np.sqrt(n + 1.0) * psi_f[n + 1, keep]
+        fine = np.arange(_FINE_SUB * nh + 2) * (TAB_STEP / _FINE_SUB)
+        self.chi, self.dchi = (np.ascontiguousarray(a[:, ::_FINE_SUB])
+                               for a in _chi_half(max_index, fine))
+        self.x_half = np.arange(nh + 1) * TAB_STEP
+        self.psi = _psi_half(max_index + 1, self.x_half)
+        # psi_n' = sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}, with psi_0 standing
+        # in for psi_{-1}, which its zero coefficient cancels
+        root = np.sqrt(np.arange(max_index + 2.0))[:, None]
+        lower = np.vstack([self.psi[:1], self.psi[:-2]])
+        self.dpsi = root[:-1] * lower - root[1:] * self.psi[1:]
         # Simpson weights on the half line (nh is even by construction)
         w = np.ones(nh + 1)
         w[1:-1:2] = 4.0
@@ -114,18 +107,10 @@ class _Tables:
         self.x_full = np.concatenate([-self.x_half[:0:-1], self.x_half])
         self.kernels = {}
 
-    def half_line_integral(self, values):
-        """Full-line integral of an even function given on the half grid."""
-        return 2.0 * float(np.sum(values * self.simpson))
-
-    def kernel_half(self, n, m):
-        """Normalized kernel f_nm on the half grid."""
-        raw = self.dpsi[n] * self.chi[m] + self.psi[n] * self.dchi[m]
-        anchor = self.half_line_integral(self.psi[n] * self.psi[m] * raw)
-        return raw / anchor
-
     def kernel_full(self, n, m):
-        half = self.kernel_half(n, m)
+        """Kernel f_nm on ``x_full``, normalized by its unbiasedness anchor."""
+        half = self.dpsi[n] * self.chi[m] + self.psi[n] * self.dchi[m]
+        half /= 2.0 * float(np.sum(self.psi[n] * self.psi[m] * half * self.simpson))
         parity = 1.0 if (n + m) % 2 == 0 else -1.0
         return np.concatenate([parity * half[:0:-1], half])
 
@@ -140,11 +125,18 @@ class _Tables:
 _TABLES: _Tables | None = None
 
 
-def tables_for(max_index: int) -> _Tables:
+def tables_for(max_index: int, reach: float = 0.0) -> _Tables:
+    """The shared table for indices <= ``max_index`` and ``|x| <= reach``.
+
+    A rebuild at least doubles the index (floor 32) and keeps the range.
+    """
     global _TABLES
-    if _TABLES is None or _TABLES.max_index < max_index:
-        size = max_index if _TABLES is None else max(max_index, 2 * _TABLES.max_index)
-        _TABLES = _Tables(max(size, 32))
+    t = _TABLES
+    if t is None or t.max_index < max_index or t.x_max < reach:
+        if t is not None:
+            max_index, reach = max(max_index, 2 * t.max_index), max(reach, t.x_max)
+        t = _TABLES = None        # let the old table go before the new one is built
+        _TABLES = _Tables(max(max_index, 32), reach)
     return _TABLES
 
 

@@ -228,6 +228,11 @@ class TestErrorVsEta:
         with pytest.raises(ValueError):
             error_vs_eta(self.flat_ray(3), 0, 0, [eta], [3])
 
+    @pytest.mark.parametrize("j_list", [[5, -1], [3, 1]])
+    def test_rejects_bad_truncation_list(self, j_list):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            error_vs_eta(self.flat_ray(5), 0, 0, [0.7], j_list)
+
 
 def test_transition_in_propagated_error_series():
     """Partial sums of z^{2j} (2/N) settle only above eta = 1/2: at 0.5 the

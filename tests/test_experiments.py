@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from losscomp import cli, experiments
+from losscomp import cli, experiments, oscillator
 from losscomp.exceptions import NumericalSanityError
 from losscomp.experiments import (
     ExperimentConfig,
@@ -244,6 +244,20 @@ class TestScanTables:
 
         keep = [r for r in strip(read_rows(three)) if r["trial"] in ("0", "1")]
         assert keep == strip(read_rows(two))
+
+    def test_wide_state_runs_to_completion(self, tmp_path, monkeypatch):
+        """Samples of a bright state land past the range an index-sized
+
+        kernel table covers (|x| = 10 below index 32); the table must
+        follow the samples instead of failing after they are drawn.
+        """
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        config = small_fig1(state_nbar=30.0, dim=200, eta_list=(0.6,), trials=1)
+        table, _ = run_fig1(config, out=tmp_path / "wide.csv")
+        assert oscillator._TABLES.x_max > 10.0
+        rows = read_rows(table)
+        assert [r["j_M"] for r in rows] == ["1", "2", "5"]
+        assert all(np.isfinite(float(r["value"])) for r in rows)
 
     def test_direct_contrast_runs(self, tmp_path):
         config = replace(default_config("direct"), eta_list=(0.45,),

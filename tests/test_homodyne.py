@@ -183,6 +183,13 @@ class TestPatternFunction:
         with pytest.raises(ExtrapolationError):
             evaluate_pattern(0, 0, 50.0)
 
+    def test_table_keeps_only_its_grid(self):
+        t = oscillator.tables_for(12)
+        for name in ("x_half", "psi", "chi", "dchi", "dpsi"):
+            a = getattr(t, name)
+            assert a.shape[-1] == t.x_half.size, name
+            assert a.base is None, f"{name} is a view of a longer array"
+
 
 class TestEstimateElement:
     def test_vacuum_diagonal(self):
@@ -264,6 +271,30 @@ class TestEstimateElement:
             one = estimate_element(data, 1 + j, d)
             assert one.estimate.tobytes() == ray.estimate[j:j + 1].tobytes()
             assert one.stderr.tobytes() == ray.stderr[j:j + 1].tobytes()
+
+    def test_ray_builds_one_table_across_blocks(self, monkeypatch):
+        data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 19))
+        built = []
+
+        class Counting(oscillator._Tables):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        monkeypatch.setattr(oscillator, "_Tables", Counting)
+        monkeypatch.setattr(homodyne, "_BLOCK", 4 * len(data))
+        estimate_element(data, 30, 0, j_max=10)
+        assert built == [40]
+
+    def test_table_reaches_past_the_samples(self, monkeypatch):
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        x = np.array([-0.3, 12.4, 0.8])
+        ray = estimate_element(QuadratureData(x, np.zeros(3)), 0, 0, j_max=2)
+        assert oscillator._TABLES.x_max == 13.0
+        assert np.all(np.isfinite(ray.estimate))
+        with pytest.raises(ExtrapolationError):
+            evaluate_pattern(0, 0, 13.5)
 
 
 @pytest.mark.parametrize("fixture,seed", [
