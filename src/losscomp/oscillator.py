@@ -17,7 +17,7 @@ unbiasedness anchor ``integral psi_n psi_m f_nm dx = 1``.
 One table is cached at module level and rebuilt larger on demand.  Its
 range extends past the samples' reach a caller names and past the
 classical turning point of the largest index, which the normalization
-integrals need.
+integrals need, up to ``|x| = 26``, past which ``chi_0`` overflows.
 """
 from __future__ import annotations
 
@@ -29,6 +29,8 @@ from .exceptions import ExtrapolationError
 TAB_STEP = 0.002          # kernel tabulation grid step
 _FINE_SUB = 2             # Numerov substeps per tabulation step
 _TURNING_MARGIN = 4.0     # grid range beyond the classical turning point
+_X_LIMIT = 26.0           # widest table range at which chi stays finite
+_INDEX_LIMIT = int((_X_LIMIT - _TURNING_MARGIN) ** 2 - 0.5)  # 483, the largest index it fits
 
 
 def _psi_half(nmax, x):
@@ -52,7 +54,7 @@ def _chi_half(mmax, x):
 
     Start values at the origin select the solution of parity opposite to
     psi_m, which excludes any admixture of the regular solution.
-    Returns chi and its derivative on the fine grid.
+    Returns contiguous chi and chi' at every ``_FINE_SUB``-th node of ``x`` but the last.
     """
     ms = np.arange(mmax + 1)
     E = 4.0 * ms + 2.0
@@ -80,18 +82,16 @@ def _chi_half(mmax, x):
         - (h * h / 6.0) * (8.0 * x[1:-1, None]) * chi[1:-1]
     ) / (1.0 + (h * h / 6.0) * Q[1:-1])
     dchi[0] = np.where(even, 0.0, 1.0)
-    dchi[-1] = dchi[-2]
-    return chi.T, dchi.T
+    return (np.ascontiguousarray(c[:-1:_FINE_SUB].T) for c in (chi, dchi))
 
 
 class _Tables:
-    def __init__(self, max_index, reach=0.0):
+    def __init__(self, max_index, reach):
         self.max_index = max_index
         self.x_max = float(np.ceil(max(np.sqrt(max_index + 0.5) + _TURNING_MARGIN, reach)))
         nh = int(round(self.x_max / TAB_STEP))
         fine = np.arange(_FINE_SUB * nh + 2) * (TAB_STEP / _FINE_SUB)
-        self.chi, self.dchi = (np.ascontiguousarray(a[:, ::_FINE_SUB])
-                               for a in _chi_half(max_index, fine))
+        self.chi, self.dchi = _chi_half(max_index, fine)
         self.x_half = np.arange(nh + 1) * TAB_STEP
         self.psi = _psi_half(max_index + 1, self.x_half)
         # psi_n' = sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}, with psi_0 standing
@@ -128,13 +128,17 @@ _TABLES: _Tables | None = None
 def tables_for(max_index: int, reach: float = 0.0) -> _Tables:
     """The shared table for indices <= ``max_index`` and ``|x| <= reach``.
 
-    A rebuild at least doubles the index (floor 32) and keeps the range.
+    A rebuild at least doubles a short index (floor 32, cap 483); the range never shrinks.
     """
     global _TABLES
+    if not (reach <= _X_LIMIT and max_index <= _INDEX_LIMIT):  # also rejects NaN
+        raise ExtrapolationError(f"index {max_index} or |x| = {reach:g} past the kernel table")
     t = _TABLES
     if t is None or t.max_index < max_index or t.x_max < reach:
         if t is not None:
-            max_index, reach = max(max_index, 2 * t.max_index), max(reach, t.x_max)
+            if t.max_index < max_index:
+                max_index = max(max_index, min(2 * t.max_index, _INDEX_LIMIT))
+            max_index, reach = max(max_index, t.max_index), max(reach, t.x_max)
         t = _TABLES = None        # let the old table go before the new one is built
         _TABLES = _Tables(max(max_index, 32), reach)
     return _TABLES
@@ -153,7 +157,7 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
         raise ValueError("kernel indices require 0 <= n <= m")
     t = tables_for(int(np.max(ms)))
     xa = np.asarray(x, dtype=float)
-    if xa.size and np.max(np.abs(xa)) > t.x_max:
+    if xa.size and not np.max(np.abs(xa)) <= t.x_max:
         raise ExtrapolationError(
             f"|x| beyond tabulated range {t.x_max:g} for kernel index {np.max(ms)}")
     idx = np.clip(

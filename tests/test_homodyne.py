@@ -1,4 +1,6 @@
 """Homodyne statistics: pdf, samplers, pattern kernels, and estimators."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -190,6 +192,30 @@ class TestPatternFunction:
             assert a.shape[-1] == t.x_half.size, name
             assert a.base is None, f"{name} is a view of a longer array"
 
+    def test_table_at_its_limits(self, monkeypatch):
+        t = oscillator._Tables(32, oscillator._X_LIMIT)
+        assert t.x_max == oscillator._X_LIMIT
+        assert all(np.all(np.isfinite(t.kernel_full(n, m)))
+                   for n in range(33) for m in range(n, 33))
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        with pytest.raises(ExtrapolationError):
+            oscillator.tables_for(oscillator._INDEX_LIMIT + 1)
+        assert oscillator._TABLES is None
+        with pytest.raises(ExtrapolationError):
+            evaluate_pattern(0, 0, [0.0, np.nan])
+
+    @pytest.mark.parametrize("old,asked,built", [
+        ((40, 11.0), (40, 12.5), (40, 12.5)),    # reach alone keeps the index
+        ((40, 11.0), (41, 0.0), (80, 11.0)),     # a short index doubles
+        ((300, 22.0), (301, 0.0), (483, 22.0)),  # doubling stops at the limit
+    ])
+    def test_rebuild_grows_what_is_short(self, old, asked, built, monkeypatch):
+        made = []
+        monkeypatch.setattr(oscillator, "_TABLES", SimpleNamespace(max_index=old[0], x_max=old[1]))
+        monkeypatch.setattr(oscillator, "_Tables", lambda *args: made.append(args))
+        oscillator.tables_for(*asked)
+        assert made == [built]
+
 
 class TestEstimateElement:
     def test_vacuum_diagonal(self):
@@ -295,6 +321,11 @@ class TestEstimateElement:
         assert np.all(np.isfinite(ray.estimate))
         with pytest.raises(ExtrapolationError):
             evaluate_pattern(0, 0, 13.5)
+
+    @pytest.mark.parametrize("far", [30.0, np.inf, np.nan])
+    def test_samples_past_the_table_limit_raise(self, far):
+        with pytest.raises(ExtrapolationError):
+            estimate_element(QuadratureData(np.array([0.0, far]), np.zeros(2)), 0, 0)
 
 
 @pytest.mark.parametrize("fixture,seed", [
