@@ -127,9 +127,8 @@ def _ac5_direct_contrast():
     last = by[(0.45, 0)][-1]
     pull_ok = abs(float(last["value"]) - _THEORY) < 3 * float(last["propagated_error"])
     signal = make_thermal(2.0, 64)
-    rng = np.random.default_rng(
-        np.random.SeedSequence((cfg.master_seed, 0, 0)))
-    data = sample_quadratures(apply_loss(signal, 0.45), cfg.n_samples, rng)
+    data = sample_quadratures(apply_loss(signal, 0.45), cfg.n_samples,
+                              experiments._trial_rng(cfg, 0, 0))
     control = convergence_scan(
         data, 2, 0, 0.45, list(range(1, 21)) + list(range(25, 101, 5)))
     ok = (conv[0.45] >= 8 and conv[0.42] >= 8 and pull_ok

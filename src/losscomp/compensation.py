@@ -85,17 +85,15 @@ def _finalize_value(value, d):
 def compensated_element(source, n: int, d: int, eta: float, j_max: int):
     """Truncated compensation series and its propagated error.
 
+    The last point of ``convergence_scan(source, n, d, eta, [j_max])``.
     ``source`` is anything :func:`measure_ray` accepts and must cover the
     ray elements (n+j, n+d+j) for j up to ``j_max`` (ValueError
     otherwise).  The error treats coefficients as uncorrelated, which
     overlaps-in-data make approximate; the scan machinery reports
     cross-trial spreads alongside when available.
     """
-    ray = measure_ray(source, n, d, j_max)
-    weights = inverse_coefficient(n, d, np.arange(j_max + 1), eta)
-    value = complex(np.sum(weights * ray.estimate))
-    error = float(np.sqrt(np.sum(weights**2 * ray.stderr**2)))
-    return _finalize_value(value, d), error
+    _, value, error = convergence_scan(source, n, d, eta, [j_max]).trace[-1]
+    return value, error
 
 
 def _verdict_from_trace(trace):

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import oscillator
 from .compensation import convergence_scan, error_vs_eta, truncation_indices
 from .direct_detection import sample_counts
 from .fock_core import StateSpec
@@ -52,13 +53,8 @@ class ExperimentConfig:
     output_path: str = "fig1.csv"
 
     def state(self) -> StateSpec:
-        if self.state_kind == "thermal":
-            return StateSpec(kind="thermal", dim=self.dim, nbar=self.state_nbar)
-        if self.state_kind == "coherent":
-            return StateSpec(kind="coherent", dim=self.dim, alpha=self.state_alpha)
-        if self.state_kind == "fock":
-            return StateSpec(kind="fock", dim=self.dim, m=self.state_m)
-        raise ValueError(f"unknown state kind {self.state_kind!r}")
+        return StateSpec(kind=self.state_kind, dim=self.dim, nbar=self.state_nbar,
+                         m=self.state_m, alpha=self.state_alpha)
 
     def validate(self) -> None:
         if self.detection not in ("homodyne", "direct"):
@@ -76,11 +72,18 @@ class ExperimentConfig:
             raise ValueError(f"master_seed {self.master_seed} must be nonnegative")
         if self.target_n < 0 or self.target_d < 0:
             raise ValueError("target indices must be nonnegative")
+        top = self.target_n + self.target_d
+        if top >= self.dim:
+            raise ValueError(f"target element ({self.target_n}, {top}) lies outside "
+                             f"dimension {self.dim}")
         j_top = max(max(self.truncation_grid(eta)) for eta in self.eta_list)
         if self.n_samples * j_top > _BUDGET:
             raise ValueError(
                 f"n_samples * max(j_M) = {self.n_samples * j_top} exceeds the "
                 f"compute budget {_BUDGET}")
+        if self.detection == "homodyne" and top + j_top > oscillator._INDEX_LIMIT:
+            raise ValueError(f"kernel index {top + j_top} exceeds the kernel table's "
+                             f"limit {oscillator._INDEX_LIMIT}")
         if self.detection == "direct":
             if self.target_d != 0:
                 raise ValueError("direct detection only measures diagonal elements")
@@ -109,21 +112,22 @@ class ExperimentConfig:
 _CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
-def _format_value(name, value):
+def _format_value(value, sign=""):
     if value is None:
         return "auto"
     if isinstance(value, tuple):
-        return ",".join(_format_value(name, v) for v in value)
+        return ",".join(map(_format_value, value))
     if isinstance(value, complex):
-        return f"{value.real:.9g}{value.imag:+.9g}j"
-    if isinstance(value, float):
-        return f"{value:.9g}"
+        return f"{_format_value(value.real)}{_format_value(value.imag, '+')}j"
+    if isinstance(value, float):  # 9 significant digits unless they do not read back exactly
+        text = f"{value:{sign}.9g}"
+        return text if float(text) == value else f"{value:{sign}}"
     return str(value)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical flat ``key = value`` text; the hash is taken over this."""
-    lines = [f"{name} = {_format_value(name, getattr(config, name))}"
+    lines = [f"{name} = {_format_value(getattr(config, name))}"
              for name in _CONFIG_FIELDS]
     return "\n".join(lines) + "\n"
 
@@ -134,22 +138,11 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def _parse_value(name, text):
     text = text.strip()
-    if name in ("state_kind", "detection", "output_path"):
-        return text
-    if name in ("state_m", "dim", "target_n", "target_d", "n_samples",
-                "trials", "master_seed"):
-        return int(text)
-    if name in ("state_nbar",):
-        return float(text)
-    if name == "state_alpha":
-        return complex(text)
     if name == "eta_list":
         return tuple(float(v) for v in text.split(","))
     if name == "jm_list":
-        if text == "auto":
-            return None
-        return tuple(int(v) for v in text.split(","))
-    raise ValueError(f"unknown config key {name!r}")
+        return None if text == "auto" else tuple(int(v) for v in text.split(","))
+    return type(getattr(ExperimentConfig(), name))(text)
 
 
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:

@@ -167,20 +167,19 @@ def estimate_element(samples: QuadratureData, n: int, d: int, j_max: int = 0) ->
 
     Element j is the sample mean of ``e^{i d phi} f_{n+j,n+d+j}(x)``; its
     standard error is the larger componentwise sample deviation divided
-    by sqrt(N).  One kernel table, sized for the largest index and the
-    samples' reach, serves every block of rows.
+    by sqrt(N).
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples")
     if n < 0 or d < 0 or j_max < 0:
         raise ValueError("indices must be nonnegative")
-    oscillator.tables_for(n + d + j_max, float(np.max(np.abs(samples.x))))
     n_s = len(samples)
     phase = np.exp(1j * d * samples.phi) if d else None
     estimate = np.empty(j_max + 1, dtype=complex)
     stderr = np.empty(j_max + 1)
     rows = max(1, _BLOCK // n_s)
-    for lo in range(0, j_max + 1, rows):
+    # highest block first: its call sizes the shared kernel table for the whole ray
+    for lo in reversed(range(0, j_max + 1, rows)):
         row_n = np.arange(n + lo, n + min(lo + rows, j_max + 1))
         block = oscillator.evaluate_pattern(row_n, row_n + d, samples.x)
         for j, kernel in enumerate(block, start=lo):

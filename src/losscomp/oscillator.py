@@ -15,8 +15,8 @@ Numerov scheme; the kernel normalization is then pinned per pair by the
 unbiasedness anchor ``integral psi_n psi_m f_nm dx = 1``.
 
 One table is cached at module level and rebuilt larger on demand.  Its
-range extends past the samples' reach a caller names and past the
-classical turning point of the largest index, which the normalization
+range extends past the points ``evaluate_pattern`` is asked for and past
+the classical turning point of the largest index, which the normalization
 integrals need, up to ``|x| = 26``, past which ``chi_0`` overflows.
 """
 from __future__ import annotations
@@ -128,7 +128,7 @@ _TABLES: _Tables | None = None
 def tables_for(max_index: int, reach: float = 0.0) -> _Tables:
     """The shared table for indices <= ``max_index`` and ``|x| <= reach``.
 
-    A rebuild at least doubles a short index (floor 32, cap 483); the range never shrinks.
+    A rebuild grows what is short (index floor 32); neither index nor range ever shrinks.
     """
     global _TABLES
     if not (reach <= _X_LIMIT and max_index <= _INDEX_LIMIT):  # also rejects NaN
@@ -136,8 +136,6 @@ def tables_for(max_index: int, reach: float = 0.0) -> _Tables:
     t = _TABLES
     if t is None or t.max_index < max_index or t.x_max < reach:
         if t is not None:
-            if t.max_index < max_index:
-                max_index = max(max_index, min(2 * t.max_index, _INDEX_LIMIT))
             max_index, reach = max(max_index, t.max_index), max(reach, t.x_max)
         t = _TABLES = None        # let the old table go before the new one is built
         _TABLES = _Tables(max(max_index, 32), reach)
@@ -155,11 +153,8 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
     ns, ms = np.asarray(n), np.asarray(m)
     if ns.shape != ms.shape or np.any(ns < 0) or np.any(ms < ns):
         raise ValueError("kernel indices require 0 <= n <= m")
-    t = tables_for(int(np.max(ms)))
     xa = np.asarray(x, dtype=float)
-    if xa.size and not np.max(np.abs(xa)) <= t.x_max:
-        raise ExtrapolationError(
-            f"|x| beyond tabulated range {t.x_max:g} for kernel index {np.max(ms)}")
+    t = tables_for(int(np.max(ms)), float(np.max(np.abs(xa), initial=0.0)))
     idx = np.clip(
         ((xa + t.x_max) / TAB_STEP).astype(np.int64), 0, t.x_full.size - 2)
     dt = xa - t.x_full[idx]

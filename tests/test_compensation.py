@@ -69,6 +69,12 @@ class TestCompensatedElement:
             value, _ = compensated_element(coeffs, n, d, 0.6, 40)
             assert abs(value - inverted.element(n, n + d)) < 1e-10
 
+    def test_is_the_last_point_of_a_scan(self):
+        rng = rng_from(31)
+        coeffs = ray(rng.normal(0.0, 0.1, 101), rng.uniform(0.001, 0.01, 101), n0=2)
+        scan = convergence_scan(coeffs, 2, 0, 0.5, range(1, 101))
+        assert compensated_element(coeffs, 2, 0, 0.5, 100) == scan.trace[-1][1:]
+
     def test_missing_coefficient_rejected(self):
         coeffs = ray([1.0, 0.5], [0.1, 0.1])
         with pytest.raises(ValueError, match=r"element \(2, 2\)"):

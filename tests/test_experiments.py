@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from losscomp import cli, experiments, oscillator
 from losscomp.exceptions import NumericalSanityError
@@ -124,6 +125,28 @@ class TestConfigHash:
         # field order included, must not drift
         assert config_hash(default_config(figure)) == want
 
+    @settings(derandomize=True, deadline=None)
+    @given(config=st.builds(
+        ExperimentConfig,
+        state_kind=st.sampled_from(["thermal", "coherent", "fock"]),
+        state_nbar=st.floats(0.0, 1e6),
+        state_alpha=st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                       allow_infinity=False),
+        state_m=st.integers(0, 63),
+        target_n=st.integers(0, 20),
+        target_d=st.integers(0, 20),
+        eta_list=st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                          min_size=1, max_size=4).map(tuple),
+        n_samples=st.integers(2, 10**5),
+        jm_list=st.none() | st.sets(st.integers(0, 100), min_size=1).map(
+            lambda s: tuple(sorted(s))),
+        trials=st.integers(1, 100),
+        master_seed=st.integers(0, 2**64 - 1)))
+    def test_text_round_trip_is_exact(self, config):
+        """Floats that 9 digits cannot hold are written in full, so the hash is exact."""
+        config.validate()
+        assert parse_config(serialize_config(config)) == config
+
 
 class TestValidation:
     @pytest.mark.parametrize("overrides", [
@@ -138,6 +161,9 @@ class TestValidation:
         dict(detection="direct", target_d=1),
         dict(detection="direct", dim=32, jm_list=(35,)),  # ray leaves truncation
         dict(jm_list=()),
+        dict(dim=2),                                    # target <2|rho|2> past the truncation
+        dict(target_d=70),
+        dict(dim=480, target_n=400, jm_list=(1, 100)),  # kernel index 500 past the table
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ValueError):
@@ -151,6 +177,21 @@ class TestValidation:
         assert cli.main(["direct", "--seed", "-1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
             "losscomp: error: master_seed -1 must be nonnegative\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "dim = 2\n", "target_d = 70\n", "dim = 480\ntarget_n = 400\njm_list = 1,100\n"])
+    def test_unreachable_target_rejected_before_sampling(self, text, tmp_path, monkeypatch,
+                                                         capsys):
+        def sample(*args):
+            raise AssertionError("sampled before the config was rejected")
+
+        monkeypatch.setattr(experiments, "sample_quadratures", sample)
+        conf, out = tmp_path / "run.conf", tmp_path / "fig1.csv"
+        conf.write_text(text)
+        assert cli.main(["fig1", "--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("losscomp: error: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("jm_list", ["3,1,2", "-1", "1,1,2", "-2,4"])
@@ -258,6 +299,19 @@ class TestScanTables:
         rows = read_rows(table)
         assert [r["j_M"] for r in rows] == ["1", "2", "5"]
         assert all(np.isfinite(float(r["value"])) for r in rows)
+
+    @pytest.mark.parametrize("figure", ["fig1", "fig2"])
+    def test_table_history_leaves_bytes_unchanged(self, figure, tmp_path, monkeypatch):
+        """Kernels move by ~4e-16 with the table's range; the CSV bytes must not."""
+        if figure == "fig1":
+            config, run = small_fig1(jm_list=(1, 2, 5, 20, 60)), run_fig1
+        else:
+            config, run = replace(default_config("fig2"), eta_list=(0.7, 0.5),
+                                  n_samples=2000, trials=2, jm_list=(10, 20, 100)), run_fig2
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        fresh = [p.read_bytes() for p in run(config, out=tmp_path / "fresh.csv")]
+        oscillator.tables_for(400, 26.0)
+        assert [p.read_bytes() for p in run(config, out=tmp_path / "grown.csv")] == fresh
 
     def test_direct_contrast_runs(self, tmp_path):
         config = replace(default_config("direct"), eta_list=(0.45,),

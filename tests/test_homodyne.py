@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.stats import kstest
 
 from losscomp import (
     QuadratureData,
@@ -35,6 +36,21 @@ def element(data, n, d):
 def strip_law(rho):
     """Same matrix, no Gaussian shortcut: forces the generic sampler paths."""
     return DensityMatrix(rho.dim, rho.elements, tail_bound=rho.tail_bound)
+
+
+def even_cat(alpha, dim):
+    """``|alpha> + |-alpha>``, normalized: the even-photon part of a coherent state."""
+    even = np.arange(dim) % 2 == 0
+    elements = make_coherent(alpha, dim).elements * np.outer(even, even)
+    return DensityMatrix(dim, elements / np.trace(elements).real)
+
+
+def phase_averaged_cdf(rho, grid=np.linspace(-12.0, 12.0, 2401), phases=128):
+    """CDF of x at a uniform phase: the mean of ``quadrature_pdf`` over a phase grid on [0, pi)."""
+    phi = (np.arange(phases) + 0.5) * np.pi / phases
+    density = np.mean([quadrature_pdf(rho, p, grid) for p in phi], axis=0)
+    mass = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) / 2 * np.diff(grid))])
+    return lambda x: np.interp(x, grid, mass / mass[-1])
 
 
 class TestQuadraturePdf:
@@ -121,6 +137,21 @@ class TestSampleQuadratures:
         pull = abs(a.estimate[0].real - b.estimate[0].real) / np.hypot(a.stderr[0], b.stderr[0])
         assert pull < 3.0
 
+    @pytest.mark.parametrize("sampler,state", [
+        ("gaussian", lambda: make_thermal(2.0, 64)),
+        ("inverse_cdf", lambda: strip_law(make_thermal(2.0, 64))),
+        ("inverse_cdf", lambda: make_fock(3, 16)),
+        ("rejection", lambda: even_cat(1.5, 32)),
+        ("rejection", lambda: strip_law(make_coherent(0.8 + 0.4j, 32))),
+    ], ids=["thermal", "thermal-stripped", "fock3", "even-cat", "coherent-stripped"])
+    def test_samples_follow_the_phase_averaged_density(self, sampler, state):
+        rho = state()
+        path = ("gaussian" if rho.quadrature_law is not None else
+                "inverse_cdf" if homodyne._is_phase_invariant(rho) else "rejection")
+        assert path == sampler
+        data = sample_quadratures(rho, 20_000, rng_from(17, 23))
+        assert kstest(data.x, phase_averaged_cdf(rho)).pvalue > 1e-3
+
     def test_needs_at_least_one_sample(self):
         with pytest.raises(ValueError):
             sample_quadratures(make_fock(0, 4), 0, rng_from(0))
@@ -185,6 +216,14 @@ class TestPatternFunction:
         with pytest.raises(ExtrapolationError):
             evaluate_pattern(0, 0, 50.0)
 
+    def test_number_state_anchors_through_index_20(self):
+        """``integral psi_k^2 f_nn = delta_nk`` for every n, k <= 20, at AC-7's tolerance."""
+        x, _ = oscillator.kernel_on_grid(0, 0)
+        psi2 = oscillator._psi_half(20, x) ** 2
+        overlap = np.array([simpson(psi2 * oscillator.kernel_on_grid(n, n)[1], dx=x[1] - x[0])
+                            for n in range(21)])
+        assert np.max(np.abs(overlap - np.eye(21))) < 1e-6
+
     def test_table_keeps_only_its_grid(self):
         t = oscillator.tables_for(12)
         for name in ("x_half", "psi", "chi", "dchi", "dpsi"):
@@ -206,8 +245,8 @@ class TestPatternFunction:
 
     @pytest.mark.parametrize("old,asked,built", [
         ((40, 11.0), (40, 12.5), (40, 12.5)),    # reach alone keeps the index
-        ((40, 11.0), (41, 0.0), (80, 11.0)),     # a short index doubles
-        ((300, 22.0), (301, 0.0), (483, 22.0)),  # doubling stops at the limit
+        ((40, 11.0), (41, 0.0), (41, 11.0)),     # a short index grows to what is asked
+        ((300, 22.0), (301, 0.0), (301, 22.0)),  # and keeps the range it had
     ])
     def test_rebuild_grows_what_is_short(self, old, asked, built, monkeypatch):
         made = []
@@ -291,7 +330,7 @@ class TestEstimateElement:
         monkeypatch.setattr(homodyne, "_BLOCK", 4 * len(data))
         monkeypatch.setattr(homodyne.oscillator, "evaluate_pattern", counting)
         ray = estimate_element(data, 1, d, j_max=10)
-        assert calls == [4, 4, 3]
+        assert calls == [3, 4, 4]
         assert (ray.n, ray.d, ray.estimate.shape, ray.stderr.shape) == (1, d, (11,), (11,))
         for j in range(11):
             one = estimate_element(data, 1 + j, d)
@@ -319,8 +358,11 @@ class TestEstimateElement:
         ray = estimate_element(QuadratureData(x, np.zeros(3)), 0, 0, j_max=2)
         assert oscillator._TABLES.x_max == 13.0
         assert np.all(np.isfinite(ray.estimate))
-        with pytest.raises(ExtrapolationError):
-            evaluate_pattern(0, 0, 13.5)
+        assert np.isfinite(evaluate_pattern(0, 0, 13.5))
+        assert oscillator._TABLES.x_max == 14.0
+        for far in (26.5, np.inf, np.nan):
+            with pytest.raises(ExtrapolationError):
+                evaluate_pattern(0, 0, far)
 
     @pytest.mark.parametrize("far", [30.0, np.inf, np.nan])
     def test_samples_past_the_table_limit_raise(self, far):
