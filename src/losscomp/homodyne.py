@@ -184,8 +184,10 @@ def estimate_element(samples: QuadratureData, n: int, d: int, j_max: int = 0) ->
         block = oscillator.evaluate_pattern(row_n, row_n + d, samples.x)
         for j, kernel in enumerate(block, start=lo):
             if phase is None:
-                estimate[j] = np.mean(kernel)
-                stderr[j] = np.std(kernel, ddof=1) / np.sqrt(n_s)
+                # std reuses the row mean instead of summing the row again
+                mean = np.mean(kernel)
+                estimate[j] = mean
+                stderr[j] = np.std(kernel, ddof=1, mean=mean) / np.sqrt(n_s)
             else:
                 summands = phase * kernel
                 estimate[j] = np.mean(summands)

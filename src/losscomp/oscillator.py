@@ -18,6 +18,10 @@ One table is cached at module level and rebuilt larger on demand.  Its
 range extends past the points ``evaluate_pattern`` is asked for and past
 the classical turning point of the largest index, which the normalization
 integrals need, up to ``|x| = 26``, past which ``chi_0`` overflows.
+
+Each kernel's cubic spline is cached as one contiguous ``(L-1, 4)`` array,
+a row of four Horner coefficients per grid cell, so ``evaluate_pattern``
+fetches a kernel row's coefficients with one gather instead of four.
 """
 from __future__ import annotations
 
@@ -115,10 +119,14 @@ class _Tables:
         return np.concatenate([parity * half[:0:-1], half])
 
     def spline(self, n, m):
+        """Cubic coefficients of f_nm, one contiguous row per grid cell: ``(L-1, 4)``.
+
+        Cell-major, so one gather fetches all four coefficients of a point.
+        """
         key = (n, m)
         if key not in self.kernels:
             cs = CubicSpline(self.x_full, self.kernel_full(n, m))
-            self.kernels[key] = np.ascontiguousarray(cs.c)
+            self.kernels[key] = np.ascontiguousarray(cs.c.T)
         return self.kernels[key]
 
 
@@ -160,7 +168,8 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
     dt = xa - t.x_full[idx]
     out = np.empty((ns.size,) + xa.shape)
     for k, c in enumerate(map(t.spline, ns.ravel().tolist(), ms.ravel().tolist())):
-        out[k] = ((c[0, idx] * dt + c[1, idx]) * dt + c[2, idx]) * dt + c[3, idx]
+        g = np.take(c, idx, axis=0)
+        out[k] = ((g[..., 0] * dt + g[..., 1]) * dt + g[..., 2]) * dt + g[..., 3]
     return out.reshape(ns.shape + xa.shape)[()]
 
 

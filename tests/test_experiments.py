@@ -310,8 +310,9 @@ class TestScanTables:
                                   n_samples=2000, trials=2, jm_list=(10, 20, 100)), run_fig2
         monkeypatch.setattr(oscillator, "_TABLES", None)
         fresh = [p.read_bytes() for p in run(config, out=tmp_path / "fresh.csv")]
-        oscillator.tables_for(400, 26.0)
-        assert [p.read_bytes() for p in run(config, out=tmp_path / "grown.csv")] == fresh
+        for grown in [(150, 20.0), (400, 26.0)]:
+            oscillator.tables_for(*grown)
+            assert [p.read_bytes() for p in run(config, out=tmp_path / "grown.csv")] == fresh
 
     def test_direct_contrast_runs(self, tmp_path):
         config = replace(default_config("direct"), eta_list=(0.45,),

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
 from scipy.stats import kstest
 
 from losscomp import (
@@ -31,6 +32,17 @@ def element(data, n, d):
     """(estimate, stderr) of the single element <n|rho|n+d>."""
     ray = estimate_element(data, n, d)
     return ray.estimate[0], ray.stderr[0]
+
+
+def four_gather_pattern(t, pairs, x):
+    """Kernel rows from ``CubicSpline``'s ``(4, L-1)`` coefficients, one gather per coefficient."""
+    idx = np.clip(((x + t.x_max) / oscillator.TAB_STEP).astype(np.int64), 0, t.x_full.size - 2)
+    dt = x - t.x_full[idx]
+    rows = []
+    for n, m in pairs:
+        c = CubicSpline(t.x_full, t.kernel_full(n, m)).c
+        rows.append(((c[0, idx] * dt + c[1, idx]) * dt + c[2, idx]) * dt + c[3, idx])
+    return np.array(rows)
 
 
 def strip_law(rho):
@@ -208,6 +220,25 @@ class TestPatternFunction:
         with pytest.raises(ValueError):
             evaluate_pattern(np.array([0, 3]), np.array([1, 2]), x)
 
+    def test_interleaved_spline_equals_four_gather_reference(self):
+        t = oscillator.tables_for(40, 10.0)
+        pairs = [(0, 0), (2, 5), (7, 7), (13, 40)]
+        for n, m in pairs:
+            c = t.spline(n, m)
+            assert c.shape == (t.x_full.size - 1, 4)
+            assert c.flags.c_contiguous
+        nodes = t.x_full[[0, 1, 2500, t.x_full.size // 2, -2, -1]]
+        x = np.concatenate([nodes, [-t.x_max, t.x_max, -0.0, 0.37, -2.6, 9.999],
+                            rng_from(17, 20).uniform(-t.x_max, t.x_max, 500)])
+        n, m = np.array(pairs).T
+        want = four_gather_pattern(t, pairs, x)
+        assert evaluate_pattern(n, m, x).tobytes() == want.tobytes()
+        grid = x[:506].reshape(2, 253)
+        assert evaluate_pattern(n, m, grid).tobytes() == want[:, :506].tobytes()
+        for k, (nk, mk) in enumerate(pairs):
+            assert evaluate_pattern(nk, mk, x).tobytes() == want[k].tobytes()
+        assert oscillator.tables_for(0) is t
+
     def test_requires_ordered_indices(self):
         with pytest.raises(ValueError):
             evaluate_pattern(3, 1, 0.0)
@@ -336,6 +367,22 @@ class TestEstimateElement:
             one = estimate_element(data, 1 + j, d)
             assert one.estimate.tobytes() == ray.estimate[j:j + 1].tobytes()
             assert one.stderr.tobytes() == ray.stderr[j:j + 1].tobytes()
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_reductions_follow_the_documented_formula(self, d):
+        """Row j's mean and error are the documented reductions of that kernel row, bit for bit."""
+        data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 21))
+        ray = estimate_element(data, 1, d, j_max=5)
+        rows = evaluate_pattern(np.arange(1, 7), np.arange(1 + d, 7 + d), data.x)
+        root = np.sqrt(len(data))
+        for j, kernel in enumerate(rows):
+            if d:
+                summands = np.exp(1j * d * data.phi) * kernel
+                spread = max(np.std(summands.real, ddof=1), np.std(summands.imag, ddof=1))
+            else:
+                summands, spread = kernel, np.std(kernel, ddof=1)
+            assert ray.estimate[j].tobytes() == np.complex128(np.mean(summands)).tobytes()
+            assert ray.stderr[j].tobytes() == np.float64(spread / root).tobytes()
 
     def test_ray_builds_one_table_across_blocks(self, monkeypatch):
         data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 19))
