@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import experiments, oscillator
 from .compensation import compensated_element, convergence_scan
@@ -155,12 +154,12 @@ def _ac6_saturation():
 
 def _ac7_unbiasedness():
     x, _ = oscillator.kernel_on_grid(0, 0)
-    psi = oscillator._psi_half(10, x)
+    weighted = oscillator._psi_half(10, x) ** 2 * oscillator.simpson_weights(x.size, x[1] - x[0])
     worst = 0.0
     for n in range(11):
         _, f = oscillator.kernel_on_grid(n, n)
         for k in range(11):
-            overlap = simpson(psi[k] ** 2 * f, dx=x[1] - x[0])
+            overlap = float(np.sum(weighted[k] * f))
             worst = max(worst, abs(overlap - (1.0 if k == n else 0.0)))
     rng = np.random.default_rng(
         np.random.SeedSequence((experiments.DEFAULT_MASTER_SEED, 7)))

@@ -8,9 +8,9 @@ tell truncation effects from real signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lgamma
 
 import numpy as np
-from scipy.special import gammaln
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,8 @@ def make_coherent(alpha: complex, dim: int) -> DensityMatrix:
         amp = np.zeros(dim, dtype=complex)
         amp[0] = 1.0
     else:
-        log_mag = -abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+        log_fact = np.array([lgamma(k + 1.0) for k in range(dim)])
+        log_mag = -abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - 0.5 * log_fact
         amp = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
     el = np.outer(amp, amp.conj())
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amp) ** 2)))

@@ -9,19 +9,52 @@ The forward map damps a signal state ``rho_sig`` into the measured
 The inversion reads the same formula at the reciprocal argument: the
 inverse series coefficient is the forward coefficient evaluated at
 ``1/eta``, which makes the duality between the two maps exact in
-floating point.  All factorial ratios are evaluated in log space so
-coefficients stay finite up to indices of a few hundred.
+floating point.  The factorial ratios are the binomials ``C(n+j, j)`` and
+``C(n+d+j, j)``: exact integers, each rounded to float once and kept in
+one table that only grows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import frexp, log, sqrt
+from operator import add
 
 import numpy as np
-from scipy.special import gammaln
 
 from .exceptions import NoConvergenceError, UndefinedRatioError
 from .fock_core import DensityMatrix, GaussianQuadratureLaw
+
+
+_BINOMIALS = (np.ones((1, 1)), np.zeros((1, 1), dtype=np.int64))  # C(0, 0) = 1
+_PASCAL_ROW = [1]       # C(k, j) for the table's last row k, as exact integers
+
+
+def _binomials(kmax):
+    """``C(k, j) = m 4^q`` for ``j <= k <= kmax`` as ``(m, q)``, ``m`` in [1/2, 2).
+
+    One shared table, grown by Pascal rows: each exact integer is rounded
+    to float once, so a row does not depend on how far the table has grown.
+    """
+    global _BINOMIALS, _PASCAL_ROW
+    done = _BINOMIALS[0].shape[0]
+    if done <= kmax:
+        m = np.zeros((kmax + 1, kmax + 1))
+        q = np.zeros((kmax + 1, kmax + 1), dtype=np.int64)
+        m[:done, :done], q[:done, :done] = _BINOMIALS
+        row = _PASCAL_ROW
+        for k in range(done, kmax + 1):
+            row = [1, *map(add, row[:-1], row[1:]), 1]
+            s = max(0, k - 1000)        # exact scaling keeps the row in float range
+            f, e = np.frexp([c / 2**s for c in row])
+            m[k, :k + 1], q[k, :k + 1] = np.ldexp(f, (e + s) % 2), (e + s) // 2
+        _BINOMIALS, _PASCAL_ROW = (m, q), row
+    return _BINOMIALS
+
+
+def _near_one(v):
+    """``v = a 2^h`` with ``a`` in [1/sqrt(2), sqrt(2)), or ``a = 0`` for ``v = 0``."""
+    a, h = frexp(v)
+    return (2.0 * a, h - 1) if a < sqrt(0.5) else (a, h)
 
 
 def _weights(n, d, j, g):
@@ -29,34 +62,33 @@ def _weights(n, d, j, g):
 
     ``g`` in (0, 1] gives the damping weights; ``g = 1/eta > 1`` gives the
     inverse-series weights A_j (the sign then alternates with j).  ``n``
-    and ``j`` are broadcastable integer arrays; entries with ``j < 0`` are
-    zero.
+    and ``j`` are broadcastable integer arrays, returned as at least 1-d;
+    entries with ``j < 0`` are zero.  The weight is the root of
+    ``C(k, j) C(k+d, j) g^(2n+d) |1-g|^(2j)``, ``k = n + j``; the binary
+    exponents of its factors add up as integers, so no partial product
+    leaves the float range for indices below about 1000.
     """
-    n, j = np.asarray(n), np.asarray(j)
-    k = n + j
-    lg = gammaln(np.arange(np.max(k) + d + 1) + 1.0)
-    valid = j >= 0
-    with np.errstate(invalid="ignore"):
-        log_mag = (
-            0.5 * (2 * n + d) * log(g)
-            + 0.5 * (lg[k] + lg[k + d] - lg[n] - lg[n + d])
-            - lg[np.abs(j)]
-        )
-        if g == 1.0:
-            log_mag = np.where(j == 0, log_mag, -np.inf)
-        else:
-            log_mag = log_mag + np.where(j == 0, 0.0, j * log(abs(1.0 - g)))
-    w = np.exp(np.where(valid, log_mag, -np.inf))
+    n, j = np.atleast_1d(n, j)
+    k, jv = n + j, np.maximum(j, 0)
+    m, q = _binomials(int(np.max(k)) + d)
+    at = k * m.shape[1] + jv                # flat index of C(k, j); C(k+d, j) is d rows on
+    at_d = at + d * m.shape[1]
+    a, h = _near_one(g)
+    b, c = _near_one(abs(1.0 - g))
+    r = h * d % 2                           # moves an odd power of 2 into the root
+    z = (m.take(at) * m.take(at_d) * (a ** (2 * n + d) * 2.0**r)
+         * (b ** np.arange(0, 2 * np.max(jv) + 1, 2))[jv])
+    w = np.ldexp(np.sqrt(z), q.take(at) + q.take(at_d) + (h * (2 * n + d) - r) // 2 + c * jv)
     if g > 1.0:
-        w = w * np.where(j % 2 == 1, -1.0, 1.0)
-    return np.where(valid, w, 0.0)
+        w = np.where(jv % 2 == 1, -w, w)
+    return np.where(j >= 0, w, 0.0)
 
 
 def inverse_coefficient(n: int, d: int, j, eta: float):
     """Inverse-series coefficient ``A_j(n, d, eta)``.
 
     ``A_j = eta^(-(2n+d)/2) * sqrt((n+j)!(n+d+j)!) / (sqrt(n!(n+d)!) j!)
-    * (1 - 1/eta)^j``, evaluated in log space.  ``j`` may be an integer
+    * (1 - 1/eta)^j``, from exact integer binomials.  ``j`` may be an integer
     (returns a float) or an array of them (returns the matching array).
     """
     if not 0.0 < eta <= 1.0:
@@ -64,7 +96,7 @@ def inverse_coefficient(n: int, d: int, j, eta: float):
     if n < 0 or d < 0 or np.any(np.asarray(j) < 0):
         raise ValueError("indices must be nonnegative")
     weights = _weights(n, d, j, 1.0 / eta)
-    return weights if np.ndim(j) else float(weights)
+    return weights if np.ndim(j) else float(weights[0])
 
 
 def _ray_weights(L, d, g, j_cap=None):

@@ -19,14 +19,16 @@ range extends past the points ``evaluate_pattern`` is asked for and past
 the classical turning point of the largest index, which the normalization
 integrals need, up to ``|x| = 26``, past which ``chi_0`` overflows.
 
-Each kernel's cubic spline is cached as one contiguous ``(L-1, 4)`` array,
-a row of four Horner coefficients per grid cell, so ``evaluate_pattern``
-fetches a kernel row's coefficients with one gather instead of four.
+Each kernel is interpolated by the cubic Hermite polynomial that matches
+its tabulated values and its slopes, which follow from the ODE,
+so no spline system is solved.  The coefficients are cached as one
+contiguous ``(L-1, 4)`` array, a row of four Horner coefficients per grid
+cell, so ``evaluate_pattern`` fetches a kernel row's coefficients with one
+gather instead of four.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .exceptions import ExtrapolationError
 
@@ -89,6 +91,14 @@ def _chi_half(mmax, x):
     return (np.ascontiguousarray(c[:-1:_FINE_SUB].T) for c in (chi, dchi))
 
 
+def simpson_weights(size, step):
+    """Composite Simpson weights for ``size`` (odd) equally spaced points."""
+    w = np.ones(size)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (step / 3.0)
+
+
 class _Tables:
     def __init__(self, max_index, reach):
         self.max_index = max_index
@@ -103,30 +113,44 @@ class _Tables:
         root = np.sqrt(np.arange(max_index + 2.0))[:, None]
         lower = np.vstack([self.psi[:1], self.psi[:-2]])
         self.dpsi = root[:-1] * lower - root[1:] * self.psi[1:]
-        # Simpson weights on the half line (nh is even by construction)
-        w = np.ones(nh + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        self.simpson = w * (TAB_STEP / 3.0)
+        self.simpson = simpson_weights(nh + 1, TAB_STEP)   # nh is even by construction
         self.x_full = np.concatenate([-self.x_half[:0:-1], self.x_half])
+        self.dx = np.diff(self.x_full)
         self.kernels = {}
 
+    def kernel_and_slope(self, n, m):
+        """Kernel f_nm and its slope on ``x_full``, normalized by the unbiasedness anchor.
+
+        The slope follows from the ODE, ``psi'' = Q psi`` and ``chi'' = Q chi``:
+        ``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'``, ``Q_k = 4x^2 - 4k - 2``.
+        ``f`` has the parity of ``n + m``, ``f'`` the opposite one.
+        """
+        f = self.dpsi[n] * self.chi[m] + self.psi[n] * self.dchi[m]
+        df = ((8.0 * self.x_half**2 - 4.0 * (n + m + 1)) * self.psi[n] * self.chi[m]
+              + 2.0 * self.dpsi[n] * self.dchi[m])
+        anchor = 2.0 * float(np.sum(self.psi[n] * self.psi[m] * f * self.simpson))
+        parity = (-1.0) ** (n + m)
+        return (np.concatenate([parity * f[:0:-1], f]) / anchor,
+                np.concatenate([-parity * df[:0:-1], df]) / anchor)
+
     def kernel_full(self, n, m):
-        """Kernel f_nm on ``x_full``, normalized by its unbiasedness anchor."""
-        half = self.dpsi[n] * self.chi[m] + self.psi[n] * self.dchi[m]
-        half /= 2.0 * float(np.sum(self.psi[n] * self.psi[m] * half * self.simpson))
-        parity = 1.0 if (n + m) % 2 == 0 else -1.0
-        return np.concatenate([parity * half[:0:-1], half])
+        """Kernel f_nm on ``x_full``."""
+        return self.kernel_and_slope(n, m)[0]
 
     def spline(self, n, m):
-        """Cubic coefficients of f_nm, one contiguous row per grid cell: ``(L-1, 4)``.
+        """Cubic Hermite coefficients of f_nm, one contiguous row per grid cell: ``(L-1, 4)``.
 
-        Cell-major, so one gather fetches all four coefficients of a point.
+        Each row holds the Horner coefficients in ``x - x_i`` that match the
+        kernel's values and slopes at both ends of the cell.  Cell-major, so
+        one gather fetches all four coefficients of a point.
         """
         key = (n, m)
         if key not in self.kernels:
-            cs = CubicSpline(self.x_full, self.kernel_full(n, m))
-            self.kernels[key] = np.ascontiguousarray(cs.c.T)
+            y, dy = self.kernel_and_slope(n, m)
+            secant = np.diff(y) / self.dx
+            excess = (dy[:-1] + dy[1:] - 2.0 * secant) / self.dx
+            self.kernels[key] = np.column_stack(
+                [excess / self.dx, (secant - dy[:-1]) / self.dx - excess, dy[:-1], y[:-1]])
         return self.kernels[key]
 
 

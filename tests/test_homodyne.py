@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 from scipy.stats import kstest
 
 from losscomp import (
@@ -34,15 +34,12 @@ def element(data, n, d):
     return ray.estimate[0], ray.stderr[0]
 
 
-def four_gather_pattern(t, pairs, x):
-    """Kernel rows from ``CubicSpline``'s ``(4, L-1)`` coefficients, one gather per coefficient."""
+def four_gather_pattern(t, coefficients, x):
+    """Kernel rows from ``(4, L-1)`` cubic coefficients, one gather per coefficient."""
     idx = np.clip(((x + t.x_max) / oscillator.TAB_STEP).astype(np.int64), 0, t.x_full.size - 2)
     dt = x - t.x_full[idx]
-    rows = []
-    for n, m in pairs:
-        c = CubicSpline(t.x_full, t.kernel_full(n, m)).c
-        rows.append(((c[0, idx] * dt + c[1, idx]) * dt + c[2, idx]) * dt + c[3, idx])
-    return np.array(rows)
+    return np.array([((c[0, idx] * dt + c[1, idx]) * dt + c[2, idx]) * dt + c[3, idx]
+                     for c in coefficients])
 
 
 def strip_law(rho):
@@ -231,13 +228,31 @@ class TestPatternFunction:
         x = np.concatenate([nodes, [-t.x_max, t.x_max, -0.0, 0.37, -2.6, 9.999],
                             rng_from(17, 20).uniform(-t.x_max, t.x_max, 500)])
         n, m = np.array(pairs).T
-        want = four_gather_pattern(t, pairs, x)
+        want = four_gather_pattern(t, [t.spline(nk, mk).T for nk, mk in pairs], x)
         assert evaluate_pattern(n, m, x).tobytes() == want.tobytes()
         grid = x[:506].reshape(2, 253)
         assert evaluate_pattern(n, m, grid).tobytes() == want[:, :506].tobytes()
         for k, (nk, mk) in enumerate(pairs):
             assert evaluate_pattern(nk, mk, x).tobytes() == want[k].tobytes()
         assert oscillator.tables_for(0) is t
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (2, 5), (13, 40), (100, 102)])
+    def test_spline_is_the_hermite_interpolant_of_the_ode_slopes(self, n, m):
+        t = oscillator.tables_for(m)
+        hermite = CubicHermiteSpline(t.x_full, *t.kernel_and_slope(n, m))
+        x = np.concatenate([t.x_full[[0, 1, t.x_full.size // 2, -2, -1]],
+                            rng_from(17, 21).uniform(-t.x_max, t.x_max, 2000)])
+        want = four_gather_pattern(t, [hermite.c], x)[0]
+        got = evaluate_pattern(n, m, x)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (0, 1), (2, 5), (7, 7), (13, 40), (100, 102)])
+    def test_ode_slope_matches_central_differences(self, n, m):
+        """``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'`` against a 5-point stencil of f."""
+        t = oscillator.tables_for(m)
+        f, slope = t.kernel_and_slope(n, m)
+        stencil = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * oscillator.TAB_STEP)
+        assert np.max(np.abs(stencil - slope[2:-2])) <= 1e-5 * np.max(np.abs(slope))
 
     def test_requires_ordered_indices(self):
         with pytest.raises(ValueError):

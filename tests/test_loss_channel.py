@@ -16,6 +16,7 @@ from losscomp import (
     make_fock,
     make_thermal,
 )
+from losscomp import loss_channel
 from losscomp.exceptions import NoConvergenceError, UndefinedRatioError
 from losscomp.loss_channel import _ray_weights
 
@@ -67,6 +68,24 @@ class TestInverseCoefficient:
                 row = _ray_weights(n + 41, d, 1.0 / eta)[n, n:]
                 assert np.array_equal(inverse_coefficient(n, d, np.arange(41), eta), row)
                 assert [inverse_coefficient(n, d, j, eta) for j in range(41)] == list(row)
+
+    def test_ray_weights_past_the_float_range_of_a_binomial(self, monkeypatch):
+        """C(1099, 549) overflows a float; the weights built from it do not."""
+        L, g = 1100, 0.6
+        lg = np.array([math.lgamma(i + 1.0) for i in range(L)])
+        n, k = np.triu_indices(L)
+        j = k - n
+        want = np.exp(n * math.log(g) + j * math.log(1.0 - g) + lg[k] - lg[n] - lg[j])
+        monkeypatch.setattr(loss_channel, "_BINOMIALS", (np.ones((1, 1)), np.zeros((1, 1), int)))
+        monkeypatch.setattr(loss_channel, "_PASCAL_ROW", [1])
+        before = _ray_weights(40, 3, 1.0 / 0.55)
+        w = _ray_weights(L, 0, g)
+        assert loss_channel._BINOMIALS[0].shape == (L, L)
+        assert np.all(np.isfinite(w)) and np.all(np.tril(w, -1) == 0.0)
+        normal = want > 1e-300
+        assert np.max(np.abs(w[n, k][normal] / want[normal] - 1.0)) < 1e-10
+        assert np.max(np.abs(w[n, k][~normal])) < 1e-290
+        assert _ray_weights(40, 3, 1.0 / 0.55).tobytes() == before.tobytes()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -279,8 +298,6 @@ class TestProperties:
     def test_inversion_undoes_loss(self, rho, eta):
         self.assert_round_trip(rho, eta)
 
-    @pytest.mark.xfail(strict=True, reason="past dim 28 the inverse series cancels terms "
-                       "up to 5e7 times its result: |31><31| at dim 32, eta 0.55 is 1.4e-7 off")
     @PROPERTY
     @given(rho=mixtures(max_dim=32), eta=st.floats(0.55, 1.0))
     @example(rho=make_fock(31, 32), eta=0.55)
