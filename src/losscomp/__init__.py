@@ -14,7 +14,7 @@ from .experiments import (ExperimentConfig, config_hash, default_config,
                           parse_config, run_direct_contrast, run_fig1,
                           run_fig2, serialize_config)
 from .fock_core import (DensityMatrix, GaussianQuadratureLaw, StateSpec,
-                        make_coherent, make_fock, make_thermal, mean_photon)
+                        make_coherent, make_fock, make_thermal)
 from .homodyne import (MeasuredRay, QuadratureData, error_saturation_profile,
                        estimate_element, quadrature_pdf, sample_quadratures)
 from .loss_channel import (InversionResult, analytic_threshold, apply_loss,
@@ -32,7 +32,7 @@ __all__ = [
     "ExperimentConfig", "config_hash", "default_config", "parse_config",
     "run_direct_contrast", "run_fig1", "run_fig2", "serialize_config",
     "DensityMatrix", "GaussianQuadratureLaw", "StateSpec", "make_coherent",
-    "make_fock", "make_thermal", "mean_photon",
+    "make_fock", "make_thermal",
     "MeasuredRay", "QuadratureData", "error_saturation_profile",
     "estimate_element", "quadrature_pdf", "sample_quadratures",
     "InversionResult", "analytic_threshold", "apply_loss", "decay_ratio",

@@ -25,10 +25,6 @@ class CountHistogram:
     def n_samples(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def dim(self) -> int:
-        return self.counts.size
-
 
 def sample_counts(rho: DensityMatrix, n: int, rng: np.random.Generator) -> CountHistogram:
     """Draw ``n`` ideal photon-number measurements of ``rho``.

@@ -24,7 +24,7 @@ from .compensation import convergence_scan, error_vs_eta, truncation_indices
 from .direct_detection import sample_counts
 from .fock_core import StateSpec
 from .homodyne import sample_quadratures
-from .loss_channel import apply_loss
+from .loss_channel import _DIM_LIMIT, apply_loss
 
 DEFAULT_MASTER_SEED = 235711
 
@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ValueError(f"master_seed {self.master_seed} must be nonnegative")
         if self.target_n < 0 or self.target_d < 0:
             raise ValueError("target indices must be nonnegative")
+        if self.dim > _DIM_LIMIT:
+            raise ValueError(f"dim {self.dim} exceeds the loss weights' limit {_DIM_LIMIT}")
         top = self.target_n + self.target_d
         if top >= self.dim:
             raise ValueError(f"target element ({self.target_n}, {top}) lies outside "

@@ -145,11 +145,6 @@ def make_coherent(alpha: complex, dim: int) -> DensityMatrix:
     return _check_state(DensityMatrix(dim, el, tail_bound=tail, quadrature_law=law))
 
 
-def mean_photon(rho: DensityMatrix) -> float:
-    """Mean photon number ``sum_n n <n|rho|n>`` over the truncation."""
-    return float(np.sum(np.arange(rho.dim) * rho.diagonal()))
-
-
 @dataclass(frozen=True)
 class StateSpec:
     """Declarative description of a state family, used by the experiment

@@ -77,10 +77,13 @@ def _is_phase_invariant(rho):
     return float(np.max(np.abs(off))) < 1e-12
 
 
-def _grid_for(rho, points=4097):
+_GRID_POINTS = 4097
+
+
+def _grid_for(rho):
     var = float(np.sum(rho.diagonal() * (2.0 * np.arange(rho.dim) + 1.0)) / 4.0)
     half = 6.5 * np.sqrt(max(var, 0.25)) + 1.0
-    return np.linspace(-half, half, points)
+    return np.linspace(-half, half, _GRID_POINTS)
 
 
 def _sample_inverse_cdf(density, grid, n, rng, trace=None):

@@ -25,6 +25,7 @@ from .exceptions import NoConvergenceError, UndefinedRatioError
 from .fock_core import DensityMatrix, GaussianQuadratureLaw
 
 
+_DIM_LIMIT = 1 - np.finfo(float).minexp  # 1023: g^(dim-1) is normal at g = 1/sqrt(2)
 _BINOMIALS = (np.ones((1, 1)), np.zeros((1, 1), dtype=np.int64))  # C(0, 0) = 1
 _PASCAL_ROW = [1]       # C(k, j) for the table's last row k, as exact integers
 
@@ -65,8 +66,8 @@ def _weights(n, d, j, g):
     and ``j`` are broadcastable integer arrays, returned as at least 1-d;
     entries with ``j < 0`` are zero.  The weight is the root of
     ``C(k, j) C(k+d, j) g^(2n+d) |1-g|^(2j)``, ``k = n + j``; the binary
-    exponents of its factors add up as integers, so no partial product
-    leaves the float range for indices below about 1000.
+    exponents of its factors add up as integers, and a product that leaves
+    the normal range (indices past about 1000) raises ``ValueError``.
     """
     n, j = np.atleast_1d(n, j)
     k, jv = n + j, np.maximum(j, 0)
@@ -78,6 +79,8 @@ def _weights(n, d, j, g):
     r = h * d % 2                           # moves an odd power of 2 into the root
     z = (m.take(at) * m.take(at_d) * (a ** (2 * n + d) * 2.0**r)
          * (b ** np.arange(0, 2 * np.max(jv) + 1, 2))[jv])
+    if not (np.max(z) < np.inf and (g == 1.0 or np.min(z) >= np.finfo(float).tiny)):
+        raise ValueError(f"loss weights at index {int(np.max(k))} leave the float range")
     w = np.ldexp(np.sqrt(z), q.take(at) + q.take(at_d) + (h * (2 * n + d) - r) // 2 + c * jv)
     if g > 1.0:
         w = np.where(jv % 2 == 1, -w, w)

@@ -19,12 +19,13 @@ range extends past the points ``evaluate_pattern`` is asked for and past
 the classical turning point of the largest index, which the normalization
 integrals need, up to ``|x| = 26``, past which ``chi_0`` overflows.
 
-Each kernel is interpolated by the cubic Hermite polynomial that matches
-its tabulated values and its slopes, which follow from the ODE,
-so no spline system is solved.  The coefficients are cached as one
-contiguous ``(L-1, 4)`` array, a row of four Horner coefficients per grid
-cell, so ``evaluate_pattern`` fetches a kernel row's coefficients with one
-gather instead of four.
+Every table array lives on the half line ``x >= 0``; ``evaluate_pattern``
+locates ``|x|`` and negates kernels of odd ``n + m`` at ``x < 0``, so the
+parity ``(-1)^(n+m)`` is exact.  Each kernel is the cubic Hermite
+interpolant of its tabulated values and its slopes, which follow from the
+ODE, so no spline system is solved.  Its coefficients are cached as one
+contiguous ``(L-1, 4)`` array, four Horner coefficients per grid cell, so
+``evaluate_pattern`` fetches a kernel row's coefficients in one gather.
 """
 from __future__ import annotations
 
@@ -80,15 +81,16 @@ def _chi_half(mmax, x):
     b = 2.0 * (1.0 + (5.0 * h * h / 12.0) * Q)
     for i in range(1, L - 1):
         chi[i + 1] = (b[i] * chi[i] - a[i - 1] * chi[i - 1]) / a[i + 1]
-    # derivative from the ODE-corrected central difference (O(h^4)):
+    # derivative at the returned nodes from the ODE-corrected central difference (O(h^4)):
     # chi' (1 + h^2 Q / 6) = (chi_+ - chi_-)/(2h) - (h^2/6) Q' chi, Q' = 8x
-    dchi = np.empty_like(chi)
-    dchi[1:-1] = (
-        (chi[2:] - chi[:-2]) / (2.0 * h)
-        - (h * h / 6.0) * (8.0 * x[1:-1, None]) * chi[1:-1]
-    ) / (1.0 + (h * h / 6.0) * Q[1:-1])
+    i = np.arange(_FINE_SUB, L - 1, _FINE_SUB)
+    dchi = np.empty((i.size + 1, ms.size))
+    dchi[1:] = (
+        (chi[i + 1] - chi[i - 1]) / (2.0 * h)
+        - (h * h / 6.0) * (8.0 * x[i, None]) * chi[i]
+    ) / (1.0 + (h * h / 6.0) * Q[i])
     dchi[0] = np.where(even, 0.0, 1.0)
-    return (np.ascontiguousarray(c[:-1:_FINE_SUB].T) for c in (chi, dchi))
+    return np.ascontiguousarray(chi[:-1:_FINE_SUB].T), np.ascontiguousarray(dchi.T)
 
 
 def simpson_weights(size, step):
@@ -114,12 +116,11 @@ class _Tables:
         lower = np.vstack([self.psi[:1], self.psi[:-2]])
         self.dpsi = root[:-1] * lower - root[1:] * self.psi[1:]
         self.simpson = simpson_weights(nh + 1, TAB_STEP)   # nh is even by construction
-        self.x_full = np.concatenate([-self.x_half[:0:-1], self.x_half])
-        self.dx = np.diff(self.x_full)
+        self.dx = np.diff(self.x_half)
         self.kernels = {}
 
     def kernel_and_slope(self, n, m):
-        """Kernel f_nm and its slope on ``x_full``, normalized by the unbiasedness anchor.
+        """Kernel f_nm and its slope on ``x_half``, normalized by the unbiasedness anchor.
 
         The slope follows from the ODE, ``psi'' = Q psi`` and ``chi'' = Q chi``:
         ``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'``, ``Q_k = 4x^2 - 4k - 2``.
@@ -129,16 +130,10 @@ class _Tables:
         df = ((8.0 * self.x_half**2 - 4.0 * (n + m + 1)) * self.psi[n] * self.chi[m]
               + 2.0 * self.dpsi[n] * self.dchi[m])
         anchor = 2.0 * float(np.sum(self.psi[n] * self.psi[m] * f * self.simpson))
-        parity = (-1.0) ** (n + m)
-        return (np.concatenate([parity * f[:0:-1], f]) / anchor,
-                np.concatenate([-parity * df[:0:-1], df]) / anchor)
-
-    def kernel_full(self, n, m):
-        """Kernel f_nm on ``x_full``."""
-        return self.kernel_and_slope(n, m)[0]
+        return f / anchor, df / anchor
 
     def spline(self, n, m):
-        """Cubic Hermite coefficients of f_nm, one contiguous row per grid cell: ``(L-1, 4)``.
+        """Cubic Hermite coefficients of f_nm on ``x_half``, one row per cell: ``(L-1, 4)``.
 
         Each row holds the Horner coefficients in ``x - x_i`` that match the
         kernel's values and slopes at both ends of the cell.  Cell-major, so
@@ -180,24 +175,29 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
     Defined by unbiasedness:  averaging ``e^{i(m-n) phi} f_nm(x)`` over
     homodyne samples of any state estimates ``<n|rho|m>``.  ``n`` and
     ``m`` may be equal-length integer arrays: the points are located in
-    the table once and row k holds ``f_{n[k] m[k]}(x)``.
+    the table once and row k holds ``f_{n[k] m[k]}(x)``.  The parity
+    ``f_nm(-x) = (-1)^(n+m) f_nm(x)`` holds bit for bit.
     """
     ns, ms = np.asarray(n), np.asarray(m)
     if ns.shape != ms.shape or np.any(ns < 0) or np.any(ms < ns):
         raise ValueError("kernel indices require 0 <= n <= m")
     xa = np.asarray(x, dtype=float)
-    t = tables_for(int(np.max(ms)), float(np.max(np.abs(xa), initial=0.0)))
-    idx = np.clip(
-        ((xa + t.x_max) / TAB_STEP).astype(np.int64), 0, t.x_full.size - 2)
-    dt = xa - t.x_full[idx]
+    ax = np.abs(xa)
+    t = tables_for(int(np.max(ms)), float(np.max(ax, initial=0.0)))
+    idx = np.minimum((ax / TAB_STEP).astype(np.int64), t.x_half.size - 2)
+    dt = ax - t.x_half[idx]
     out = np.empty((ns.size,) + xa.shape)
     for k, c in enumerate(map(t.spline, ns.ravel().tolist(), ms.ravel().tolist())):
         g = np.take(c, idx, axis=0)
         out[k] = ((g[..., 0] * dt + g[..., 1]) * dt + g[..., 2]) * dt + g[..., 3]
+    odd = (ns + ms).reshape((-1,) + (1,) * xa.ndim) % 2 == 1
+    np.negative(out, out=out, where=odd & (xa < 0))
     return out.reshape(ns.shape + xa.shape)[()]
 
 
 def kernel_on_grid(n: int, m: int):
-    """(grid, kernel values) for inspection and quadrature tests."""
+    """(grid, kernel values) on the whole line, mirrored from the table, for quadrature tests."""
     t = tables_for(m)
-    return t.x_full.copy(), t.kernel_full(n, m)
+    f = t.kernel_and_slope(n, m)[0]
+    return (np.concatenate([-t.x_half[:0:-1], t.x_half]),
+            np.concatenate([(-1.0) ** (n + m) * f[:0:-1], f]))

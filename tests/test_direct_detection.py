@@ -135,7 +135,7 @@ class TestCountHistogram:
     def test_properties(self):
         hist = CountHistogram(np.array([3, 0, 7]))
         assert hist.n_samples == 10
-        assert hist.dim == 3
+        assert hist.counts.size == 3
 
     def test_accepts_lists(self):
         assert CountHistogram([1, 2, 3]).counts.dtype == np.int64

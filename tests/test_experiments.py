@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from losscomp import cli, experiments, oscillator
+from losscomp import apply_loss, cli, convergence_scan, experiments, oscillator
 from losscomp.exceptions import NumericalSanityError
 from losscomp.experiments import (
     ExperimentConfig,
@@ -164,6 +164,7 @@ class TestValidation:
         dict(dim=2),                                    # target <2|rho|2> past the truncation
         dict(target_d=70),
         dict(dim=480, target_n=400, jm_list=(1, 100)),  # kernel index 500 past the table
+        dict(dim=1024),                                 # past the loss weights' float range
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ValueError):
@@ -313,6 +314,31 @@ class TestScanTables:
         for grown in [(150, 20.0), (400, 26.0)]:
             oscillator.tables_for(*grown)
             assert [p.read_bytes() for p in run(config, out=tmp_path / "grown.csv")] == fresh
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cells_give_the_same_bytes_in_any_order(self, seed, tmp_path, monkeypatch):
+        """Each (eta, trial) cell draws from its own RNG stream, so cells scanned in a
+        shuffled order from an empty kernel table give ``run_fig1``'s per-trial rows."""
+        config = small_fig1(state_nbar=30.0, dim=200, trials=3)  # reach crosses |x| = 10
+        n, d, chash = config.target_n, config.target_d, config_hash(config)
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        _, trials = run_fig1(config, out=tmp_path / "fig1.csv")
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        signal = config.state().build()
+        cells = [(e, trial) for e in range(len(config.eta_list)) for trial in range(config.trials)]
+        rows = {}
+        for k in np.random.default_rng(seed).permutation(len(cells)):
+            e, trial = cells[k]
+            eta = config.eta_list[e]
+            source = experiments._measurement_source(
+                config, apply_loss(signal, eta), experiments._trial_rng(config, e, trial))
+            result = convergence_scan(source, n, d, eta, config.truncation_grid(eta))
+            rows[cells[k]] = [
+                ",".join([experiments._fmt(eta), str(trial), str(jm), experiments._fmt(value.real),
+                          experiments._fmt(error), result.verdict, chash]) + "\n"
+                for jm, value, error in result.trace]
+        _, body = trials.read_bytes().split(b"\n", 1)
+        assert body == "".join(line for cell in cells for line in rows[cell]).encode()
 
     def test_direct_contrast_runs(self, tmp_path):
         config = replace(default_config("direct"), eta_list=(0.45,),

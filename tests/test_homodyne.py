@@ -34,12 +34,17 @@ def element(data, n, d):
     return ray.estimate[0], ray.stderr[0]
 
 
-def four_gather_pattern(t, coefficients, x):
-    """Kernel rows from ``(4, L-1)`` cubic coefficients, one gather per coefficient."""
-    idx = np.clip(((x + t.x_max) / oscillator.TAB_STEP).astype(np.int64), 0, t.x_full.size - 2)
-    dt = x - t.x_full[idx]
-    return np.array([((c[0, idx] * dt + c[1, idx]) * dt + c[2, idx]) * dt + c[3, idx]
-                     for c in coefficients])
+def four_gather_pattern(t, coefficients, parities, x):
+    """Kernel rows from ``(4, L-1)`` half-line cubic coefficients, one gather per coefficient.
+
+    Row k is evaluated at ``|x|`` and multiplied by ``parities[k]`` where ``x < 0``.
+    """
+    a = np.abs(x)
+    idx = np.minimum((a / oscillator.TAB_STEP).astype(np.int64), t.x_half.size - 2)
+    dt = a - t.x_half[idx]
+    return np.array([np.where(x < 0, p, 1.0)
+                     * (((c[0, idx] * dt + c[1, idx]) * dt + c[2, idx]) * dt + c[3, idx])
+                     for c, p in zip(coefficients, parities)])
 
 
 def strip_law(rho):
@@ -188,11 +193,11 @@ class TestPatternFunction:
         assert evaluate_pattern(n, n, x) == pytest.approx(self.FROZEN[(n, x)], abs=1e-7)
 
     def test_parity(self):
-        x = np.array([0.37, 1.1, 2.6])
-        for n, m in [(0, 0), (0, 1), (2, 5), (3, 3)]:
-            left = evaluate_pattern(n, m, -x)
-            right = (-1.0) ** (n + m) * evaluate_pattern(n, m, x)
-            assert np.allclose(left, right, atol=1e-12)
+        """``f_nm(-x) = (-1)^(n+m) f_nm(x)`` bit for bit, odd ``n + m`` included."""
+        n, m = np.triu_indices(13)
+        x = rng_from(17, 23).uniform(-10.0, 10.0, 1000)
+        sign = np.where((n + m) % 2, -1.0, 1.0)[:, None]
+        assert evaluate_pattern(n, m, -x).tobytes() == (sign * evaluate_pattern(n, m, x)).tobytes()
 
     def test_bounded_through_index_40(self):
         x = np.linspace(-8.0, 8.0, 401)
@@ -222,13 +227,14 @@ class TestPatternFunction:
         pairs = [(0, 0), (2, 5), (7, 7), (13, 40)]
         for n, m in pairs:
             c = t.spline(n, m)
-            assert c.shape == (t.x_full.size - 1, 4)
+            assert c.shape == (t.x_half.size - 1, 4)
             assert c.flags.c_contiguous
-        nodes = t.x_full[[0, 1, 2500, t.x_full.size // 2, -2, -1]]
-        x = np.concatenate([nodes, [-t.x_max, t.x_max, -0.0, 0.37, -2.6, 9.999],
-                            rng_from(17, 20).uniform(-t.x_max, t.x_max, 500)])
+        nodes = t.x_half[[0, 1, 2500, t.x_half.size // 2, -2, -1]]
+        x = np.concatenate([nodes, -nodes, [-t.x_max, t.x_max, -0.0, 0.37, -2.6, 9.999],
+                            rng_from(17, 20).uniform(-t.x_max, t.x_max, 494)])
         n, m = np.array(pairs).T
-        want = four_gather_pattern(t, [t.spline(nk, mk).T for nk, mk in pairs], x)
+        want = four_gather_pattern(t, [t.spline(nk, mk).T for nk, mk in pairs],
+                                   (-1.0) ** (n + m), x)
         assert evaluate_pattern(n, m, x).tobytes() == want.tobytes()
         grid = x[:506].reshape(2, 253)
         assert evaluate_pattern(n, m, grid).tobytes() == want[:, :506].tobytes()
@@ -239,10 +245,10 @@ class TestPatternFunction:
     @pytest.mark.parametrize("n,m", [(0, 0), (2, 5), (13, 40), (100, 102)])
     def test_spline_is_the_hermite_interpolant_of_the_ode_slopes(self, n, m):
         t = oscillator.tables_for(m)
-        hermite = CubicHermiteSpline(t.x_full, *t.kernel_and_slope(n, m))
-        x = np.concatenate([t.x_full[[0, 1, t.x_full.size // 2, -2, -1]],
-                            rng_from(17, 21).uniform(-t.x_max, t.x_max, 2000)])
-        want = four_gather_pattern(t, [hermite.c], x)[0]
+        hermite = CubicHermiteSpline(t.x_half, *t.kernel_and_slope(n, m))
+        nodes = t.x_half[[0, 1, t.x_half.size // 2, -2, -1]]
+        x = np.concatenate([nodes, -nodes, rng_from(17, 21).uniform(-t.x_max, t.x_max, 2000)])
+        want = four_gather_pattern(t, [hermite.c], [(-1.0) ** (n + m)], x)[0]
         got = evaluate_pattern(n, m, x)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -276,11 +282,17 @@ class TestPatternFunction:
             a = getattr(t, name)
             assert a.shape[-1] == t.x_half.size, name
             assert a.base is None, f"{name} is a view of a longer array"
+        for n, m in [(0, 0), (3, 8), (12, 12)]:
+            t.spline(n, m)
+        for name, a in vars(t).items():     # dx holds one width per cell
+            if isinstance(a, np.ndarray):
+                assert a.shape[-1] in (t.x_half.size, t.x_half.size - 1), name
+        assert all(c.shape == (t.x_half.size - 1, 4) for c in t.kernels.values())
 
     def test_table_at_its_limits(self, monkeypatch):
         t = oscillator._Tables(32, oscillator._X_LIMIT)
         assert t.x_max == oscillator._X_LIMIT
-        assert all(np.all(np.isfinite(t.kernel_full(n, m)))
+        assert all(np.all(np.isfinite(t.kernel_and_slope(n, m)))
                    for n in range(33) for m in range(n, 33))
         monkeypatch.setattr(oscillator, "_TABLES", None)
         with pytest.raises(ExtrapolationError):

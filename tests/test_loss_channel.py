@@ -87,6 +87,15 @@ class TestInverseCoefficient:
         assert np.max(np.abs(w[n, k][~normal])) < 1e-290
         assert _ray_weights(40, 3, 1.0 / 0.55).tobytes() == before.tobytes()
 
+    def test_ray_weights_past_the_normal_range_raise(self):
+        """At g = 1/sqrt(2) the product under the root is about 2^-n, normal to n = 1022."""
+        g, L = 2**-0.5, loss_channel._DIM_LIMIT
+        w = _ray_weights(L, 0, g)
+        assert np.all(np.isfinite(w)) and w[-1, -1] == pytest.approx(g**1022, rel=1e-12)
+        for L in (loss_channel._DIM_LIMIT + 1, 1100):
+            with pytest.raises(ValueError, match="float range"):
+                _ray_weights(L, 0, g)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             inverse_coefficient(0, 0, 1, 0.0)
