@@ -129,7 +129,7 @@ def _ac5_direct_contrast():
     data = sample_quadratures(apply_loss(signal, 0.45), cfg.n_samples,
                               experiments._trial_rng(cfg, 0, 0))
     control = convergence_scan(
-        data, 2, 0, 0.45, list(range(1, 21)) + list(range(25, 101, 5)))
+        data, 2, 0, 0.45, experiments.default_config("fig1").truncation_grid(0.45))
     ok = (conv[0.45] >= 8 and conv[0.42] >= 8 and pull_ok
           and control.verdict == "diverging")
     return ok, (f"direct verdicts converged {conv[0.45]}/10 (0.45), "
@@ -153,11 +153,11 @@ def _ac6_saturation():
 
 
 def _ac7_unbiasedness():
-    x, _ = oscillator.kernel_on_grid(0, 0)
-    weighted = oscillator._psi_half(10, x) ** 2 * oscillator.simpson_weights(x.size, x[1] - x[0])
+    t = oscillator.tables_for(10)
+    weighted = t.psi[:11] ** 2 * (2.0 * t.simpson)   # even integrands: twice the half line
     worst = 0.0
     for n in range(11):
-        _, f = oscillator.kernel_on_grid(n, n)
+        f = t.kernel_and_slope(n, n)[0]
         for k in range(11):
             overlap = float(np.sum(weighted[k] * f))
             worst = max(worst, abs(overlap - (1.0 if k == n else 0.0)))
@@ -218,10 +218,10 @@ def format_line(result: CriterionResult) -> str:
             f"[{result.seconds:.2f}s of {result.budget:g}s budget]")
 
 
-def run_all(write=print) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     results = []
     for index in range(len(CRITERIA)):
         result = run_criterion(index)
         results.append(result)
-        write(format_line(result))
+        print(format_line(result))
     return results

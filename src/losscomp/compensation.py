@@ -38,9 +38,6 @@ class CompensationResult:
     since each added term contributes nonnegative variance.
     """
 
-    n: int
-    d: int
-    eta: float
     trace: list
     verdict: str
 
@@ -144,8 +141,7 @@ def convergence_scan(source, n: int, d: int, eta: float, j_list) -> Compensation
         (j, _finalize_value(complex(value_partial[j]), d), float(np.sqrt(var_partial[j])))
         for j in j_list
     ]
-    return CompensationResult(n=n, d=d, eta=eta, trace=trace,
-                              verdict=_verdict_from_trace(trace))
+    return CompensationResult(trace=trace, verdict=_verdict_from_trace(trace))
 
 
 def error_vs_eta(source, n: int, d: int, eta_list, j_list):

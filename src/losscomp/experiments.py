@@ -24,7 +24,7 @@ from .compensation import convergence_scan, error_vs_eta, truncation_indices
 from .direct_detection import sample_counts
 from .fock_core import StateSpec
 from .homodyne import sample_quadratures
-from .loss_channel import _DIM_LIMIT, apply_loss
+from .loss_channel import _DIM_LIMIT, apply_loss, inverse_coefficient
 
 DEFAULT_MASTER_SEED = 235711
 
@@ -78,7 +78,8 @@ class ExperimentConfig:
         if top >= self.dim:
             raise ValueError(f"target element ({self.target_n}, {top}) lies outside "
                              f"dimension {self.dim}")
-        j_top = max(max(self.truncation_grid(eta)) for eta in self.eta_list)
+        j_tops = [max(self.truncation_grid(eta)) for eta in self.eta_list]
+        j_top = max(j_tops)
         if self.n_samples * j_top > _BUDGET:
             raise ValueError(
                 f"n_samples * max(j_M) = {self.n_samples * j_top} exceeds the "
@@ -91,6 +92,8 @@ class ExperimentConfig:
                 raise ValueError("direct detection only measures diagonal elements")
             if self.target_n + j_top >= self.dim:
                 raise ValueError("truncation grid reaches beyond the state dimension")
+        for eta, j in zip(self.eta_list, j_tops):   # raises where a weight's square overflows
+            inverse_coefficient(self.target_n, self.target_d, np.arange(j + 1), eta)
         self.state().build()  # surfaces bad state parameters early
 
     def truncation_grid(self, eta: float) -> list:

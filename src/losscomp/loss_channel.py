@@ -93,12 +93,20 @@ def inverse_coefficient(n: int, d: int, j, eta: float):
     ``A_j = eta^(-(2n+d)/2) * sqrt((n+j)!(n+d+j)!) / (sqrt(n!(n+d)!) j!)
     * (1 - 1/eta)^j``, from exact integer binomials.  ``j`` may be an integer
     (returns a float) or an array of them (returns the matching array).
+    Raises ValueError when the square of a weight, which the propagated
+    error sums, leaves the float range.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("efficiency must lie in (0, 1]")
     if n < 0 or d < 0 or np.any(np.asarray(j) < 0):
         raise ValueError("indices must be nonnegative")
-    weights = _weights(n, d, j, 1.0 / eta)
+    with np.errstate(over="ignore"):
+        weights = _weights(n, d, j, 1.0 / eta)
+        finite = np.isfinite(weights**2)
+    if not finite.all():
+        bad = int(np.min(np.broadcast_to(j, finite.shape)[~finite]))
+        raise ValueError(f"inverse-series weight A_j({n}, {d}) at j = {bad} leaves the "
+                         f"float range at efficiency {eta:g}")
     return weights if np.ndim(j) else float(weights[0])
 
 

@@ -19,13 +19,14 @@ range extends past the points ``evaluate_pattern`` is asked for and past
 the classical turning point of the largest index, which the normalization
 integrals need, up to ``|x| = 26``, past which ``chi_0`` overflows.
 
-Every table array lives on the half line ``x >= 0``; ``evaluate_pattern``
-locates ``|x|`` and negates kernels of odd ``n + m`` at ``x < 0``, so the
-parity ``(-1)^(n+m)`` is exact.  Each kernel is the cubic Hermite
+The table holds ``psi``, ``chi`` and ``chi'`` on the half line ``x >= 0``
+and the cached splines built from them.  Each kernel is the cubic Hermite
 interpolant of its tabulated values and its slopes, which follow from the
 ODE, so no spline system is solved.  Its coefficients are cached as one
-contiguous ``(L-1, 4)`` array, four Horner coefficients per grid cell, so
-``evaluate_pattern`` fetches a kernel row's coefficients in one gather.
+contiguous ``(L-1, 4)`` array, four Horner coefficients per grid cell.
+``evaluate_pattern`` is where kernels leave the table: it locates ``|x|``
+once, fetches each row's coefficients in one gather, and negates a row at
+``x < 0`` when its ``n + m`` is odd, so the parity ``(-1)^(n+m)`` is exact.
 """
 from __future__ import annotations
 
@@ -93,14 +94,6 @@ def _chi_half(mmax, x):
     return np.ascontiguousarray(chi[:-1:_FINE_SUB].T), np.ascontiguousarray(dchi.T)
 
 
-def simpson_weights(size, step):
-    """Composite Simpson weights for ``size`` (odd) equally spaced points."""
-    w = np.ones(size)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (step / 3.0)
-
-
 class _Tables:
     def __init__(self, max_index, reach):
         self.max_index = max_index
@@ -110,12 +103,9 @@ class _Tables:
         self.chi, self.dchi = _chi_half(max_index, fine)
         self.x_half = np.arange(nh + 1) * TAB_STEP
         self.psi = _psi_half(max_index + 1, self.x_half)
-        # psi_n' = sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}, with psi_0 standing
-        # in for psi_{-1}, which its zero coefficient cancels
-        root = np.sqrt(np.arange(max_index + 2.0))[:, None]
-        lower = np.vstack([self.psi[:1], self.psi[:-2]])
-        self.dpsi = root[:-1] * lower - root[1:] * self.psi[1:]
-        self.simpson = simpson_weights(nh + 1, TAB_STEP)   # nh is even by construction
+        self.simpson = np.ones(nh + 1)      # composite Simpson weights; nh is even
+        self.simpson[1:-1:2], self.simpson[2:-1:2] = 4.0, 2.0
+        self.simpson *= TAB_STEP / 3.0
         self.dx = np.diff(self.x_half)
         self.kernels = {}
 
@@ -124,11 +114,13 @@ class _Tables:
 
         The slope follows from the ODE, ``psi'' = Q psi`` and ``chi'' = Q chi``:
         ``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'``, ``Q_k = 4x^2 - 4k - 2``.
-        ``f`` has the parity of ``n + m``, ``f'`` the opposite one.
+        ``psi_n' = sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}``, with ``psi_0``
+        standing in for ``psi_{-1}``, which its zero coefficient cancels.
         """
-        f = self.dpsi[n] * self.chi[m] + self.psi[n] * self.dchi[m]
+        dpsi = np.sqrt(n) * self.psi[max(n - 1, 0)] - np.sqrt(n + 1.0) * self.psi[n + 1]
+        f = dpsi * self.chi[m] + self.psi[n] * self.dchi[m]
         df = ((8.0 * self.x_half**2 - 4.0 * (n + m + 1)) * self.psi[n] * self.chi[m]
-              + 2.0 * self.dpsi[n] * self.dchi[m])
+              + 2.0 * dpsi * self.dchi[m])
         anchor = 2.0 * float(np.sum(self.psi[n] * self.psi[m] * f * self.simpson))
         return f / anchor, df / anchor
 
@@ -182,22 +174,16 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
     if ns.shape != ms.shape or np.any(ns < 0) or np.any(ms < ns):
         raise ValueError("kernel indices require 0 <= n <= m")
     xa = np.asarray(x, dtype=float)
-    ax = np.abs(xa)
+    xr = xa.ravel()
+    ax = np.abs(xr)
     t = tables_for(int(np.max(ms)), float(np.max(ax, initial=0.0)))
     idx = np.minimum((ax / TAB_STEP).astype(np.int64), t.x_half.size - 2)
     dt = ax - t.x_half[idx]
-    out = np.empty((ns.size,) + xa.shape)
-    for k, c in enumerate(map(t.spline, ns.ravel().tolist(), ms.ravel().tolist())):
-        g = np.take(c, idx, axis=0)
-        out[k] = ((g[..., 0] * dt + g[..., 1]) * dt + g[..., 2]) * dt + g[..., 3]
-    odd = (ns + ms).reshape((-1,) + (1,) * xa.ndim) % 2 == 1
-    np.negative(out, out=out, where=odd & (xa < 0))
+    negative = xr < 0
+    out = np.empty((ns.size, xr.size))
+    for row, nk, mk in zip(out, ns.ravel().tolist(), ms.ravel().tolist()):
+        g = np.take(t.spline(nk, mk), idx, axis=0)
+        np.add(((g[:, 0] * dt + g[:, 1]) * dt + g[:, 2]) * dt, g[:, 3], out=row)
+        if (nk + mk) % 2:
+            np.negative(row, out=row, where=negative)
     return out.reshape(ns.shape + xa.shape)[()]
-
-
-def kernel_on_grid(n: int, m: int):
-    """(grid, kernel values) on the whole line, mirrored from the table, for quadrature tests."""
-    t = tables_for(m)
-    f = t.kernel_and_slope(n, m)[0]
-    return (np.concatenate([-t.x_half[:0:-1], t.x_half]),
-            np.concatenate([(-1.0) ** (n + m) * f[:0:-1], f]))

@@ -143,8 +143,14 @@ class TestConfigHash:
         trials=st.integers(1, 100),
         master_seed=st.integers(0, 2**64 - 1)))
     def test_text_round_trip_is_exact(self, config):
-        """Floats that 9 digits cannot hold are written in full, so the hash is exact."""
-        config.validate()
+        """Floats that 9 digits cannot hold are written in full, so the hash is exact.
+
+        Only an efficiency below 1/2 may be rejected, for inverse weights past the float range.
+        """
+        try:
+            config.validate()
+        except ValueError as exc:
+            assert "float range" in str(exc) and min(config.eta_list) < 0.5
         assert parse_config(serialize_config(config)) == config
 
 
@@ -165,6 +171,8 @@ class TestValidation:
         dict(target_d=70),
         dict(dim=480, target_n=400, jm_list=(1, 100)),  # kernel index 500 past the table
         dict(dim=1024),                                 # past the loss weights' float range
+        dict(detection="direct", eta_list=(0.05,), jm_list=(1, 280), dim=300,
+             n_samples=1000, trials=1),                 # A_j^2 overflows from j = 116
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ValueError):
@@ -181,13 +189,16 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [
-        "dim = 2\n", "target_d = 70\n", "dim = 480\ntarget_n = 400\njm_list = 1,100\n"])
+        "dim = 2\n", "target_d = 70\n", "dim = 480\ntarget_n = 400\njm_list = 1,100\n",
+        "detection = direct\neta_list = 0.05\njm_list = 1,280\ndim = 300\n"
+        "n_samples = 1000\ntrials = 1\n"])
     def test_unreachable_target_rejected_before_sampling(self, text, tmp_path, monkeypatch,
                                                          capsys):
         def sample(*args):
-            raise AssertionError("sampled before the config was rejected")
+            raise AssertionError("damped or sampled before the config was rejected")
 
-        monkeypatch.setattr(experiments, "sample_quadratures", sample)
+        for name in ("apply_loss", "sample_quadratures", "sample_counts"):
+            monkeypatch.setattr(experiments, name, sample)
         conf, out = tmp_path / "run.conf", tmp_path / "fig1.csv"
         conf.write_text(text)
         assert cli.main(["fig1", "--config", str(conf), "--out", str(out)]) == 2

@@ -269,19 +269,24 @@ class TestPatternFunction:
             evaluate_pattern(0, 0, 50.0)
 
     def test_number_state_anchors_through_index_20(self):
-        """``integral psi_k^2 f_nn = delta_nk`` for every n, k <= 20, at AC-7's tolerance."""
-        x, _ = oscillator.kernel_on_grid(0, 0)
-        psi2 = oscillator._psi_half(20, x) ** 2
-        overlap = np.array([simpson(psi2 * oscillator.kernel_on_grid(n, n)[1], dx=x[1] - x[0])
+        """``integral psi_k^2 f_nn = delta_nk`` for every n, k <= 20, at AC-7's tolerance.
+
+        The integrands are even, so each integral is twice its half-line value.
+        """
+        t = oscillator.tables_for(20)
+        psi2 = t.psi[:21] ** 2
+        overlap = np.array([2.0 * simpson(psi2 * t.kernel_and_slope(n, n)[0],
+                                          dx=oscillator.TAB_STEP)
                             for n in range(21)])
         assert np.max(np.abs(overlap - np.eye(21))) < 1e-6
 
     def test_table_keeps_only_its_grid(self):
         t = oscillator.tables_for(12)
-        for name in ("x_half", "psi", "chi", "dchi", "dpsi"):
+        for name in ("x_half", "psi", "chi", "dchi"):
             a = getattr(t, name)
             assert a.shape[-1] == t.x_half.size, name
             assert a.base is None, f"{name} is a view of a longer array"
+        assert not hasattr(t, "dpsi"), "psi' follows from two stored psi rows"
         for n, m in [(0, 0), (3, 8), (12, 12)]:
             t.spline(n, m)
         for name, a in vars(t).items():     # dx holds one width per cell

@@ -96,6 +96,14 @@ class TestInverseCoefficient:
             with pytest.raises(ValueError, match="float range"):
                 _ray_weights(L, 0, g)
 
+    def test_weights_whose_square_overflows_raise(self):
+        """At eta = 0.05, A_j(2, 0)^2 leaves the float range from j = 116 (A_j itself at 236)."""
+        assert np.isfinite(inverse_coefficient(2, 0, 115, 0.05) ** 2)
+        for j, first in [(116, 116), (236, 236), (np.arange(300), 116)]:
+            with pytest.raises(ValueError, match=f"j = {first} leaves the float range at "
+                                                 "efficiency 0.05"):
+                inverse_coefficient(2, 0, j, 0.05)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             inverse_coefficient(0, 0, 1, 0.0)
