@@ -126,7 +126,8 @@ def _transform(rho: DensityMatrix, g: float, j_cap=None):
     """Apply the ray-wise map with parameter ``g`` to every (n, d) ray.
 
     Returns the transformed matrix and the per-element magnitude of the
-    last included term (the truncation diagnostic).
+    last included term (the truncation diagnostic).  Raises ValueError when
+    a weight that is kept (``j <= j_cap``) leaves the float range.
     """
     D = rho.dim
     out = np.zeros((D, D), dtype=complex)
@@ -134,7 +135,12 @@ def _transform(rho: DensityMatrix, g: float, j_cap=None):
     for d in range(D):
         L = D - d
         ray = np.diagonal(rho.elements, offset=d).copy()
-        w = _ray_weights(L, d, g, j_cap=j_cap)
+        with np.errstate(over="ignore"):
+            w = _ray_weights(L, d, g, j_cap=j_cap)
+        if not np.isfinite(w).all():
+            n, k = np.argwhere(~np.isfinite(w))[0]
+            raise ValueError(f"inverse-series weight A_j({n}, {d}) at j = {k - n} leaves the "
+                             f"float range at efficiency {1.0 / g:g}")
         new_ray = w @ ray
         # index of the last term actually summed for each output n
         k_last = np.minimum((L - 1) if j_cap is None else np.arange(L) + j_cap, L - 1)

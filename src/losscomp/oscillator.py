@@ -15,18 +15,25 @@ Numerov scheme; the kernel normalization is then pinned per pair by the
 unbiasedness anchor ``integral psi_n psi_m f_nm dx = 1``.
 
 One table is cached at module level and rebuilt larger on demand.  Its
-range extends past the points ``evaluate_pattern`` is asked for and past
-the classical turning point of the largest index, which the normalization
-integrals need, up to ``|x| = 26``, past which ``chi_0`` overflows.
+range extends past the points it is asked for and past the classical
+turning point of the largest index, which the normalization integrals
+need, up to ``|x| = 26``, past which ``chi_0`` overflows.
 
 The table holds ``psi``, ``chi`` and ``chi'`` on the half line ``x >= 0``
 and the cached splines built from them.  Each kernel is the cubic Hermite
 interpolant of its tabulated values and its slopes, which follow from the
 ODE, so no spline system is solved.  Its coefficients are cached as one
 contiguous ``(L-1, 4)`` array, four Horner coefficients per grid cell.
-``evaluate_pattern`` is where kernels leave the table: it locates ``|x|``
-once, fetches each row's coefficients in one gather, and negates a row at
+
+Kernels leave the table two ways, which share one locate step (``|x|``
+to its cell and offset).  ``evaluate_pattern`` gives values: it fetches
+each row's coefficients at the points in one gather and negates a row at
 ``x < 0`` when its ``n + m`` is odd, so the parity ``(-1)^(n+m)`` is exact.
+``pattern_sums`` gives the weighted sums of a kernel and of its square
+over the points: it gathers each row's coefficients at the occupied cells
+only and dots them with per-cell moments of the offsets, so a kernel costs
+its occupied cells, not its points; odd rows take the sign into the
+weights of the first sum.
 """
 from __future__ import annotations
 
@@ -161,6 +168,21 @@ def tables_for(max_index: int, reach: float = 0.0) -> _Tables:
     return _TABLES
 
 
+def _locate(ns, ms, x):
+    """Size the shared table for kernels ``(ns, ms)`` and the points ``x``, and locate ``|x|``.
+
+    Returns the table, each raveled point's cell, its offset ``|x| - x_i`` in
+    that cell, and the mask of points at ``x < 0``.
+    """
+    if ns.shape != ms.shape or np.any(ns < 0) or np.any(ms < ns):
+        raise ValueError("kernel indices require 0 <= n <= m")
+    xr = x.ravel()
+    ax = np.abs(xr)
+    t = tables_for(int(np.max(ms)), float(np.max(ax, initial=0.0)))
+    idx = np.minimum((ax / TAB_STEP).astype(np.int64), t.x_half.size - 2)
+    return t, idx, ax - t.x_half[idx], xr < 0
+
+
 def evaluate_pattern(n, m, x) -> np.ndarray:
     """Kernel f_nm at points ``x`` via cached cubic interpolation.
 
@@ -171,19 +193,86 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
     ``f_nm(-x) = (-1)^(n+m) f_nm(x)`` holds bit for bit.
     """
     ns, ms = np.asarray(n), np.asarray(m)
-    if ns.shape != ms.shape or np.any(ns < 0) or np.any(ms < ns):
-        raise ValueError("kernel indices require 0 <= n <= m")
     xa = np.asarray(x, dtype=float)
-    xr = xa.ravel()
-    ax = np.abs(xr)
-    t = tables_for(int(np.max(ms)), float(np.max(ax, initial=0.0)))
-    idx = np.minimum((ax / TAB_STEP).astype(np.int64), t.x_half.size - 2)
-    dt = ax - t.x_half[idx]
-    negative = xr < 0
-    out = np.empty((ns.size, xr.size))
+    t, idx, dt, negative = _locate(ns, ms, xa)
+    out = np.empty((ns.size, xa.size))
     for row, nk, mk in zip(out, ns.ravel().tolist(), ms.ravel().tolist()):
         g = np.take(t.spline(nk, mk), idx, axis=0)
         np.add(((g[:, 0] * dt + g[:, 1]) * dt + g[:, 2]) * dt, g[:, 3], out=row)
         if (nk + mk) % 2:
             np.negative(row, out=row, where=negative)
     return out.reshape(ns.shape + xa.shape)[()]
+
+
+def pattern_sums(n, m, x, weights=None, block=None):
+    """Sums ``sum_s w_s f_nm(x_s)`` and ``sum_s (w_s f_nm(x_s))^2`` over the points ``x``.
+
+    ``n`` and ``m`` are as for ``evaluate_pattern``; ``weights`` holds one
+    row of per-point weights ``w`` for each sum wanted (default: one row of
+    ones).  Returns ``(s1, s2)``, each shaped ``n.shape + (rows of weights,)``.
+    A kernel is a cubic in ``dt = |x| - x_i`` on each table cell, so its sums
+    are its coefficients dotted with the moments ``sum w dt^k`` (k <= 3) and
+    ``sum w^2 dt^p`` (p <= 6) of the occupied cells: the points are located
+    once, and each kernel costs its occupied cells, not the points.  A
+    kernel whose ``n + m`` is odd takes ``-w`` at ``x < 0`` in its first sum.
+    At most ``block`` coefficients (kernels x occupied cells x 4) are held
+    at once; a kernel's sums do not depend on ``block`` or on the other kernels.
+    """
+    ns, ms = np.asarray(n), np.asarray(m)
+    xa = np.asarray(x, dtype=float)
+    t, idx, dt, negative = _locate(ns, ms, xa)
+    w = np.ones((1, xa.size)) if weights is None else np.reshape(weights, (-1, xa.size))
+    counts = np.bincount(idx, minlength=t.x_half.size - 1)
+    cells = np.flatnonzero(counts)
+    at = np.cumsum(counts > 0)[idx] - 1         # each point's rank among the occupied cells
+    powers = np.empty((7, xa.size))
+    powers[0] = 1.0
+    for p in range(1, 7):
+        np.multiply(powers[p - 1], dt, out=powers[p])
+
+    def moments(v, order):
+        return [np.bincount(at, v * powers[p], minlength=cells.size) for p in range(order)]
+
+    odd = ((ns + ms) % 2 == 1).ravel()
+    first = {parity: [moments(np.where(negative, -wk, wk) if parity else wk, 4) for wk in w]
+             for parity in (False, True) if np.any(odd == parity)}
+    second = [moments(wk * wk, 7) for wk in w]
+    s1 = np.empty((ns.size, len(w)))
+    s2 = np.empty((ns.size, len(w)))
+    rows = ns.size if block is None else max(1, block // (4 * max(cells.size, 1)))
+    pairs = list(zip(ns.ravel().tolist(), ms.ravel().tolist()))
+    for lo in range(0, len(pairs), rows):
+        _cell_sums(t, cells, pairs[lo:lo + rows], odd[lo:lo + rows], first, second,
+                   s1[lo:lo + rows], s2[lo:lo + rows])
+    return s1.reshape(ns.shape + (len(w),)), s2.reshape(ns.shape + (len(w),))
+
+
+def _cell_sums(t, cells, pairs, odd, first, second, s1, s2):
+    """Fill ``s1`` and ``s2`` for one block of kernels from the cell moments.
+
+    Elementwise products on ``(kernels, cells)`` planes, then one contiguous
+    sum per kernel, so no kernel's bits depend on the rest of its block.
+    ``sum (a . dt^k)^2 = sum_kl a_k a_l S_(k+l)``, taken as Horner-like rows
+    ``a_k (a_k S_2k + 2 sum_(l>k) a_l S_(k+l))``.
+    """
+    g = np.empty((4, len(pairs), cells.size))
+    for r, (nk, mk) in enumerate(pairs):
+        g[:, r] = np.take(t.spline(nk, mk), cells, axis=0).T
+    a = g[::-1]                                 # a[k] multiplies dt^k
+    for parity, moments in first.items():
+        rows = odd == parity
+        c = a if rows.all() else a[:, rows]
+        for k, s in enumerate(moments):
+            total = c[0] * s[0]
+            for ck, sk in zip(c[1:], s[1:]):
+                total += ck * sk
+            s1[rows, k] = np.sum(total, axis=1)
+    for k, s in enumerate(second):
+        total = 0.0
+        for i in range(4):
+            part = a[i] * s[2 * i]
+            for l in range(i + 1, 4):
+                part += a[l] * (2.0 * s[i + l])
+            part *= a[i]
+            total += part
+        s2[:, k] = np.sum(total, axis=1)

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.interpolate import CubicHermiteSpline
 from scipy.stats import kstest
@@ -107,6 +108,23 @@ class TestQuadraturePdf:
         assert vec[0] == pytest.approx(quadrature_pdf(rho, 0.5, 0.1), rel=1e-13)
         assert vec[1] == pytest.approx(quadrature_pdf(rho, 0.5, 0.7), rel=1e-13)
 
+
+    @staticmethod
+    def exp_formula(rho, phi, x):
+        """The density with each factor ``e^{i n phi}`` taken from its own complex ``exp``."""
+        rotated = oscillator._psi_half(rho.dim - 1, np.atleast_1d(x)) * np.exp(
+            1j * np.multiply.outer(np.arange(rho.dim), np.atleast_1d(phi)))
+        return np.einsum("nx,nx->x", rotated, rho.elements @ rotated.conj()).real
+
+    def test_phase_recurrence_matches_exp_formula(self):
+        rho = make_coherent(1.3 - 0.8j, 64)
+        rng = rng_from(17, 24)
+        x, phi = rng.normal(0.0, 1.2, 500), rng.uniform(0.0, np.pi, 500)
+        want = self.exp_formula(rho, phi, x)
+        assert np.max(np.abs(quadrature_pdf(rho, phi, x) - want)) <= 1e-12 * np.max(want)
+        at_zero = quadrature_pdf(rho, 0.0, x)
+        assert at_zero.tobytes() == self.exp_formula(rho, 0.0, x).tobytes()
+        assert quadrature_pdf(rho, np.zeros(500), x).tobytes() == at_zero.tobytes()
 
     def test_per_sample_phases_equal_scalar_phase_calls(self):
         rho = make_coherent(0.7 + 0.3j, 24)
@@ -319,6 +337,52 @@ class TestPatternFunction:
         assert made == [built]
 
 
+@st.composite
+def kernel_sum_cases(draw):
+    """Kernel rows ``(n, n + d)`` with d = 0..3 per row, points and phases.
+
+    Points include grid nodes and -0.0; rows of both parities may share a call.
+    """
+    n = np.arange(draw(st.integers(0, 30)), draw(st.integers(31, 36)))
+    d = np.array(draw(st.lists(st.integers(0, 3), min_size=n.size, max_size=n.size)))
+    size = draw(st.integers(2, 80))
+    point = st.one_of(st.floats(-12.0, 12.0),
+                      st.integers(-6000, 6000).map(lambda k: k * oscillator.TAB_STEP),
+                      st.sampled_from([0.0, -0.0]))
+    x = np.array(draw(st.lists(point, min_size=size, max_size=size)))
+    phi = np.array(draw(st.lists(st.floats(0.0, np.pi), min_size=size, max_size=size)))
+    return n, n + d, x, phi
+
+
+class TestPatternSums:
+    @settings(derandomize=True, deadline=None)
+    @given(case=kernel_sum_cases(), phased=st.booleans(),
+           block=st.sampled_from([None, 1, 4 * 4 * 80]))
+    def test_sums_equal_sums_of_kernel_values(self, case, phased, block):
+        """``pattern_sums`` against ``np.sum`` of ``w f`` and ``(w f)^2`` over ``evaluate_pattern`` rows."""
+        n, m, x, phi = case
+        x_max = oscillator.tables_for(int(np.max(m)), float(np.max(np.abs(x)))).x_max
+        x, phi = np.append(x, [x_max, -x_max]), np.append(phi, [0.4, 2.9])
+        d = np.arange(1, 4)[:, None] if phased else np.zeros((1, 1))
+        weights = np.where(d % 2, np.sin(d * phi), np.cos(d * phi))
+        s1, s2 = oscillator.pattern_sums(n, m, x, weights if phased else None, block)
+        terms = evaluate_pattern(n, m, x)[:, None, :] * weights
+        assert s1.shape == s2.shape == (n.size, weights.shape[0])
+        assert np.all(np.abs(s1 - np.sum(terms, axis=-1)) <= 1e-12 * np.sum(np.abs(terms), axis=-1))
+        assert np.all(np.abs(s2 - np.sum(terms**2, axis=-1)) <= 1e-12 * np.sum(terms**2, axis=-1))
+
+    def test_shapes_follow_the_indices(self):
+        x = np.array([[0.3, -1.2], [2.5, -0.0]])
+        s1, s2 = oscillator.pattern_sums(2, 5, x)
+        assert s1.shape == s2.shape == (1,)
+        assert s1[0] == pytest.approx(np.sum(evaluate_pattern(2, 5, x)), rel=1e-12)
+        s1, s2 = oscillator.pattern_sums(np.array([[0, 1]]), np.array([[0, 2]]), x,
+                                         np.ones((3, 4)))
+        assert s1.shape == s2.shape == (1, 2, 3)
+        with pytest.raises(ValueError):
+            oscillator.pattern_sums(3, 1, x)
+
+
 class TestEstimateElement:
     def test_vacuum_diagonal(self):
         data = sample_quadratures(make_fock(0, 16), 100_000, rng_from(17, 0))
@@ -384,37 +448,76 @@ class TestEstimateElement:
     @pytest.mark.parametrize("d", [0, 2])
     def test_ray_equals_single_elements_across_blocks(self, d, monkeypatch):
         data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 19))
-        calls, evaluate = [], oscillator.evaluate_pattern
+        cells = np.unique((np.abs(data.x) / oscillator.TAB_STEP).astype(np.int64)).size
+        blocks, cell_sums = [], oscillator._cell_sums
 
-        def counting(n, m, x):
-            calls.append(np.size(n))
-            return evaluate(n, m, x)
+        def counting(t, cells, pairs, *rest):
+            blocks.append(len(pairs))
+            return cell_sums(t, cells, pairs, *rest)
 
-        monkeypatch.setattr(homodyne, "_BLOCK", 4 * len(data))
-        monkeypatch.setattr(homodyne.oscillator, "evaluate_pattern", counting)
+        def no_point_values(*args):
+            raise AssertionError("estimate_element evaluated kernels at the samples")
+
+        monkeypatch.setattr(homodyne, "_BLOCK", 4 * 4 * cells)     # four kernels per block
+        monkeypatch.setattr(oscillator, "_cell_sums", counting)
+        monkeypatch.setattr(oscillator, "evaluate_pattern", no_point_values)
         ray = estimate_element(data, 1, d, j_max=10)
-        assert calls == [3, 4, 4]
+        assert blocks == [4, 4, 3]
         assert (ray.n, ray.d, ray.estimate.shape, ray.stderr.shape) == (1, d, (11,), (11,))
         for j in range(11):
             one = estimate_element(data, 1 + j, d)
             assert one.estimate.tobytes() == ray.estimate[j:j + 1].tobytes()
             assert one.stderr.tobytes() == ray.stderr[j:j + 1].tobytes()
 
-    @pytest.mark.parametrize("d", [0, 2])
-    def test_reductions_follow_the_documented_formula(self, d):
-        """Row j's mean and error are the documented reductions of that kernel row, bit for bit."""
-        data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 21))
-        ray = estimate_element(data, 1, d, j_max=5)
-        rows = evaluate_pattern(np.arange(1, 7), np.arange(1 + d, 7 + d), data.x)
+    @staticmethod
+    def documented_reductions(data, n, d, rows):
+        """Per-sample reference: ``np.mean`` and ``np.std(ddof=1)`` of each kernel row's summands."""
+        kernels = evaluate_pattern(np.arange(n, n + rows), np.arange(n + d, n + d + rows), data.x)
         root = np.sqrt(len(data))
-        for j, kernel in enumerate(rows):
+        for kernel in np.atleast_2d(kernels):
             if d:
                 summands = np.exp(1j * d * data.phi) * kernel
                 spread = max(np.std(summands.real, ddof=1), np.std(summands.imag, ddof=1))
             else:
                 summands, spread = kernel, np.std(kernel, ddof=1)
-            assert ray.estimate[j].tobytes() == np.complex128(np.mean(summands)).tobytes()
-            assert ray.stderr[j].tobytes() == np.float64(spread / root).tobytes()
+            yield np.mean(summands), spread / root
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_reductions_follow_the_documented_formula(self, d):
+        """Row j's mean and error are the documented reductions of that kernel row.
+
+        The sums come from per-cell moments, so they differ from the per-sample
+        reductions in the last bits only: 1e-12 of the error on each estimate,
+        1e-12 relative on each error.
+        """
+        data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 21))
+        ray = estimate_element(data, 1, d, j_max=5)
+        for j, (mean, stderr) in enumerate(self.documented_reductions(data, 1, d, 6)):
+            assert abs(ray.estimate[j] - mean) <= 1e-12 * stderr
+            assert abs(ray.stderr[j] - stderr) <= 1e-12 * stderr
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    @pytest.mark.parametrize("x", [
+        [0.3, -1.1],                                           # N = 2
+        [-0.7] * 40,                                           # all samples identical
+        [0.0, -0.0, 0.002, -0.002, 1.0, -3.5, 0.25, -0.25],    # on grid nodes and -0.0
+        "edge",                                                # +-x_max of the table
+    ], ids=["two", "identical", "nodes", "edge"])
+    def test_reductions_on_degenerate_samples(self, d, x):
+        if x == "edge":
+            x_max = oscillator.tables_for(6 + d, 12.0).x_max
+            x = [x_max, -x_max, 0.5, x_max]
+        x = np.array(x)
+        data = QuadratureData(x, np.linspace(0.1, 3.0, x.size))
+        ray = estimate_element(data, 1, d, j_max=5)
+        assert np.all(np.isfinite(ray.stderr)) and np.all(ray.stderr >= 0.0)
+        for j, (mean, stderr) in enumerate(self.documented_reductions(data, 1, d, 6)):
+            scale = np.max(np.abs(np.exp(1j * d * data.phi)
+                                  * evaluate_pattern(1 + j, 1 + d + j, data.x)))
+            assert abs(ray.estimate[j] - mean) <= 1e-12 * scale
+            # sum of squares minus N mean^2 keeps ~eps of the squares, so a
+            # vanishing spread is resolved to about sqrt(eps) of the summands
+            assert abs(ray.stderr[j] - stderr) <= 1e-7 * scale
 
     def test_ray_builds_one_table_across_blocks(self, monkeypatch):
         data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 19))

@@ -1,5 +1,6 @@
 """Loss-channel forward map, series inversion, and convergence diagnostics."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,21 @@ class TestInvertLoss:
         terms = [invert_loss(meas, 0.45, j).last_term[0, 0] for j in (10, 20, 30)]
         assert all(b < a for a, b in zip(terms, terms[1:]))
         assert terms[-1] < 1e-7
+
+    def test_kept_weights_past_the_float_range_raise(self):
+        """A kept weight that overflows is named with its efficiency; zeroed ones past the cap pass."""
+        damped = apply_loss(make_thermal(0.5, 300), 0.1)
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(_ray_weights(300, 0, 1.0 / 0.1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(invert_loss(damped, 0.1, 4).state.elements))
+            with pytest.raises(ValueError, match=r"A_j\(291, 0\) at j = 6 leaves the float "
+                                                 r"range at efficiency 0\.1$"):
+                invert_loss(damped, 0.1, 6)
+            with pytest.raises(ValueError, match=r"at j = 10 leaves the float range at "
+                                                 r"efficiency 0\.05$"):
+                invert_loss(apply_loss(make_thermal(0.5, 300), 0.05), 0.05, 10)
 
     def test_diagnostic_shape(self):
         res = invert_loss(make_thermal(1.0, 16), 0.9, 4)
