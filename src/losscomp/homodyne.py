@@ -170,13 +170,6 @@ def sample_quadratures(rho: DensityMatrix, n: int, rng: np.random.Generator) -> 
     return QuadratureData(x=x, phi=phi)
 
 
-# kernel coefficients held per pass: a ray whose samples occupy C table
-# cells is summed in blocks of at most this many (rows x C x 4).  A quarter
-# of it, one (rows, C) plane, is 256 KiB and stays in cache: per ray this ran
-# 10-15% faster than 2**20 at N = 8000 and 24000.
-_BLOCK = 2**17
-
-
 def estimate_element(samples: QuadratureData, n: int, d: int, j_max: int = 0) -> MeasuredRay:
     """Estimate the ray ``<n+j|rho|n+d+j>``, j = 0..j_max, from homodyne samples.
 
@@ -196,7 +189,7 @@ def estimate_element(samples: QuadratureData, n: int, d: int, j_max: int = 0) ->
     else:
         weights = None
     row_n = np.arange(n, n + j_max + 1)
-    s1, s2 = oscillator.pattern_sums(row_n, row_n + d, samples.x, weights, _BLOCK)
+    s1, s2 = oscillator.pattern_sums(row_n, row_n + d, samples.x, weights)
     mean = s1 / n_s
     spread = np.sqrt(np.maximum(s2 - n_s * mean**2, 0.0) / (n_s - 1))
     estimate = mean[:, 0] + 1j * mean[:, 1] if d else mean[:, 0]

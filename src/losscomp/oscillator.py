@@ -17,7 +17,9 @@ unbiasedness anchor ``integral psi_n psi_m f_nm dx = 1``.
 One table is cached at module level and rebuilt larger on demand.  Its
 range extends past the points it is asked for and past the classical
 turning point of the largest index, which the normalization integrals
-need, up to ``|x| = 26``, past which ``chi_0`` overflows.
+need, up to ``|x| = 26``, past which ``chi_0`` overflows.  Each
+normalization integral stops at the range its own index needs, so a
+kernel has the same bits in every table that holds it.
 
 The table holds ``psi``, ``chi`` and ``chi'`` on the half line ``x >= 0``
 and the cached splines built from them.  Each kernel is the cubic Hermite
@@ -46,6 +48,18 @@ _FINE_SUB = 2             # Numerov substeps per tabulation step
 _TURNING_MARGIN = 4.0     # grid range beyond the classical turning point
 _X_LIMIT = 26.0           # widest table range at which chi stays finite
 _INDEX_LIMIT = int((_X_LIMIT - _TURNING_MARGIN) ** 2 - 0.5)  # 483, the largest index it fits
+
+
+# kernel coefficients held per pass: kernels whose points occupy C table
+# cells are summed in blocks of at most this many (kernels x C x 4).  A
+# quarter of it, one (kernels, C) plane, is 256 KiB and stays in cache: per
+# ray this ran 10-15% faster than 2**20 at N = 8000 and 24000.
+_BLOCK = 2**17
+
+
+def _index_reach(index):
+    """Table range an index needs: past its classical turning point by the margin, whole."""
+    return float(np.ceil(np.sqrt(index + 0.5) + _TURNING_MARGIN))
 
 
 def _psi_half(nmax, x):
@@ -104,7 +118,7 @@ def _chi_half(mmax, x):
 class _Tables:
     def __init__(self, max_index, reach):
         self.max_index = max_index
-        self.x_max = float(np.ceil(max(np.sqrt(max_index + 0.5) + _TURNING_MARGIN, reach)))
+        self.x_max = max(_index_reach(max_index), float(np.ceil(reach)))
         nh = int(round(self.x_max / TAB_STEP))
         fine = np.arange(_FINE_SUB * nh + 2) * (TAB_STEP / _FINE_SUB)
         self.chi, self.dchi = _chi_half(max_index, fine)
@@ -123,12 +137,17 @@ class _Tables:
         ``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'``, ``Q_k = 4x^2 - 4k - 2``.
         ``psi_n' = sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}``, with ``psi_0``
         standing in for ``psi_{-1}``, which its zero coefficient cancels.
+        The anchor integrates over the range index ``m`` needs, not the
+        table's, so a kernel's bits do not depend on the table it is built in.
         """
         dpsi = np.sqrt(n) * self.psi[max(n - 1, 0)] - np.sqrt(n + 1.0) * self.psi[n + 1]
         f = dpsi * self.chi[m] + self.psi[n] * self.dchi[m]
         df = ((8.0 * self.x_half**2 - 4.0 * (n + m + 1)) * self.psi[n] * self.chi[m]
               + 2.0 * dpsi * self.dchi[m])
-        anchor = 2.0 * float(np.sum(self.psi[n] * self.psi[m] * f * self.simpson))
+        end = int(round(_index_reach(m) / TAB_STEP))    # even, like the table's node count
+        weights = self.simpson[:end + 1].copy()
+        weights[-1] = TAB_STEP / 3.0
+        anchor = 2.0 * float(np.sum((self.psi[n] * self.psi[m] * f)[:end + 1] * weights))
         return f / anchor, df / anchor
 
     def spline(self, n, m):
@@ -204,7 +223,7 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
     return out.reshape(ns.shape + xa.shape)[()]
 
 
-def pattern_sums(n, m, x, weights=None, block=None):
+def pattern_sums(n, m, x, weights=None):
     """Sums ``sum_s w_s f_nm(x_s)`` and ``sum_s (w_s f_nm(x_s))^2`` over the points ``x``.
 
     ``n`` and ``m`` are as for ``evaluate_pattern``; ``weights`` holds one
@@ -215,8 +234,8 @@ def pattern_sums(n, m, x, weights=None, block=None):
     ``sum w^2 dt^p`` (p <= 6) of the occupied cells: the points are located
     once, and each kernel costs its occupied cells, not the points.  A
     kernel whose ``n + m`` is odd takes ``-w`` at ``x < 0`` in its first sum.
-    At most ``block`` coefficients (kernels x occupied cells x 4) are held
-    at once; a kernel's sums do not depend on ``block`` or on the other kernels.
+    At most ``_BLOCK`` coefficients (kernels x occupied cells x 4) are held
+    at once; a kernel's sums do not depend on its block or on the other kernels.
     """
     ns, ms = np.asarray(n), np.asarray(m)
     xa = np.asarray(x, dtype=float)
@@ -239,7 +258,7 @@ def pattern_sums(n, m, x, weights=None, block=None):
     second = [moments(wk * wk, 7) for wk in w]
     s1 = np.empty((ns.size, len(w)))
     s2 = np.empty((ns.size, len(w)))
-    rows = ns.size if block is None else max(1, block // (4 * max(cells.size, 1)))
+    rows = max(1, _BLOCK // (4 * max(cells.size, 1)))
     pairs = list(zip(ns.ravel().tolist(), ms.ravel().tolist()))
     for lo in range(0, len(pairs), rows):
         _cell_sums(t, cells, pairs[lo:lo + rows], odd[lo:lo + rows], first, second,

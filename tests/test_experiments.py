@@ -314,7 +314,7 @@ class TestScanTables:
 
     @pytest.mark.parametrize("figure", ["fig1", "fig2"])
     def test_table_history_leaves_bytes_unchanged(self, figure, tmp_path, monkeypatch):
-        """Kernels move by ~4e-16 with the table's range; the CSV bytes must not."""
+        """A kernel's bits do not depend on the table's range, so the CSV bytes do not either."""
         if figure == "fig1":
             config, run = small_fig1(jm_list=(1, 2, 5, 20, 60)), run_fig1
         else:

@@ -337,6 +337,16 @@ class TestPatternFunction:
         assert made == [built]
 
 
+    def test_kernel_bits_do_not_depend_on_the_table(self):
+        """A kernel has the same bits in every table that holds it, whatever its range."""
+        pairs = [(0, 0), (0, 3), (5, 9), (20, 32), (31, 40)]
+        first, *others = [oscillator._Tables(*size) for size in [(40, 0.0), (40, 17.0), (70, 0.0)]]
+        for n, m in pairs:
+            want = first.spline(n, m)
+            for t in others:
+                assert np.array_equal(t.spline(n, m)[:want.shape[0]], want), (n, m, t.x_max)
+
+
 @st.composite
 def kernel_sum_cases(draw):
     """Kernel rows ``(n, n + d)`` with d = 0..3 per row, points and phases.
@@ -357,15 +367,20 @@ def kernel_sum_cases(draw):
 class TestPatternSums:
     @settings(derandomize=True, deadline=None)
     @given(case=kernel_sum_cases(), phased=st.booleans(),
-           block=st.sampled_from([None, 1, 4 * 4 * 80]))
+           block=st.sampled_from([2**40, 1, 4 * 4 * 80]))
     def test_sums_equal_sums_of_kernel_values(self, case, phased, block):
-        """``pattern_sums`` against ``np.sum`` of ``w f`` and ``(w f)^2`` over ``evaluate_pattern`` rows."""
+        """``pattern_sums`` against ``np.sum`` of ``w f`` and ``(w f)^2`` over ``evaluate_pattern`` rows.
+
+        ``block`` gives all rows one block, one row per block, or a few.
+        """
         n, m, x, phi = case
         x_max = oscillator.tables_for(int(np.max(m)), float(np.max(np.abs(x)))).x_max
         x, phi = np.append(x, [x_max, -x_max]), np.append(phi, [0.4, 2.9])
         d = np.arange(1, 4)[:, None] if phased else np.zeros((1, 1))
         weights = np.where(d % 2, np.sin(d * phi), np.cos(d * phi))
-        s1, s2 = oscillator.pattern_sums(n, m, x, weights if phased else None, block)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oscillator, "_BLOCK", block)
+            s1, s2 = oscillator.pattern_sums(n, m, x, weights if phased else None)
         terms = evaluate_pattern(n, m, x)[:, None, :] * weights
         assert s1.shape == s2.shape == (n.size, weights.shape[0])
         assert np.all(np.abs(s1 - np.sum(terms, axis=-1)) <= 1e-12 * np.sum(np.abs(terms), axis=-1))
@@ -458,7 +473,7 @@ class TestEstimateElement:
         def no_point_values(*args):
             raise AssertionError("estimate_element evaluated kernels at the samples")
 
-        monkeypatch.setattr(homodyne, "_BLOCK", 4 * 4 * cells)     # four kernels per block
+        monkeypatch.setattr(oscillator, "_BLOCK", 4 * 4 * cells)   # four kernels per block
         monkeypatch.setattr(oscillator, "_cell_sums", counting)
         monkeypatch.setattr(oscillator, "evaluate_pattern", no_point_values)
         ray = estimate_element(data, 1, d, j_max=10)
@@ -530,9 +545,21 @@ class TestEstimateElement:
 
         monkeypatch.setattr(oscillator, "_TABLES", None)
         monkeypatch.setattr(oscillator, "_Tables", Counting)
-        monkeypatch.setattr(homodyne, "_BLOCK", 4 * len(data))
+        monkeypatch.setattr(oscillator, "_BLOCK", 4 * len(data))
         estimate_element(data, 30, 0, j_max=10)
         assert built == [40]
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_estimates_do_not_depend_on_table_history(self, d, monkeypatch):
+        """A ray has the same bytes from a fresh table as after the table grew in another order."""
+        data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 22))
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        fresh = estimate_element(data, 1, d, j_max=30)
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        oscillator.tables_for(90, 19.0)
+        grown = estimate_element(data, 1, d, j_max=30)
+        assert grown.estimate.tobytes() == fresh.estimate.tobytes()
+        assert grown.stderr.tobytes() == fresh.stderr.tobytes()
 
     def test_table_reaches_past_the_samples(self, monkeypatch):
         monkeypatch.setattr(oscillator, "_TABLES", None)
