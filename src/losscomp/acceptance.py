@@ -157,7 +157,7 @@ def _ac7_unbiasedness():
     weighted = t.psi[:11] ** 2 * (2.0 * t.simpson)   # even integrands: twice the half line
     worst = 0.0
     for n in range(11):
-        f = t.kernel_and_slope(n, n)[0]
+        f = t.kernel_derivatives(n, n)[0]
         for k in range(11):
             overlap = float(np.sum(weighted[k] * f))
             worst = max(worst, abs(overlap - (1.0 if k == n else 0.0)))

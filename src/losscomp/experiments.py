@@ -28,8 +28,10 @@ from .loss_channel import _DIM_LIMIT, apply_loss, inverse_coefficient
 
 DEFAULT_MASTER_SEED = 235711
 
-# sanity ceiling on N * max(j_M): kernel evaluations dominate runtime and
-# the default runs sit two orders of magnitude below this
+# sanity ceiling on N * max(j_M).  A ray's kernel pass costs its kernel rows
+# times its occupied table cells plus a few passes over its N samples, so
+# this product no longer tracks runtime; it rejects configs far past the
+# defaults, which sit 20-60x below it (fig1 2.4e6, fig2 8e5)
 _BUDGET = 5 * 10**7
 
 
@@ -215,12 +217,16 @@ def _trials_path(path: Path) -> Path:
 def _scan_cells(config, scan):
     """The (eta, trial) cell loop behind every figure table.
 
-    Validates ``config``, damps the signal once per efficiency, and hands
+    Validates ``config``, sizes the kernel table for the largest kernel index
+    a homodyne run needs, damps the signal once per efficiency, and hands
     each cell a fresh dataset drawn from its own RNG stream to
     ``scan(source, eta, jm_grid)``.  Returns the signal state and, per
     efficiency, ``(eta, jm_grid, [scan result per trial])``.
     """
     config.validate()
+    if config.detection == "homodyne":     # one kernel table, sized for every cell's ray
+        oscillator.tables_for(config.target_n + config.target_d
+                              + max(max(config.truncation_grid(eta)) for eta in config.eta_list))
     signal = config.state().build()
     table = []
     for eta_index, eta in enumerate(config.eta_list):

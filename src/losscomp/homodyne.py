@@ -108,12 +108,18 @@ def _sample_inverse_cdf(density, grid, n, rng, trace=None):
     return np.interp(rng.random(n) * total, mass, grid)
 
 
+# proposal points per density call in the rejection sampler: one call holds
+# a few complex (dim, points) arrays, so this caps them whatever N is
+_PDF_CHUNK = 16384
+
+
 def _sample_rejection(rho, n, rng):
     """Exact joint sampler for arbitrary states.
 
     The proposal draws phi uniformly and x from a phase-independent
     envelope (sum of absolute ray profiles, which dominates p(x; phi)
     for every phi); accepted pairs follow the joint density exactly.
+    The density is evaluated ``_PDF_CHUNK`` proposals at a time.
     """
     grid = _grid_for(rho)
     psi = oscillator._psi_half(rho.dim - 1, grid)
@@ -133,7 +139,8 @@ def _sample_rejection(rho, n, rng):
         xc = _sample_inverse_cdf(envelope, grid, batch, rng)
         pc = rng.uniform(0.0, np.pi, batch)
         height = rng.random(batch) * np.interp(xc, grid, envelope)
-        dens = quadrature_pdf(rho, pc, xc)
+        dens = np.concatenate([quadrature_pdf(rho, pc[lo:lo + _PDF_CHUNK], xc[lo:lo + _PDF_CHUNK])
+                               for lo in range(0, batch, _PDF_CHUNK)])
         keep = np.nonzero(height <= np.maximum(dens, 0.0))[0][: n - filled]
         xs_out[filled:filled + keep.size] = xc[keep]
         phi_out[filled:filled + keep.size] = pc[keep]

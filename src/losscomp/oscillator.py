@@ -22,10 +22,13 @@ normalization integral stops at the range its own index needs, so a
 kernel has the same bits in every table that holds it.
 
 The table holds ``psi``, ``chi`` and ``chi'`` on the half line ``x >= 0``
-and the cached splines built from them.  Each kernel is the cubic Hermite
-interpolant of its tabulated values and its slopes, which follow from the
-ODE, so no spline system is solved.  Its coefficients are cached as one
-contiguous ``(L-1, 4)`` array, four Horner coefficients per grid cell.
+at the tabulation step and the cached splines built from them.  A spline
+lives on cells ``_CELL_SUB`` steps wide, between every fifth tabulation
+node.  On each cell a kernel is the quintic Hermite interpolant of its
+tabulated value, slope and curvature at both ends; slope and curvature
+follow from the ODE, so no spline system is solved.  Its coefficients are
+cached as one contiguous ``(cells, 6)`` array, six Horner coefficients
+per cell.
 
 Kernels leave the table two ways, which share one locate step (``|x|``
 to its cell and offset).  ``evaluate_pattern`` gives values: it fetches
@@ -44,16 +47,17 @@ import numpy as np
 from .exceptions import ExtrapolationError
 
 TAB_STEP = 0.002          # kernel tabulation grid step
+_CELL_SUB = 5             # tabulation steps per spline cell
+_TERMS = 6                # coefficients of a quintic spline row
 _FINE_SUB = 2             # Numerov substeps per tabulation step
 _TURNING_MARGIN = 4.0     # grid range beyond the classical turning point
 _X_LIMIT = 26.0           # widest table range at which chi stays finite
 _INDEX_LIMIT = int((_X_LIMIT - _TURNING_MARGIN) ** 2 - 0.5)  # 483, the largest index it fits
 
 
-# kernel coefficients held per pass: kernels whose points occupy C table
-# cells are summed in blocks of at most this many (kernels x C x 4).  A
-# quarter of it, one (kernels, C) plane, is 256 KiB and stays in cache: per
-# ray this ran 10-15% faster than 2**20 at N = 8000 and 24000.
+# kernel coefficients held per pass: kernels whose points occupy C spline
+# cells are summed in blocks of at most this many (kernels x C x 6).  A
+# sixth of it, one (kernels, C) plane, is under 200 KiB and stays in cache.
 _BLOCK = 2**17
 
 
@@ -127,43 +131,59 @@ class _Tables:
         self.simpson = np.ones(nh + 1)      # composite Simpson weights; nh is even
         self.simpson[1:-1:2], self.simpson[2:-1:2] = 4.0, 2.0
         self.simpson *= TAB_STEP / 3.0
-        self.dx = np.diff(self.x_half)
+        self.x_cell = self.x_half[::_CELL_SUB].copy()    # x_max is whole: nh is a multiple of 5
+        self.dx = np.diff(self.x_cell)
         self.kernels = {}
 
-    def kernel_and_slope(self, n, m):
-        """Kernel f_nm and its slope on ``x_half``, normalized by the unbiasedness anchor.
+    def kernel_derivatives(self, n, m):
+        """Kernel f_nm, its slope and its curvature on ``x_half``, normalized by the anchor.
 
-        The slope follows from the ODE, ``psi'' = Q psi`` and ``chi'' = Q chi``:
-        ``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'``, ``Q_k = 4x^2 - 4k - 2``.
+        Both derivatives follow from the ODE, ``psi'' = Q psi`` and ``chi'' = Q chi``,
+        ``Q_k = 4x^2 - 4k - 2``:
+        ``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'`` and
+        ``f'' = 16x psi_n chi_m + (Q_n + Q_m) f + 2(Q_n psi_n chi_m' + Q_m psi_n' chi_m)``.
         ``psi_n' = sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}``, with ``psi_0``
         standing in for ``psi_{-1}``, which its zero coefficient cancels.
         The anchor integrates over the range index ``m`` needs, not the
         table's, so a kernel's bits do not depend on the table it is built in.
         """
         dpsi = np.sqrt(n) * self.psi[max(n - 1, 0)] - np.sqrt(n + 1.0) * self.psi[n + 1]
-        f = dpsi * self.chi[m] + self.psi[n] * self.dchi[m]
-        df = ((8.0 * self.x_half**2 - 4.0 * (n + m + 1)) * self.psi[n] * self.chi[m]
-              + 2.0 * dpsi * self.dchi[m])
+        psi, chi, dchi = self.psi[n], self.chi[m], self.dchi[m]
+        product = psi * chi
+        f = dpsi * chi + psi * dchi
+        x2 = 4.0 * self.x_half**2
+        q_n, q_m = x2 - (4.0 * n + 2.0), x2 - (4.0 * m + 2.0)
+        df = (q_n + q_m) * product + 2.0 * dpsi * dchi
+        ddf = (16.0 * self.x_half * product + (q_n + q_m) * f
+               + 2.0 * (q_n * psi * dchi + q_m * dpsi * chi))
         end = int(round(_index_reach(m) / TAB_STEP))    # even, like the table's node count
         weights = self.simpson[:end + 1].copy()
         weights[-1] = TAB_STEP / 3.0
-        anchor = 2.0 * float(np.sum((self.psi[n] * self.psi[m] * f)[:end + 1] * weights))
-        return f / anchor, df / anchor
+        anchor = 2.0 * float(np.sum((psi * self.psi[m] * f)[:end + 1] * weights))
+        return f / anchor, df / anchor, ddf / anchor
 
     def spline(self, n, m):
-        """Cubic Hermite coefficients of f_nm on ``x_half``, one row per cell: ``(L-1, 4)``.
+        """Quintic Hermite coefficients of f_nm on ``x_cell``, one row per cell: ``(cells, 6)``.
 
-        Each row holds the Horner coefficients in ``x - x_i`` that match the
-        kernel's values and slopes at both ends of the cell.  Cell-major, so
-        one gather fetches all four coefficients of a point.
+        Each row holds the Horner coefficients in ``x - x_i``, highest power
+        first, that match the kernel's value, slope and curvature at both
+        ends of the cell.  Cell-major, so one gather fetches all six
+        coefficients of a point.
         """
         key = (n, m)
         if key not in self.kernels:
-            y, dy = self.kernel_and_slope(n, m)
-            secant = np.diff(y) / self.dx
-            excess = (dy[:-1] + dy[1:] - 2.0 * secant) / self.dx
-            self.kernels[key] = np.column_stack(
-                [excess / self.dx, (secant - dy[:-1]) / self.dx - excess, dy[:-1], y[:-1]])
+            y, dy, ddy = (a[::_CELL_SUB] for a in self.kernel_derivatives(n, m))
+            h = self.dx
+            # what the Taylor quadratic at the left end misses at the right end,
+            # in value, slope and curvature, each scaled to units of h^k
+            e0 = y[1:] - (y[:-1] + h * (dy[:-1] + 0.5 * h * ddy[:-1]))
+            e1 = h * (dy[1:] - (dy[:-1] + h * ddy[:-1]))
+            e2 = h * h * (ddy[1:] - ddy[:-1])
+            self.kernels[key] = np.column_stack([
+                (6.0 * e0 - 3.0 * e1 + 0.5 * e2) / h**5,
+                (-15.0 * e0 + 7.0 * e1 - e2) / h**4,
+                (10.0 * e0 - 4.0 * e1 + 0.5 * e2) / h**3,
+                0.5 * ddy[:-1], dy[:-1], y[:-1]])
         return self.kernels[key]
 
 
@@ -190,20 +210,20 @@ def tables_for(max_index: int, reach: float = 0.0) -> _Tables:
 def _locate(ns, ms, x):
     """Size the shared table for kernels ``(ns, ms)`` and the points ``x``, and locate ``|x|``.
 
-    Returns the table, each raveled point's cell, its offset ``|x| - x_i`` in
-    that cell, and the mask of points at ``x < 0``.
+    Returns the table, each raveled point's spline cell on ``x_cell``, its
+    offset ``|x| - x_i`` in that cell, and the mask of points at ``x < 0``.
     """
     if ns.shape != ms.shape or np.any(ns < 0) or np.any(ms < ns):
         raise ValueError("kernel indices require 0 <= n <= m")
     xr = x.ravel()
     ax = np.abs(xr)
     t = tables_for(int(np.max(ms)), float(np.max(ax, initial=0.0)))
-    idx = np.minimum((ax / TAB_STEP).astype(np.int64), t.x_half.size - 2)
-    return t, idx, ax - t.x_half[idx], xr < 0
+    idx = np.minimum((ax / (_CELL_SUB * TAB_STEP)).astype(np.int64), t.x_cell.size - 2)
+    return t, idx, ax - t.x_cell[idx], xr < 0
 
 
 def evaluate_pattern(n, m, x) -> np.ndarray:
-    """Kernel f_nm at points ``x`` via cached cubic interpolation.
+    """Kernel f_nm at points ``x`` via cached quintic interpolation.
 
     Defined by unbiasedness:  averaging ``e^{i(m-n) phi} f_nm(x)`` over
     homodyne samples of any state estimates ``<n|rho|m>``.  ``n`` and
@@ -217,7 +237,8 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
     out = np.empty((ns.size, xa.size))
     for row, nk, mk in zip(out, ns.ravel().tolist(), ms.ravel().tolist()):
         g = np.take(t.spline(nk, mk), idx, axis=0)
-        np.add(((g[:, 0] * dt + g[:, 1]) * dt + g[:, 2]) * dt, g[:, 3], out=row)
+        np.add(((((g[:, 0] * dt + g[:, 1]) * dt + g[:, 2]) * dt + g[:, 3]) * dt + g[:, 4]) * dt,
+               g[:, 5], out=row)
         if (nk + mk) % 2:
             np.negative(row, out=row, where=negative)
     return out.reshape(ns.shape + xa.shape)[()]
@@ -229,36 +250,36 @@ def pattern_sums(n, m, x, weights=None):
     ``n`` and ``m`` are as for ``evaluate_pattern``; ``weights`` holds one
     row of per-point weights ``w`` for each sum wanted (default: one row of
     ones).  Returns ``(s1, s2)``, each shaped ``n.shape + (rows of weights,)``.
-    A kernel is a cubic in ``dt = |x| - x_i`` on each table cell, so its sums
-    are its coefficients dotted with the moments ``sum w dt^k`` (k <= 3) and
-    ``sum w^2 dt^p`` (p <= 6) of the occupied cells: the points are located
-    once, and each kernel costs its occupied cells, not the points.  A
-    kernel whose ``n + m`` is odd takes ``-w`` at ``x < 0`` in its first sum.
-    At most ``_BLOCK`` coefficients (kernels x occupied cells x 4) are held
+    A kernel is a quintic in ``dt = |x| - x_i`` on each spline cell, so its
+    sums are its coefficients dotted with the moments ``sum w dt^k`` (k <= 5)
+    and ``sum w^2 dt^p`` (p <= 10) of the occupied cells: the points are
+    located once, and each kernel costs its occupied cells, not the points.
+    A kernel whose ``n + m`` is odd takes ``-w`` at ``x < 0`` in its first sum.
+    At most ``_BLOCK`` coefficients (kernels x occupied cells x 6) are held
     at once; a kernel's sums do not depend on its block or on the other kernels.
     """
     ns, ms = np.asarray(n), np.asarray(m)
     xa = np.asarray(x, dtype=float)
     t, idx, dt, negative = _locate(ns, ms, xa)
     w = np.ones((1, xa.size)) if weights is None else np.reshape(weights, (-1, xa.size))
-    counts = np.bincount(idx, minlength=t.x_half.size - 1)
+    counts = np.bincount(idx, minlength=t.x_cell.size - 1)
     cells = np.flatnonzero(counts)
     at = np.cumsum(counts > 0)[idx] - 1         # each point's rank among the occupied cells
-    powers = np.empty((7, xa.size))
+    powers = np.empty((2 * _TERMS - 1, xa.size))
     powers[0] = 1.0
-    for p in range(1, 7):
+    for p in range(1, 2 * _TERMS - 1):
         np.multiply(powers[p - 1], dt, out=powers[p])
 
     def moments(v, order):
         return [np.bincount(at, v * powers[p], minlength=cells.size) for p in range(order)]
 
     odd = ((ns + ms) % 2 == 1).ravel()
-    first = {parity: [moments(np.where(negative, -wk, wk) if parity else wk, 4) for wk in w]
+    first = {parity: [moments(np.where(negative, -wk, wk) if parity else wk, _TERMS) for wk in w]
              for parity in (False, True) if np.any(odd == parity)}
-    second = [moments(wk * wk, 7) for wk in w]
+    second = [moments(wk * wk, 2 * _TERMS - 1) for wk in w]
     s1 = np.empty((ns.size, len(w)))
     s2 = np.empty((ns.size, len(w)))
-    rows = max(1, _BLOCK // (4 * max(cells.size, 1)))
+    rows = max(1, _BLOCK // (_TERMS * max(cells.size, 1)))
     pairs = list(zip(ns.ravel().tolist(), ms.ravel().tolist()))
     for lo in range(0, len(pairs), rows):
         _cell_sums(t, cells, pairs[lo:lo + rows], odd[lo:lo + rows], first, second,
@@ -274,7 +295,7 @@ def _cell_sums(t, cells, pairs, odd, first, second, s1, s2):
     ``sum (a . dt^k)^2 = sum_kl a_k a_l S_(k+l)``, taken as Horner-like rows
     ``a_k (a_k S_2k + 2 sum_(l>k) a_l S_(k+l))``.
     """
-    g = np.empty((4, len(pairs), cells.size))
+    g = np.empty((_TERMS, len(pairs), cells.size))
     for r, (nk, mk) in enumerate(pairs):
         g[:, r] = np.take(t.spline(nk, mk), cells, axis=0).T
     a = g[::-1]                                 # a[k] multiplies dt^k
@@ -288,9 +309,9 @@ def _cell_sums(t, cells, pairs, odd, first, second, s1, s2):
             s1[rows, k] = np.sum(total, axis=1)
     for k, s in enumerate(second):
         total = 0.0
-        for i in range(4):
+        for i in range(_TERMS):
             part = a[i] * s[2 * i]
-            for l in range(i + 1, 4):
+            for l in range(i + 1, _TERMS):
                 part += a[l] * (2.0 * s[i + l])
             part *= a[i]
             total += part

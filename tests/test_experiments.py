@@ -1,5 +1,6 @@
 """Experiment harness: config files, seeding, CSV schema, CLI wiring."""
 import csv
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from losscomp.experiments import (
     run_direct_contrast,
     run_fig1,
     run_fig2,
+    run_scan_table,
     serialize_config,
 )
 
@@ -351,6 +353,25 @@ class TestScanTables:
         _, body = trials.read_bytes().split(b"\n", 1)
         assert body == "".join(line for cell in cells for line in rows[cell]).encode()
 
+    @pytest.mark.parametrize("figure,built", [("fig1", [102]), ("direct", [])])
+    def test_run_sizes_the_kernel_table_once(self, figure, built, tmp_path, monkeypatch):
+        """A homodyne run builds one table, for its largest kernel index, before any cell;
+        eta 0.6 alone would need index 22.  Photocounting builds none."""
+        made = []
+
+        class Counting(oscillator._Tables):
+            def __init__(self, *args):
+                made.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        monkeypatch.setattr(oscillator, "_Tables", Counting)
+        config = replace(default_config(figure), n_samples=500, trials=1)
+        if figure == "fig1":
+            config = replace(config, eta_list=(0.6, 0.5))   # j_M up to 20, then up to 100
+        run_scan_table(config, out=tmp_path / "run.csv")
+        assert made == built
+
     def test_direct_contrast_runs(self, tmp_path):
         config = replace(default_config("direct"), eta_list=(0.45,),
                          n_samples=4000, trials=2, jm_list=(1, 5, 10))
@@ -401,6 +422,25 @@ class TestFig2Table:
                          n_samples=500, trials=3, jm_list=(5,))
         run_fig2(config, out=tmp_path / "f2.csv")
         assert calls == [0.7, 0.5, 0.45]
+
+
+# sha256 prefixes of the default tables at master seed 7 (``losscomp <figure> --seed 7``)
+SEED_7_TABLES = {
+    "fig1": ("db8f2bc04015", "276d0f4b3135"),
+    "fig2": ("3e8e09e2b37f", "056feecff26f"),
+    "direct": ("5b7ec749045f", "867077f75467"),
+}
+
+
+def test_default_tables_at_seed_7_keep_their_bytes(tmp_path):
+    """The equivalence oracle: a change that moves any of these bytes must say so."""
+    runners = {"fig1": run_fig1, "fig2": run_fig2, "direct": run_direct_contrast}
+    got = {}
+    for figure, run in runners.items():
+        config = replace(default_config(figure), master_seed=7)
+        paths = run(config, out=tmp_path / f"{figure}.csv")
+        got[figure] = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:12] for p in paths)
+    assert got == SEED_7_TABLES
 
 
 class TestCli:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
-from scipy.interpolate import CubicHermiteSpline
+from scipy.interpolate import BPoly
 from scipy.stats import kstest
 
 from losscomp import (
@@ -35,17 +35,35 @@ def element(data, n, d):
     return ray.estimate[0], ray.stderr[0]
 
 
-def four_gather_pattern(t, coefficients, parities, x):
-    """Kernel rows from ``(4, L-1)`` half-line cubic coefficients, one gather per coefficient.
+def cell_width():
+    return oscillator._CELL_SUB * oscillator.TAB_STEP
 
-    Row k is evaluated at ``|x|`` and multiplied by ``parities[k]`` where ``x < 0``.
+
+def six_gather_pattern(t, coefficients, parities, x):
+    """Kernel rows from ``(6, cells)`` half-line quintic coefficients, one gather per coefficient.
+
+    Row k is evaluated at ``|x|`` by Horner's rule and multiplied by
+    ``parities[k]`` where ``x < 0``.
     """
     a = np.abs(x)
-    idx = np.minimum((a / oscillator.TAB_STEP).astype(np.int64), t.x_half.size - 2)
-    dt = a - t.x_half[idx]
-    return np.array([np.where(x < 0, p, 1.0)
-                     * (((c[0, idx] * dt + c[1, idx]) * dt + c[2, idx]) * dt + c[3, idx])
-                     for c, p in zip(coefficients, parities)])
+    idx = np.minimum((a / cell_width()).astype(np.int64), t.x_cell.size - 2)
+    dt = a - t.x_cell[idx]
+    rows = []
+    for c, p in zip(coefficients, parities):
+        value = c[0, idx]
+        for ck in c[1:]:
+            value = value * dt + ck[idx]
+        rows.append(np.where(x < 0, p, 1.0) * value)
+    return np.array(rows)
+
+
+def row_derivatives(c, h):
+    """Value, slope and curvature of each quintic row ``c`` (highest power first) at offset ``h``."""
+    a = c[:, ::-1].T                    # a[k] multiplies dt^k
+    k = np.arange(6)[:, None]
+    return (np.sum(a * h**k, axis=0),
+            np.sum((k * a)[1:] * h ** (k[1:] - 1), axis=0),
+            np.sum((k * (k - 1) * a)[2:] * h ** (k[2:] - 2), axis=0))
 
 
 def strip_law(rho):
@@ -184,6 +202,26 @@ class TestSampleQuadratures:
         data = sample_quadratures(rho, 20_000, rng_from(17, 23))
         assert kstest(data.x, phase_averaged_cdf(rho)).pvalue > 1e-3
 
+    def test_rejection_density_in_chunks_equals_one_call(self, monkeypatch):
+        """Proposals are scored ``_PDF_CHUNK`` points at a time with the draws of one call."""
+        rho = even_cat(1.5, 32)
+        calls, pdf = [], homodyne.quadrature_pdf
+
+        def counting(rho, phi, x):
+            calls.append(np.size(x))
+            return pdf(rho, phi, x)
+
+        monkeypatch.setattr(homodyne, "quadrature_pdf", counting)
+        monkeypatch.setattr(homodyne, "_PDF_CHUNK", 10**9)
+        whole = sample_quadratures(rho, 3000, rng_from(17, 25))
+        assert calls[0] >= 6000
+        calls.clear()
+        monkeypatch.setattr(homodyne, "_PDF_CHUNK", 1000)
+        chunked = sample_quadratures(rho, 3000, rng_from(17, 25))
+        assert max(calls) == 1000 and len(calls) > 6
+        assert chunked.x.tobytes() == whole.x.tobytes()
+        assert chunked.phi.tobytes() == whole.phi.tobytes()
+
     def test_needs_at_least_one_sample(self):
         with pytest.raises(ValueError):
             sample_quadratures(make_fock(0, 4), 0, rng_from(0))
@@ -245,14 +283,15 @@ class TestPatternFunction:
         pairs = [(0, 0), (2, 5), (7, 7), (13, 40)]
         for n, m in pairs:
             c = t.spline(n, m)
-            assert c.shape == (t.x_half.size - 1, 4)
+            assert c.shape == (t.x_cell.size - 1, 6)
             assert c.flags.c_contiguous
-        nodes = t.x_half[[0, 1, 2500, t.x_half.size // 2, -2, -1]]
+        nodes = np.concatenate([t.x_half[[1, 2503, t.x_half.size // 2 + 1, -2]],
+                                t.x_cell[[0, 1, 500, -2, -1]]])
         x = np.concatenate([nodes, -nodes, [-t.x_max, t.x_max, -0.0, 0.37, -2.6, 9.999],
-                            rng_from(17, 20).uniform(-t.x_max, t.x_max, 494)])
+                            rng_from(17, 20).uniform(-t.x_max, t.x_max, 488)])
         n, m = np.array(pairs).T
-        want = four_gather_pattern(t, [t.spline(nk, mk).T for nk, mk in pairs],
-                                   (-1.0) ** (n + m), x)
+        want = six_gather_pattern(t, [t.spline(nk, mk).T for nk, mk in pairs],
+                                  (-1.0) ** (n + m), x)
         assert evaluate_pattern(n, m, x).tobytes() == want.tobytes()
         grid = x[:506].reshape(2, 253)
         assert evaluate_pattern(n, m, grid).tobytes() == want[:, :506].tobytes()
@@ -262,21 +301,53 @@ class TestPatternFunction:
 
     @pytest.mark.parametrize("n,m", [(0, 0), (2, 5), (13, 40), (100, 102)])
     def test_spline_is_the_hermite_interpolant_of_the_ode_slopes(self, n, m):
+        """Each row matches the tabulated value, ODE slope and ODE curvature at both cell ends.
+
+        Between the ends the rows agree with scipy's quintic Hermite
+        interpolant of the same node data.
+        """
         t = oscillator.tables_for(m)
-        hermite = CubicHermiteSpline(t.x_half, *t.kernel_and_slope(n, m))
+        jet = [a[::oscillator._CELL_SUB] for a in t.kernel_derivatives(n, m)]
+        c = t.spline(n, m)
+        for end, h in ((slice(None, -1), 0.0), (slice(1, None), t.dx)):
+            for got, want in zip(row_derivatives(c, h), jet):
+                assert np.max(np.abs(got - want[end])) <= 1e-9 * np.max(np.abs(want))
+        hermite = BPoly.from_derivatives(t.x_cell, np.column_stack(jet))
         nodes = t.x_half[[0, 1, t.x_half.size // 2, -2, -1]]
         x = np.concatenate([nodes, -nodes, rng_from(17, 21).uniform(-t.x_max, t.x_max, 2000)])
-        want = four_gather_pattern(t, [hermite.c], [(-1.0) ** (n + m)], x)[0]
-        got = evaluate_pattern(n, m, x)
-        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        want = np.where(x < 0, (-1.0) ** (n + m), 1.0) * hermite(np.abs(x))
+        assert np.max(np.abs(evaluate_pattern(n, m, x) - want)) <= 1e-9 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n,m", [(0, 0), (0, 1), (2, 5), (7, 7), (13, 40), (100, 102)])
     def test_ode_slope_matches_central_differences(self, n, m):
         """``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'`` against a 5-point stencil of f."""
         t = oscillator.tables_for(m)
-        f, slope = t.kernel_and_slope(n, m)
+        f, slope, _ = t.kernel_derivatives(n, m)
         stencil = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * oscillator.TAB_STEP)
         assert np.max(np.abs(stencil - slope[2:-2])) <= 1e-5 * np.max(np.abs(slope))
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (0, 1), (2, 5), (7, 7), (13, 40), (100, 102)])
+    def test_ode_curvature_matches_central_differences(self, n, m):
+        """``f'' = 16x psi_n chi_m + (Q_n + Q_m) f + 2(Q_n psi_n chi_m' + Q_m psi_n' chi_m)``
+
+        against a 5-point stencil of f.
+        """
+        t = oscillator.tables_for(m)
+        f, _, curvature = t.kernel_derivatives(n, m)
+        stencil = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (
+            12.0 * oscillator.TAB_STEP**2)
+        assert np.max(np.abs(stencil - curvature[2:-2])) <= 1e-5 * np.max(np.abs(curvature))
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (2, 2), (5, 9), (13, 40), (20, 31), (50, 50),
+                                     (70, 71), (100, 100), (100, 102), (0, 102)])
+    def test_spline_holds_the_nodes_it_skips(self, n, m):
+        """At the tabulated nodes inside each cell, which the rows do not store,
+        the kernel is within 1e-7 of its peak."""
+        t = oscillator.tables_for(102)
+        f = t.kernel_derivatives(n, m)[0]
+        inside = np.arange(t.x_half.size) % oscillator._CELL_SUB != 0
+        x = t.x_half[inside]
+        assert np.max(np.abs(evaluate_pattern(n, m, x) - f[inside])) <= 1e-7 * np.max(np.abs(f))
 
     def test_requires_ordered_indices(self):
         with pytest.raises(ValueError):
@@ -293,7 +364,7 @@ class TestPatternFunction:
         """
         t = oscillator.tables_for(20)
         psi2 = t.psi[:21] ** 2
-        overlap = np.array([2.0 * simpson(psi2 * t.kernel_and_slope(n, n)[0],
+        overlap = np.array([2.0 * simpson(psi2 * t.kernel_derivatives(n, n)[0],
                                           dx=oscillator.TAB_STEP)
                             for n in range(21)])
         assert np.max(np.abs(overlap - np.eye(21))) < 1e-6
@@ -304,18 +375,21 @@ class TestPatternFunction:
             a = getattr(t, name)
             assert a.shape[-1] == t.x_half.size, name
             assert a.base is None, f"{name} is a view of a longer array"
+        assert t.x_cell.base is None, "x_cell is a view of x_half"
+        assert np.array_equal(t.x_cell, t.x_half[::oscillator._CELL_SUB])
+        assert t.x_cell[-1] == t.x_half[-1]
         assert not hasattr(t, "dpsi"), "psi' follows from two stored psi rows"
         for n, m in [(0, 0), (3, 8), (12, 12)]:
             t.spline(n, m)
-        for name, a in vars(t).items():     # dx holds one width per cell
+        for name, a in vars(t).items():     # dx holds one width per spline cell
             if isinstance(a, np.ndarray):
-                assert a.shape[-1] in (t.x_half.size, t.x_half.size - 1), name
-        assert all(c.shape == (t.x_half.size - 1, 4) for c in t.kernels.values())
+                assert a.shape[-1] in (t.x_half.size, t.x_cell.size, t.x_cell.size - 1), name
+        assert all(c.shape == (t.x_cell.size - 1, 6) for c in t.kernels.values())
 
     def test_table_at_its_limits(self, monkeypatch):
         t = oscillator._Tables(32, oscillator._X_LIMIT)
         assert t.x_max == oscillator._X_LIMIT
-        assert all(np.all(np.isfinite(t.kernel_and_slope(n, m)))
+        assert all(np.all(np.isfinite(t.kernel_derivatives(n, m)))
                    for n in range(33) for m in range(n, 33))
         monkeypatch.setattr(oscillator, "_TABLES", None)
         with pytest.raises(ExtrapolationError):
@@ -463,7 +537,7 @@ class TestEstimateElement:
     @pytest.mark.parametrize("d", [0, 2])
     def test_ray_equals_single_elements_across_blocks(self, d, monkeypatch):
         data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 19))
-        cells = np.unique((np.abs(data.x) / oscillator.TAB_STEP).astype(np.int64)).size
+        cells = np.unique((np.abs(data.x) / cell_width()).astype(np.int64)).size
         blocks, cell_sums = [], oscillator._cell_sums
 
         def counting(t, cells, pairs, *rest):
@@ -473,7 +547,7 @@ class TestEstimateElement:
         def no_point_values(*args):
             raise AssertionError("estimate_element evaluated kernels at the samples")
 
-        monkeypatch.setattr(oscillator, "_BLOCK", 4 * 4 * cells)   # four kernels per block
+        monkeypatch.setattr(oscillator, "_BLOCK", 4 * 6 * cells)   # four kernels per block
         monkeypatch.setattr(oscillator, "_cell_sums", counting)
         monkeypatch.setattr(oscillator, "evaluate_pattern", no_point_values)
         ray = estimate_element(data, 1, d, j_max=10)
