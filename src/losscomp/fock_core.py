@@ -97,8 +97,8 @@ def make_thermal(nbar: float, dim: int) -> DensityMatrix:
     Diagonal weights ``p_n = nbar^n / (1 + nbar)^(n+1)``; the reported
     tail bound is the exact geometric tail ``(nbar/(1+nbar))^dim``.
     """
-    if nbar < 0:
-        raise ValueError("mean photon number must be nonnegative")
+    if not 0.0 <= nbar < np.inf:
+        raise ValueError(f"mean photon number {nbar} must be finite and nonnegative")
     if dim < 1:
         raise ValueError("dim must be a positive integer")
     q = nbar / (1.0 + nbar)
@@ -131,6 +131,8 @@ def make_coherent(alpha: complex, dim: int) -> DensityMatrix:
     if dim < 1:
         raise ValueError("dim must be a positive integer")
     alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError(f"coherent amplitude {alpha} must be finite")
     n = np.arange(dim)
     if alpha == 0:
         amp = np.zeros(dim, dtype=complex)

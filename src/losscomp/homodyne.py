@@ -187,16 +187,13 @@ def estimate_element(samples: QuadratureData, n: int, d: int, j_max: int = 0) ->
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples")
-    if n < 0 or d < 0 or j_max < 0:
-        raise ValueError("indices must be nonnegative")
     n_s = len(samples)
     if d:
         phase = np.exp(1j * d * samples.phi)
         weights = (phase.real, phase.imag)
     else:
         weights = None
-    row_n = np.arange(n, n + j_max + 1)
-    s1, s2 = oscillator.pattern_sums(row_n, row_n + d, samples.x, weights)
+    s1, s2 = oscillator.pattern_sums(n, d, j_max, samples.x, weights)
     mean = s1 / n_s
     spread = np.sqrt(np.maximum(s2 - n_s * mean**2, 0.0) / (n_s - 1))
     estimate = mean[:, 0] + 1j * mean[:, 1] if d else mean[:, 0]

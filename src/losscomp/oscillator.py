@@ -35,10 +35,11 @@ to its cell and offset).  ``evaluate_pattern`` gives values: it fetches
 each row's coefficients at the points in one gather and negates a row at
 ``x < 0`` when its ``n + m`` is odd, so the parity ``(-1)^(n+m)`` is exact.
 ``pattern_sums`` gives the weighted sums of a kernel and of its square
-over the points: it gathers each row's coefficients at the occupied cells
-only and dots them with per-cell moments of the offsets, so a kernel costs
-its occupied cells, not its points; odd rows take the sign into the
-weights of the first sum.
+over the points for one ray ``f_{n+j, n+d+j}``, j = 0..j_max: it gathers
+the whole ray's coefficients at the occupied cells once and dots them with
+per-cell moments of the offsets, so a kernel costs its occupied cells, not
+its points.  All kernels of a ray have the parity of ``d``, so an odd ray
+takes the sign into the weights of its first sums once.
 """
 from __future__ import annotations
 
@@ -53,12 +54,6 @@ _FINE_SUB = 2             # Numerov substeps per tabulation step
 _TURNING_MARGIN = 4.0     # grid range beyond the classical turning point
 _X_LIMIT = 26.0           # widest table range at which chi stays finite
 _INDEX_LIMIT = int((_X_LIMIT - _TURNING_MARGIN) ** 2 - 0.5)  # 483, the largest index it fits
-
-
-# kernel coefficients held per pass: kernels whose points occupy C spline
-# cells are summed in blocks of at most this many (kernels x C x 6).  A
-# sixth of it, one (kernels, C) plane, is under 200 KiB and stays in cache.
-_BLOCK = 2**17
 
 
 def _index_reach(index):
@@ -136,7 +131,7 @@ class _Tables:
         self.kernels = {}
 
     def kernel_derivatives(self, n, m):
-        """Kernel f_nm, its slope and its curvature on ``x_half``, normalized by the anchor.
+        """Kernel f_nm on ``x_half``, its slope and curvature on ``x_cell``, all over the anchor.
 
         Both derivatives follow from the ODE, ``psi'' = Q psi`` and ``chi'' = Q chi``,
         ``Q_k = 4x^2 - 4k - 2``:
@@ -144,22 +139,25 @@ class _Tables:
         ``f'' = 16x psi_n chi_m + (Q_n + Q_m) f + 2(Q_n psi_n chi_m' + Q_m psi_n' chi_m)``.
         ``psi_n' = sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}``, with ``psi_0``
         standing in for ``psi_{-1}``, which its zero coefficient cancels.
-        The anchor integrates over the range index ``m`` needs, not the
-        table's, so a kernel's bits do not depend on the table it is built in.
+        The value is needed on every node, for the anchor; the spline reads
+        the derivatives at cell ends only.  The anchor integrates over the
+        range index ``m`` needs, not the table's, so a kernel's bits do not
+        depend on the table it is built in.
         """
         dpsi = np.sqrt(n) * self.psi[max(n - 1, 0)] - np.sqrt(n + 1.0) * self.psi[n + 1]
         psi, chi, dchi = self.psi[n], self.chi[m], self.dchi[m]
-        product = psi * chi
         f = dpsi * chi + psi * dchi
-        x2 = 4.0 * self.x_half**2
-        q_n, q_m = x2 - (4.0 * n + 2.0), x2 - (4.0 * m + 2.0)
-        df = (q_n + q_m) * product + 2.0 * dpsi * dchi
-        ddf = (16.0 * self.x_half * product + (q_n + q_m) * f
-               + 2.0 * (q_n * psi * dchi + q_m * dpsi * chi))
         end = int(round(_index_reach(m) / TAB_STEP))    # even, like the table's node count
         weights = self.simpson[:end + 1].copy()
         weights[-1] = TAB_STEP / 3.0
         anchor = 2.0 * float(np.sum((psi * self.psi[m] * f)[:end + 1] * weights))
+        dpsi, psi, chi, dchi, fc = (a[::_CELL_SUB] for a in (dpsi, psi, chi, dchi, f))
+        product = psi * chi
+        x2 = 4.0 * self.x_cell**2
+        q_n, q_m = x2 - (4.0 * n + 2.0), x2 - (4.0 * m + 2.0)
+        df = (q_n + q_m) * product + 2.0 * dpsi * dchi
+        ddf = (16.0 * self.x_cell * product + (q_n + q_m) * fc
+               + 2.0 * (q_n * psi * dchi + q_m * dpsi * chi))
         return f / anchor, df / anchor, ddf / anchor
 
     def spline(self, n, m):
@@ -172,7 +170,8 @@ class _Tables:
         """
         key = (n, m)
         if key not in self.kernels:
-            y, dy, ddy = (a[::_CELL_SUB] for a in self.kernel_derivatives(n, m))
+            f, dy, ddy = self.kernel_derivatives(n, m)
+            y = f[::_CELL_SUB]
             h = self.dx
             # what the Taylor quadratic at the left end misses at the right end,
             # in value, slope and curvature, each scaled to units of h^k
@@ -207,17 +206,15 @@ def tables_for(max_index: int, reach: float = 0.0) -> _Tables:
     return _TABLES
 
 
-def _locate(ns, ms, x):
-    """Size the shared table for kernels ``(ns, ms)`` and the points ``x``, and locate ``|x|``.
+def _locate(max_index, x):
+    """Size the shared table for indices <= ``max_index`` and the points ``x``; locate ``|x|``.
 
     Returns the table, each raveled point's spline cell on ``x_cell``, its
     offset ``|x| - x_i`` in that cell, and the mask of points at ``x < 0``.
     """
-    if ns.shape != ms.shape or np.any(ns < 0) or np.any(ms < ns):
-        raise ValueError("kernel indices require 0 <= n <= m")
     xr = x.ravel()
     ax = np.abs(xr)
-    t = tables_for(int(np.max(ms)), float(np.max(ax, initial=0.0)))
+    t = tables_for(max_index, float(np.max(ax, initial=0.0)))
     idx = np.minimum((ax / (_CELL_SUB * TAB_STEP)).astype(np.int64), t.x_cell.size - 2)
     return t, idx, ax - t.x_cell[idx], xr < 0
 
@@ -232,8 +229,10 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
     ``f_nm(-x) = (-1)^(n+m) f_nm(x)`` holds bit for bit.
     """
     ns, ms = np.asarray(n), np.asarray(m)
+    if ns.shape != ms.shape or np.any(ns < 0) or np.any(ms < ns):
+        raise ValueError("kernel indices require 0 <= n <= m")
     xa = np.asarray(x, dtype=float)
-    t, idx, dt, negative = _locate(ns, ms, xa)
+    t, idx, dt, negative = _locate(int(np.max(ms)), xa)
     out = np.empty((ns.size, xa.size))
     for row, nk, mk in zip(out, ns.ravel().tolist(), ms.ravel().tolist()):
         g = np.take(t.spline(nk, mk), idx, axis=0)
@@ -244,23 +243,23 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
     return out.reshape(ns.shape + xa.shape)[()]
 
 
-def pattern_sums(n, m, x, weights=None):
-    """Sums ``sum_s w_s f_nm(x_s)`` and ``sum_s (w_s f_nm(x_s))^2`` over the points ``x``.
+def pattern_sums(n, d, j_max, x, weights=None):
+    """Sums ``sum_s w_s f(x_s)`` and ``sum_s (w_s f(x_s))^2`` of each kernel ``f_{n+j, n+d+j}``.
 
-    ``n`` and ``m`` are as for ``evaluate_pattern``; ``weights`` holds one
-    row of per-point weights ``w`` for each sum wanted (default: one row of
-    ones).  Returns ``(s1, s2)``, each shaped ``n.shape + (rows of weights,)``.
-    A kernel is a quintic in ``dt = |x| - x_i`` on each spline cell, so its
-    sums are its coefficients dotted with the moments ``sum w dt^k`` (k <= 5)
-    and ``sum w^2 dt^p`` (p <= 10) of the occupied cells: the points are
-    located once, and each kernel costs its occupied cells, not the points.
-    A kernel whose ``n + m`` is odd takes ``-w`` at ``x < 0`` in its first sum.
-    At most ``_BLOCK`` coefficients (kernels x occupied cells x 6) are held
-    at once; a kernel's sums do not depend on its block or on the other kernels.
+    ``j`` runs over 0..j_max, one ray.  ``weights`` holds one row of per-point
+    weights ``w`` per sum wanted (default: one row of ones); ``s1`` and ``s2``
+    are shaped ``(j_max + 1, rows)``.
+    A kernel is a quintic in ``dt = |x| - x_i`` on each cell, so its sums are its
+    coefficients ``a_k`` dotted with the occupied cells' moments ``S_k = sum w dt^k``
+    and ``sum w^2 dt^p``, the latter as ``sum_k a_k (a_k S_2k + 2 sum_(l>k) a_l S_(k+l))``.
+    Every kernel of the ray has the parity of ``d``: for odd ``d`` the first sums
+    take ``-w`` at ``x < 0``.  Products are elementwise on ``(kernels, cells)``
+    planes and each row is summed on its own, so its bits do not depend on ``j_max``.
     """
-    ns, ms = np.asarray(n), np.asarray(m)
+    if n < 0 or d < 0 or j_max < 0:
+        raise ValueError("ray indices n, d and j_max must be nonnegative")
     xa = np.asarray(x, dtype=float)
-    t, idx, dt, negative = _locate(ns, ms, xa)
+    t, idx, dt, negative = _locate(n + d + j_max, xa)
     w = np.ones((1, xa.size)) if weights is None else np.reshape(weights, (-1, xa.size))
     counts = np.bincount(idx, minlength=t.x_cell.size - 1)
     cells = np.flatnonzero(counts)
@@ -273,41 +272,19 @@ def pattern_sums(n, m, x, weights=None):
     def moments(v, order):
         return [np.bincount(at, v * powers[p], minlength=cells.size) for p in range(order)]
 
-    odd = ((ns + ms) % 2 == 1).ravel()
-    first = {parity: [moments(np.where(negative, -wk, wk) if parity else wk, _TERMS) for wk in w]
-             for parity in (False, True) if np.any(odd == parity)}
-    second = [moments(wk * wk, 2 * _TERMS - 1) for wk in w]
-    s1 = np.empty((ns.size, len(w)))
-    s2 = np.empty((ns.size, len(w)))
-    rows = max(1, _BLOCK // (_TERMS * max(cells.size, 1)))
-    pairs = list(zip(ns.ravel().tolist(), ms.ravel().tolist()))
-    for lo in range(0, len(pairs), rows):
-        _cell_sums(t, cells, pairs[lo:lo + rows], odd[lo:lo + rows], first, second,
-                   s1[lo:lo + rows], s2[lo:lo + rows])
-    return s1.reshape(ns.shape + (len(w),)), s2.reshape(ns.shape + (len(w),))
-
-
-def _cell_sums(t, cells, pairs, odd, first, second, s1, s2):
-    """Fill ``s1`` and ``s2`` for one block of kernels from the cell moments.
-
-    Elementwise products on ``(kernels, cells)`` planes, then one contiguous
-    sum per kernel, so no kernel's bits depend on the rest of its block.
-    ``sum (a . dt^k)^2 = sum_kl a_k a_l S_(k+l)``, taken as Horner-like rows
-    ``a_k (a_k S_2k + 2 sum_(l>k) a_l S_(k+l))``.
-    """
-    g = np.empty((_TERMS, len(pairs), cells.size))
-    for r, (nk, mk) in enumerate(pairs):
-        g[:, r] = np.take(t.spline(nk, mk), cells, axis=0).T
+    g = np.empty((_TERMS, j_max + 1, cells.size))
+    for j in range(j_max + 1):
+        g[:, j] = np.take(t.spline(n + j, n + d + j), cells, axis=0).T
     a = g[::-1]                                 # a[k] multiplies dt^k
-    for parity, moments in first.items():
-        rows = odd == parity
-        c = a if rows.all() else a[:, rows]
-        for k, s in enumerate(moments):
-            total = c[0] * s[0]
-            for ck, sk in zip(c[1:], s[1:]):
-                total += ck * sk
-            s1[rows, k] = np.sum(total, axis=1)
-    for k, s in enumerate(second):
+    s1 = np.empty((j_max + 1, len(w)))
+    s2 = np.empty((j_max + 1, len(w)))
+    for k, wk in enumerate(w):
+        s = moments(np.where(negative, -wk, wk) if d % 2 else wk, _TERMS)
+        total = a[0] * s[0]
+        for ak, sk in zip(a[1:], s[1:]):
+            total += ak * sk
+        s1[:, k] = np.sum(total, axis=1)
+        s = moments(wk * wk, 2 * _TERMS - 1)
         total = 0.0
         for i in range(_TERMS):
             part = a[i] * s[2 * i]
@@ -316,3 +293,4 @@ def _cell_sums(t, cells, pairs, odd, first, second, s1, s2):
             part *= a[i]
             total += part
         s2[:, k] = np.sum(total, axis=1)
+    return s1, s2

@@ -175,9 +175,16 @@ class TestValidation:
         dict(dim=1024),                                 # past the loss weights' float range
         dict(detection="direct", eta_list=(0.05,), jm_list=(1, 280), dim=300,
              n_samples=1000, trials=1),                 # A_j^2 overflows from j = 116
+        dict(state_kind="thermal", state_nbar=float("nan")),
+        dict(state_kind="thermal", state_nbar=float("inf")),
+        dict(state_kind="coherent", state_alpha=complex("nan+0j")),
+        dict(state_kind="coherent", state_alpha=complex("inf+0j")),
     ])
     def test_rejected(self, overrides):
-        with pytest.raises(ValueError):
+        # a bad state parameter is named in the message
+        names = {"state_nbar": "mean photon number", "state_alpha": "coherent amplitude"}
+        match = next((names[k] for k in overrides if k in names), None)
+        with pytest.raises(ValueError, match=match):
             replace(default_config("fig1"), **overrides).validate()
 
     def test_negative_seed_rejected_up_front(self, tmp_path, capsys):
@@ -193,7 +200,8 @@ class TestValidation:
     @pytest.mark.parametrize("text", [
         "dim = 2\n", "target_d = 70\n", "dim = 480\ntarget_n = 400\njm_list = 1,100\n",
         "detection = direct\neta_list = 0.05\njm_list = 1,280\ndim = 300\n"
-        "n_samples = 1000\ntrials = 1\n"])
+        "n_samples = 1000\ntrials = 1\n",
+        "state_kind = coherent\nstate_alpha = inf+0j\n"])
     def test_unreachable_target_rejected_before_sampling(self, text, tmp_path, monkeypatch,
                                                          capsys):
         def sample(*args):

@@ -1,4 +1,5 @@
 """Homodyne statistics: pdf, samplers, pattern kernels, and estimators."""
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -307,7 +308,8 @@ class TestPatternFunction:
         interpolant of the same node data.
         """
         t = oscillator.tables_for(m)
-        jet = [a[::oscillator._CELL_SUB] for a in t.kernel_derivatives(n, m)]
+        f, slope, curvature = t.kernel_derivatives(n, m)
+        jet = [f[::oscillator._CELL_SUB], slope, curvature]
         c = t.spline(n, m)
         for end, h in ((slice(None, -1), 0.0), (slice(1, None), t.dx)):
             for got, want in zip(row_derivatives(c, h), jet):
@@ -320,23 +322,30 @@ class TestPatternFunction:
 
     @pytest.mark.parametrize("n,m", [(0, 0), (0, 1), (2, 5), (7, 7), (13, 40), (100, 102)])
     def test_ode_slope_matches_central_differences(self, n, m):
-        """``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'`` against a 5-point stencil of f."""
+        """``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'`` against a 5-point stencil of f
+
+        at the interior cell nodes, the only nodes the slope is computed on.
+        """
         t = oscillator.tables_for(m)
         f, slope, _ = t.kernel_derivatives(n, m)
         stencil = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * oscillator.TAB_STEP)
-        assert np.max(np.abs(stencil - slope[2:-2])) <= 1e-5 * np.max(np.abs(slope))
+        at_cells = stencil[oscillator._CELL_SUB - 2::oscillator._CELL_SUB]
+        assert slope.shape == t.x_cell.shape and at_cells.shape == slope[1:-1].shape
+        assert np.max(np.abs(at_cells - slope[1:-1])) <= 1e-5 * np.max(np.abs(slope))
 
     @pytest.mark.parametrize("n,m", [(0, 0), (0, 1), (2, 5), (7, 7), (13, 40), (100, 102)])
     def test_ode_curvature_matches_central_differences(self, n, m):
         """``f'' = 16x psi_n chi_m + (Q_n + Q_m) f + 2(Q_n psi_n chi_m' + Q_m psi_n' chi_m)``
 
-        against a 5-point stencil of f.
+        against a 5-point stencil of f at the interior cell nodes.
         """
         t = oscillator.tables_for(m)
         f, _, curvature = t.kernel_derivatives(n, m)
         stencil = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (
             12.0 * oscillator.TAB_STEP**2)
-        assert np.max(np.abs(stencil - curvature[2:-2])) <= 1e-5 * np.max(np.abs(curvature))
+        at_cells = stencil[oscillator._CELL_SUB - 2::oscillator._CELL_SUB]
+        assert curvature.shape == t.x_cell.shape and at_cells.shape == curvature[1:-1].shape
+        assert np.max(np.abs(at_cells - curvature[1:-1])) <= 1e-5 * np.max(np.abs(curvature))
 
     @pytest.mark.parametrize("n,m", [(0, 0), (2, 2), (5, 9), (13, 40), (20, 31), (50, 50),
                                      (70, 71), (100, 100), (100, 102), (0, 102)])
@@ -389,8 +398,8 @@ class TestPatternFunction:
     def test_table_at_its_limits(self, monkeypatch):
         t = oscillator._Tables(32, oscillator._X_LIMIT)
         assert t.x_max == oscillator._X_LIMIT
-        assert all(np.all(np.isfinite(t.kernel_derivatives(n, m)))
-                   for n in range(33) for m in range(n, 33))
+        assert all(np.all(np.isfinite(a)) for n in range(33) for m in range(n, 33)
+                   for a in t.kernel_derivatives(n, m))
         monkeypatch.setattr(oscillator, "_TABLES", None)
         with pytest.raises(ExtrapolationError):
             oscillator.tables_for(oscillator._INDEX_LIMIT + 1)
@@ -423,53 +432,47 @@ class TestPatternFunction:
 
 @st.composite
 def kernel_sum_cases(draw):
-    """Kernel rows ``(n, n + d)`` with d = 0..3 per row, points and phases.
+    """One ray ``(n, d, j_max)``, with d = 0..3, points and phases.
 
-    Points include grid nodes and -0.0; rows of both parities may share a call.
+    Points include grid nodes and -0.0.
     """
-    n = np.arange(draw(st.integers(0, 30)), draw(st.integers(31, 36)))
-    d = np.array(draw(st.lists(st.integers(0, 3), min_size=n.size, max_size=n.size)))
+    n, d, j_max = draw(st.integers(0, 30)), draw(st.integers(0, 3)), draw(st.integers(0, 6))
     size = draw(st.integers(2, 80))
     point = st.one_of(st.floats(-12.0, 12.0),
                       st.integers(-6000, 6000).map(lambda k: k * oscillator.TAB_STEP),
                       st.sampled_from([0.0, -0.0]))
     x = np.array(draw(st.lists(point, min_size=size, max_size=size)))
     phi = np.array(draw(st.lists(st.floats(0.0, np.pi), min_size=size, max_size=size)))
-    return n, n + d, x, phi
+    return n, d, j_max, x, phi
 
 
 class TestPatternSums:
     @settings(derandomize=True, deadline=None)
-    @given(case=kernel_sum_cases(), phased=st.booleans(),
-           block=st.sampled_from([2**40, 1, 4 * 4 * 80]))
-    def test_sums_equal_sums_of_kernel_values(self, case, phased, block):
-        """``pattern_sums`` against ``np.sum`` of ``w f`` and ``(w f)^2`` over ``evaluate_pattern`` rows.
-
-        ``block`` gives all rows one block, one row per block, or a few.
-        """
-        n, m, x, phi = case
-        x_max = oscillator.tables_for(int(np.max(m)), float(np.max(np.abs(x)))).x_max
+    @given(case=kernel_sum_cases(), phased=st.booleans())
+    def test_sums_equal_sums_of_kernel_values(self, case, phased):
+        """``pattern_sums`` against ``np.sum`` of ``w f`` and ``(w f)^2`` over ``evaluate_pattern`` rows."""
+        n, d, j_max, x, phi = case
+        x_max = oscillator.tables_for(n + d + j_max, float(np.max(np.abs(x)))).x_max
         x, phi = np.append(x, [x_max, -x_max]), np.append(phi, [0.4, 2.9])
-        d = np.arange(1, 4)[:, None] if phased else np.zeros((1, 1))
-        weights = np.where(d % 2, np.sin(d * phi), np.cos(d * phi))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oscillator, "_BLOCK", block)
-            s1, s2 = oscillator.pattern_sums(n, m, x, weights if phased else None)
-        terms = evaluate_pattern(n, m, x)[:, None, :] * weights
-        assert s1.shape == s2.shape == (n.size, weights.shape[0])
+        e = np.arange(1, 4)[:, None] if phased else np.zeros((1, 1))
+        weights = np.where(e % 2, np.sin(e * phi), np.cos(e * phi))
+        s1, s2 = oscillator.pattern_sums(n, d, j_max, x, weights if phased else None)
+        rows = np.arange(n, n + j_max + 1)
+        terms = evaluate_pattern(rows, rows + d, x)[:, None, :] * weights
+        assert s1.shape == s2.shape == (j_max + 1, weights.shape[0])
         assert np.all(np.abs(s1 - np.sum(terms, axis=-1)) <= 1e-12 * np.sum(np.abs(terms), axis=-1))
         assert np.all(np.abs(s2 - np.sum(terms**2, axis=-1)) <= 1e-12 * np.sum(terms**2, axis=-1))
 
     def test_shapes_follow_the_indices(self):
         x = np.array([[0.3, -1.2], [2.5, -0.0]])
-        s1, s2 = oscillator.pattern_sums(2, 5, x)
-        assert s1.shape == s2.shape == (1,)
-        assert s1[0] == pytest.approx(np.sum(evaluate_pattern(2, 5, x)), rel=1e-12)
-        s1, s2 = oscillator.pattern_sums(np.array([[0, 1]]), np.array([[0, 2]]), x,
-                                         np.ones((3, 4)))
-        assert s1.shape == s2.shape == (1, 2, 3)
-        with pytest.raises(ValueError):
-            oscillator.pattern_sums(3, 1, x)
+        s1, s2 = oscillator.pattern_sums(2, 3, 0, x)
+        assert s1.shape == s2.shape == (1, 1)
+        assert s1[0, 0] == pytest.approx(np.sum(evaluate_pattern(2, 5, x)), rel=1e-12)
+        s1, s2 = oscillator.pattern_sums(0, 1, 4, x, np.ones((3, 4)))
+        assert s1.shape == s2.shape == (5, 3)
+        for bad in [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]:
+            with pytest.raises(ValueError):
+                oscillator.pattern_sums(*bad, x)
 
 
 class TestEstimateElement:
@@ -534,24 +537,16 @@ class TestEstimateElement:
         with pytest.raises(ValueError):
             estimate_element(data, 0, 0, j_max=-1)
 
-    @pytest.mark.parametrize("d", [0, 2])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_ray_equals_single_elements_across_blocks(self, d, monkeypatch):
+        """A ray's rows have the bytes of the single-element rays, and no kernel value is formed."""
         data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 19))
-        cells = np.unique((np.abs(data.x) / cell_width()).astype(np.int64)).size
-        blocks, cell_sums = [], oscillator._cell_sums
-
-        def counting(t, cells, pairs, *rest):
-            blocks.append(len(pairs))
-            return cell_sums(t, cells, pairs, *rest)
 
         def no_point_values(*args):
             raise AssertionError("estimate_element evaluated kernels at the samples")
 
-        monkeypatch.setattr(oscillator, "_BLOCK", 4 * 6 * cells)   # four kernels per block
-        monkeypatch.setattr(oscillator, "_cell_sums", counting)
         monkeypatch.setattr(oscillator, "evaluate_pattern", no_point_values)
         ray = estimate_element(data, 1, d, j_max=10)
-        assert blocks == [4, 4, 3]
         assert (ray.n, ray.d, ray.estimate.shape, ray.stderr.shape) == (1, d, (11,), (11,))
         for j in range(11):
             one = estimate_element(data, 1 + j, d)
@@ -619,7 +614,6 @@ class TestEstimateElement:
 
         monkeypatch.setattr(oscillator, "_TABLES", None)
         monkeypatch.setattr(oscillator, "_Tables", Counting)
-        monkeypatch.setattr(oscillator, "_BLOCK", 4 * len(data))
         estimate_element(data, 30, 0, j_max=10)
         assert built == [40]
 
@@ -634,6 +628,20 @@ class TestEstimateElement:
         grown = estimate_element(data, 1, d, j_max=30)
         assert grown.estimate.tobytes() == fresh.estimate.tobytes()
         assert grown.stderr.tobytes() == fresh.stderr.tobytes()
+
+    def test_rays_of_both_parities_keep_their_bytes(self):
+        """sha256 prefix of the estimate and stderr bytes of the rays d = 0..3, j_max = 30.
+
+        Covers odd rays (the sign fold) and phased weights, which no default
+        table exercises.
+        """
+        data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 26))
+        digest = hashlib.sha256()
+        for d in range(4):
+            ray = estimate_element(data, 1, d, j_max=30)
+            digest.update(ray.estimate.tobytes())
+            digest.update(ray.stderr.tobytes())
+        assert digest.hexdigest()[:12] == "1bd3d2bd7427"
 
     def test_table_reaches_past_the_samples(self, monkeypatch):
         monkeypatch.setattr(oscillator, "_TABLES", None)
