@@ -10,11 +10,11 @@ number on it.
 Two error views are provided.  ``compensated_element`` and
 ``convergence_scan`` propagate the actual weights,
 ``sqrt(sum_j A_j^2 eps_j^2)``, which is what an experimenter quotes for
-a specific target element.  ``error_vs_eta`` instead reports the
-normalized profile ``sqrt(sum_j z^{2j} eps_j^2)`` with ``z = 1 - 1/eta``,
-which strips the combinatorial prefactors and isolates the transition
-at eta = 1/2: below it |z| >= 1 and the sum cannot converge no matter
-how precise the individual coefficients are.
+a specific target element.  ``error_vs_eta`` instead reports, at one
+efficiency, the normalized profile ``sqrt(sum_j z^{2j} eps_j^2)`` with
+``z = 1 - 1/eta``, which strips the combinatorial prefactors and
+isolates the transition at eta = 1/2: below it |z| >= 1 and the sum
+cannot converge no matter how precise the individual coefficients are.
 """
 from __future__ import annotations
 
@@ -144,22 +144,18 @@ def convergence_scan(source, n: int, d: int, eta: float, j_list) -> Compensation
     return CompensationResult(trace=trace, verdict=_verdict_from_trace(trace))
 
 
-def error_vs_eta(source, n: int, d: int, eta_list, j_list):
-    """Normalized error profile ``sqrt(sum_j z^{2j} eps_j^2)`` on a grid.
+def error_vs_eta(source, n: int, d: int, eta: float, j_list) -> list:
+    """Normalized error ``sqrt(sum_j z^{2j} eps_j^2)`` at one efficiency.
 
-    The measured errors of ``source`` (anything :func:`measure_ray`
-    accepts) are reused at every efficiency; ``j_list`` follows
-    :func:`truncation_indices`.  Returns rows ``(eta, j_max, error)`` for
-    the full grid in input order.
+    ``z = 1 - 1/eta`` weights the measured errors of ``source`` (anything
+    :func:`measure_ray` accepts); ``j_list`` follows
+    :func:`truncation_indices`.  Returns the error at each ``j_M`` of
+    ``j_list``, in order.
     """
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("efficiency must lie in (0, 1]")
     j_list = truncation_indices(j_list)
     err = measure_ray(source, n, d, j_list[-1]).stderr
-    rows = []
-    for eta in eta_list:
-        if not 0.0 < eta <= 1.0:
-            raise ValueError("efficiency must lie in (0, 1]")
-        z = 1.0 - 1.0 / eta
-        var_partial = np.cumsum(z ** (2 * np.arange(err.size)) * err**2)
-        for j in j_list:
-            rows.append((float(eta), j, float(np.sqrt(var_partial[j]))))
-    return rows
+    z = 1.0 - 1.0 / eta
+    var_partial = np.cumsum(z ** (2 * np.arange(err.size)) * err**2)
+    return [float(np.sqrt(var_partial[j])) for j in j_list]

@@ -33,6 +33,8 @@ DEFAULT_MASTER_SEED = 235711
 # this product no longer tracks runtime; it rejects configs far past the
 # defaults, which sit 20-60x below it (fig1 2.4e6, fig2 8e5)
 _BUDGET = 5 * 10**7
+# a run holds about 150 B per sample whatever j_M is: 10^7 samples is 1.5 GiB
+_SAMPLE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,8 @@ class ExperimentConfig:
         return StateSpec(kind=self.state_kind, dim=self.dim, nbar=self.state_nbar,
                          m=self.state_m, alpha=self.state_alpha)
 
-    def validate(self) -> None:
+    def validate(self):
+        """Reject a config that cannot run; return its signal state and per-eta j_M grids."""
         if self.detection not in ("homodyne", "direct"):
             raise ValueError(f"unknown detection mode {self.detection!r}")
         if not self.eta_list:
@@ -68,6 +71,9 @@ class ExperimentConfig:
                 raise ValueError(f"efficiency {eta} outside (0, 1]")
         if self.n_samples < 2:
             raise ValueError("n_samples must be at least 2")
+        if self.n_samples > _SAMPLE_LIMIT:
+            raise ValueError(f"n_samples {self.n_samples} exceeds the memory bound "
+                             f"{_SAMPLE_LIMIT}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.master_seed < 0:
@@ -80,8 +86,8 @@ class ExperimentConfig:
         if top >= self.dim:
             raise ValueError(f"target element ({self.target_n}, {top}) lies outside "
                              f"dimension {self.dim}")
-        j_tops = [max(self.truncation_grid(eta)) for eta in self.eta_list]
-        j_top = max(j_tops)
+        grids = [self.truncation_grid(eta) for eta in self.eta_list]
+        j_top = max(max(grid) for grid in grids)
         if self.n_samples * j_top > _BUDGET:
             raise ValueError(
                 f"n_samples * max(j_M) = {self.n_samples * j_top} exceeds the "
@@ -94,9 +100,9 @@ class ExperimentConfig:
                 raise ValueError("direct detection only measures diagonal elements")
             if self.target_n + j_top >= self.dim:
                 raise ValueError("truncation grid reaches beyond the state dimension")
-        for eta, j in zip(self.eta_list, j_tops):   # raises where a weight's square overflows
-            inverse_coefficient(self.target_n, self.target_d, np.arange(j + 1), eta)
-        self.state().build()  # surfaces bad state parameters early
+        for eta, grid in zip(self.eta_list, grids):  # raises where a weight's square overflows
+            inverse_coefficient(self.target_n, self.target_d, np.arange(max(grid) + 1), eta)
+        return self.state().build(), grids  # the build surfaces bad state parameters
 
     def truncation_grid(self, eta: float) -> list:
         """j_M grid for one efficiency: explicit list (checked), or the default.
@@ -166,7 +172,10 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         name = name.strip()
         if name not in _CONFIG_FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {name!r}")
-        updates[name] = _parse_value(name, value)
+        try:
+            updates[name] = _parse_value(name, value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {name}: {exc}") from exc
     return replace(config, **updates)
 
 
@@ -195,18 +204,9 @@ def _measurement_source(config, damped, rng):
     return sample_quadratures(damped, config.n_samples, rng)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, str):
-        return value
     return f"{float(value):.9g}"
 
 
@@ -214,37 +214,43 @@ def _trials_path(path: Path) -> Path:
     return path.with_name(path.stem + "_trials" + path.suffix)
 
 
-def _scan_cells(config, scan):
+def _scan_cells(config, out, scan):
     """The (eta, trial) cell loop behind every figure table.
 
-    Validates ``config``, sizes the kernel table for the largest kernel index
-    a homodyne run needs, damps the signal once per efficiency, and hands
-    each cell a fresh dataset drawn from its own RNG stream to
-    ``scan(source, eta, jm_grid)``.  Returns the signal state and, per
-    efficiency, ``(eta, jm_grid, [scan result per trial])``.
+    Validates ``config``, checks the output directory, sizes the kernel table
+    for the largest kernel index a homodyne run needs, damps the signal once
+    per efficiency, and hands each cell a fresh dataset drawn from its own RNG
+    stream to ``scan(source, target_n, target_d, eta, jm_grid)``.  Returns the
+    output path, the signal and, per efficiency, ``(eta, jm_grid, [result per trial])``.
     """
-    config.validate()
+    signal, grids = config.validate()
+    out_path = Path(out) if out is not None else Path(config.output_path)
+    if not out_path.parent.is_dir():
+        raise FileNotFoundError(f"output directory {out_path.parent} does not exist")
+    n, d = config.target_n, config.target_d
     if config.detection == "homodyne":     # one kernel table, sized for every cell's ray
-        oscillator.tables_for(config.target_n + config.target_d
-                              + max(max(config.truncation_grid(eta)) for eta in config.eta_list))
-    signal = config.state().build()
+        oscillator.tables_for(n + d + max(max(grid) for grid in grids))
     table = []
-    for eta_index, eta in enumerate(config.eta_list):
-        jm_grid = config.truncation_grid(eta)
+    for eta_index, (eta, jm_grid) in enumerate(zip(config.eta_list, grids)):
         damped = apply_loss(signal, eta)
         table.append((eta, jm_grid, [
             scan(_measurement_source(config, damped, _trial_rng(config, eta_index, trial)),
-                 eta, jm_grid)
+                 n, d, eta, jm_grid)
             for trial in range(config.trials)]))
-    return signal, table
+    return out_path, signal, table
 
 
-def _write_tables(config, out, columns, mean_rows, trial_columns, trial_rows):
-    out_path = Path(out) if out is not None else Path(config.output_path)
-    _write_csv(out_path, ["eta", "j_M", *columns, "config_hash"], mean_rows)
-    _write_csv(_trials_path(out_path),
-               ["eta", "trial", "j_M", *trial_columns, "config_hash"], trial_rows)
-    return out_path, _trials_path(out_path)
+def _write_tables(config, out_path, columns, mean_rows, trial_columns, trial_rows):
+    chash = config_hash(config)
+    trials_path = _trials_path(out_path)
+    for path, header, rows in ((out_path, ["eta", "j_M", *columns], mean_rows),
+                               (trials_path, ["eta", "trial", "j_M", *trial_columns],
+                                trial_rows)):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join([*header, "config_hash"]) + "\n")
+            for row in rows:
+                fh.write(",".join([*row, chash]) + "\n")
+    return out_path, trials_path
 
 
 def run_scan_table(config: ExperimentConfig, out=None):
@@ -256,11 +262,8 @@ def run_scan_table(config: ExperimentConfig, out=None):
     parts; off-diagonal targets keep their full complex values in the
     library API only.
     """
-    n, d = config.target_n, config.target_d
-    signal, table = _scan_cells(
-        config, lambda source, eta, grid: convergence_scan(source, n, d, eta, grid))
-    chash = config_hash(config)
-    theory = signal.element(n, n + d).real
+    out_path, signal, table = _scan_cells(config, out, convergence_scan)
+    theory = signal.element(config.target_n, config.target_n + config.target_d).real
     mean_rows, trial_rows = [], []
     for eta, jm_grid, results in table:
         values = np.array([[value.real for _, value, _ in r.trace] for r in results])
@@ -269,15 +272,15 @@ def run_scan_table(config: ExperimentConfig, out=None):
             for jm, value, error in result.trace:
                 trial_rows.append([
                     _fmt(eta), _fmt(trial), _fmt(jm), _fmt(value.real),
-                    _fmt(error), result.verdict, chash])
+                    _fmt(error), result.verdict])
         spread = (np.std(values, axis=0, ddof=1) if config.trials > 1
                   else np.full(len(jm_grid), np.nan))
         for k, jm in enumerate(jm_grid):
             mean_rows.append([
                 _fmt(eta), _fmt(jm), _fmt(values[:, k].mean()),
-                _fmt(errors[:, k].mean()), _fmt(spread[k]), _fmt(theory), chash])
+                _fmt(errors[:, k].mean()), _fmt(spread[k]), _fmt(theory)])
     return _write_tables(
-        config, out, ["value", "propagated_error", "empirical_error", "theory"],
+        config, out_path, ["value", "propagated_error", "empirical_error", "theory"],
         mean_rows, ["value", "propagated_error", "verdict"], trial_rows)
 
 
@@ -300,18 +303,14 @@ def run_fig2(config: ExperimentConfig | None = None, out=None):
     dataset per (eta, trial) cell, averaged over trials.
     """
     config = config if config is not None else default_config("fig2")
-    n, d = config.target_n, config.target_d
-    _, table = _scan_cells(
-        config, lambda source, eta, grid: error_vs_eta(source, n, d, [eta], grid))
-    chash = config_hash(config)
+    out_path, _, table = _scan_cells(config, out, error_vs_eta)
     mean_rows, trial_rows = [], []
     for eta, jm_grid, results in table:
-        per_trial = np.array([[error for _, _, error in rows] for rows in results])
-        for trial, rows in enumerate(results):
-            for _, jm, error in rows:
-                trial_rows.append([_fmt(eta), _fmt(trial), _fmt(jm), _fmt(error), chash])
+        per_trial = np.array(results)
+        for trial, errors in enumerate(results):
+            for jm, error in zip(jm_grid, errors):
+                trial_rows.append([_fmt(eta), _fmt(trial), _fmt(jm), _fmt(error)])
         for k, jm in enumerate(jm_grid):
-            mean_rows.append(
-                [_fmt(eta), _fmt(jm), _fmt(per_trial[:, k].mean()), chash])
-    return _write_tables(config, out, ["propagated_error"], mean_rows,
+            mean_rows.append([_fmt(eta), _fmt(jm), _fmt(per_trial[:, k].mean())])
+    return _write_tables(config, out_path, ["propagated_error"], mean_rows,
                          ["propagated_error"], trial_rows)

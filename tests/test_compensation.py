@@ -209,34 +209,35 @@ class TestErrorVsEta:
         return ray([0.0] * (j_top + 1), [eps] * (j_top + 1))
 
     def test_error_ratio_at_half(self):
-        rows = error_vs_eta(self.flat_ray(100), 0, 0, [0.5], [10, 100])
-        by_j = {j: e for _, j, e in rows}
-        assert by_j[100] / by_j[10] == pytest.approx(math.sqrt(101.0 / 11.0), rel=1e-12)
-        assert by_j[10] == pytest.approx(math.sqrt(11.0), rel=1e-12)
+        at_10, at_100 = error_vs_eta(self.flat_ray(100), 0, 0, 0.5, [10, 100])
+        assert at_100 / at_10 == pytest.approx(math.sqrt(101.0 / 11.0), rel=1e-12)
+        assert at_10 == pytest.approx(math.sqrt(11.0), rel=1e-12)
 
     def test_above_half_truncation_independent(self):
-        rows = error_vs_eta(self.flat_ray(100), 0, 0, [0.7], [10, 20, 100])
-        errs = [e for _, _, e in rows]
+        errs = error_vs_eta(self.flat_ray(100), 0, 0, 0.7, [10, 20, 100])
         assert max(errs) / min(errs) < 1.05
 
     def test_below_half_grows_without_bound(self):
-        rows = error_vs_eta(self.flat_ray(100), 0, 0, [0.4], [10, 100])
-        by_j = {j: e for _, j, e in rows}
-        assert by_j[100] / by_j[10] > 10.0
+        at_10, at_100 = error_vs_eta(self.flat_ray(100), 0, 0, 0.4, [10, 100])
+        assert at_100 / at_10 > 10.0
 
     def test_grid_order_and_shape(self):
-        rows = error_vs_eta(self.flat_ray(4), 0, 0, [0.9, 0.6], [2, 4])
-        assert [(r[0], r[1]) for r in rows] == [(0.9, 2), (0.9, 4), (0.6, 2), (0.6, 4)]
+        # one float per j_M, in j_list order: z^2 = 4/9 at eta 0.6
+        errs = error_vs_eta(self.flat_ray(4), 0, 0, 0.6, [2, 4])
+        assert all(type(e) is float for e in errs)
+        assert errs == pytest.approx(
+            [math.sqrt(sum((4 / 9) ** j for j in range(top + 1))) for top in (2, 4)],
+            rel=1e-12)
 
     @pytest.mark.parametrize("eta", [0.0, -0.3, 1.2])
     def test_rejects_bad_efficiency(self, eta):
         with pytest.raises(ValueError):
-            error_vs_eta(self.flat_ray(3), 0, 0, [eta], [3])
+            error_vs_eta(self.flat_ray(3), 0, 0, eta, [3])
 
     @pytest.mark.parametrize("j_list", [[5, -1], [3, 1]])
     def test_rejects_bad_truncation_list(self, j_list):
         with pytest.raises(ValueError, match="strictly ascending"):
-            error_vs_eta(self.flat_ray(5), 0, 0, [0.7], j_list)
+            error_vs_eta(self.flat_ray(5), 0, 0, 0.7, j_list)
 
 
 def test_transition_in_propagated_error_series():
@@ -262,8 +263,7 @@ def test_direct_detection_errors_converge_below_half():
     p = [0.4545 * (1.2 / 2.2) ** j for j in range(200)]
     eps = [math.sqrt(pj * (1 - pj) / 8000.0) for pj in p]
     coeffs = ray(p, eps)
-    rows = error_vs_eta(coeffs, 0, 0, [0.45], [50, 100, 199])
-    errs = [e for _, _, e in rows]
+    errs = error_vs_eta(coeffs, 0, 0, 0.45, [50, 100, 199])
     assert errs[-1] / errs[0] < 1.001
 
 

@@ -1,7 +1,9 @@
 """Experiment harness: config files, seeding, CSV schema, CLI wiring."""
 import csv
 import hashlib
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +109,14 @@ class TestConfigText:
         with pytest.raises(ValueError, match="key = value"):
             parse_config("just some words\n")
 
+    @pytest.mark.parametrize("line", [
+        "dim = 64.0", "eta_list = 0.6,,0.5", "state_alpha = 1+", "jm_list = ",
+        "master_seed = 1e3"])
+    def test_unparsable_value_names_line_and_key(self, line):
+        key = line.split("=")[0].strip()
+        with pytest.raises(ValueError, match=rf"^config line 2: {key}: \S"):
+            parse_config(f"# header\n{line}\n")
+
 
 class TestConfigHash:
     def test_shape_and_determinism(self):
@@ -179,6 +189,8 @@ class TestValidation:
         dict(state_kind="thermal", state_nbar=float("inf")),
         dict(state_kind="coherent", state_alpha=complex("nan+0j")),
         dict(state_kind="coherent", state_alpha=complex("inf+0j")),
+        dict(jm_list=(0,), n_samples=10**9),            # budget product 0; ~150 GB held
+        dict(jm_list=(1,), n_samples=5 * 10**7),        # within budget; ~7 GiB held
     ])
     def test_rejected(self, overrides):
         # a bad state parameter is named in the message
@@ -215,6 +227,26 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("losscomp: error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("figure", ["fig1", "fig2", "direct"])
+    def test_missing_output_directory_rejected_before_sampling(self, figure, tmp_path,
+                                                               monkeypatch, capsys):
+        def sample(*args):
+            raise AssertionError("damped or sampled before the output was checked")
+
+        for name in ("apply_loss", "sample_quadratures", "sample_counts"):
+            monkeypatch.setattr(experiments, name, sample)
+        out = tmp_path / "missing" / "f.csv"
+        assert cli.main([figure, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"losscomp: error: output directory {out.parent} does not exist\n"
+        assert not out.parent.exists()
+
+    def test_returns_signal_and_grids(self):
+        config = default_config("fig1")
+        signal, grids = config.validate()
+        assert grids == [config.truncation_grid(eta) for eta in config.eta_list]
+        assert np.array_equal(signal.elements, config.state().build().elements)
 
     @pytest.mark.parametrize("jm_list", ["3,1,2", "-1", "1,1,2", "-2,4"])
     @pytest.mark.parametrize("figure", ["fig1", "fig2"])
@@ -449,6 +481,17 @@ def test_default_tables_at_seed_7_keep_their_bytes(tmp_path):
         paths = run(config, out=tmp_path / f"{figure}.csv")
         got[figure] = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:12] for p in paths)
     assert got == SEED_7_TABLES
+
+
+def test_nongauss_table_at_seed_7_keeps_its_bytes(tmp_path):
+    """The one default output that reaches the rejection and inverse-CDF samplers
+    and an off-diagonal ray: ``bench/nongauss.py --seed 7``."""
+    script = Path(__file__).resolve().parents[1] / "bench" / "nongauss.py"
+    spec = importlib.util.spec_from_file_location("nongauss", script)
+    nongauss = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(nongauss)
+    path = nongauss.run(7, tmp_path / "nongauss.csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "aa551a1a2ecd"
 
 
 class TestCli:
