@@ -11,6 +11,8 @@ averages; ``estimate_element`` is unbiased for every state, which is
 the contract the kernel construction in :mod:`losscomp.oscillator` is
 anchored to.  It reads each kernel's sums over the samples from
 ``oscillator.pattern_sums`` and never evaluates a kernel at a sample.
+The Gaussian sampler adds the phase mean only for a nonzero amplitude;
+for a thermal law it is +-0, so skipping it keeps every draw's bits.
 """
 from __future__ import annotations
 
@@ -165,8 +167,9 @@ def sample_quadratures(rho: DensityMatrix, n: int, rng: np.random.Generator) -> 
     law = rho.quadrature_law
     if law is not None:
         phi = rng.uniform(0.0, np.pi, n)
-        mean = np.real(law.mean_amplitude * np.exp(1j * phi))
-        x = mean + np.sqrt(law.variance) * rng.standard_normal(n)
+        x = np.sqrt(law.variance) * rng.standard_normal(n)
+        if law.mean_amplitude:
+            x = np.real(law.mean_amplitude * np.exp(1j * phi)) + x
     elif _is_phase_invariant(rho):
         phi = rng.uniform(0.0, np.pi, n)
         grid = _grid_for(rho)

@@ -11,7 +11,9 @@ inverse series coefficient is the forward coefficient evaluated at
 ``1/eta``, which makes the duality between the two maps exact in
 floating point.  The factorial ratios are the binomials ``C(n+j, j)`` and
 ``C(n+d+j, j)``: exact integers, each rounded to float once and kept in
-one table that only grows.
+one table that only grows.  A transform evaluates the factors that do not
+depend on the ray offset ``d`` once per call, on one (n, j) grid that every
+ray slices, so its memory stays O(dim^2).
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .fock_core import DensityMatrix, GaussianQuadratureLaw
 
 
 _DIM_LIMIT = 1 - np.finfo(float).minexp  # 1023: g^(dim-1) is normal at g = 1/sqrt(2)
-_BINOMIALS = (np.ones((1, 1)), np.zeros((1, 1), dtype=np.int64))  # C(0, 0) = 1
+_BINOMIALS = (np.ones((1, 1)), np.zeros((1, 1), dtype=np.int32))  # C(0, 0) = 1
 _PASCAL_ROW = [1]       # C(k, j) for the table's last row k, as exact integers
 
 
@@ -40,7 +42,7 @@ def _binomials(kmax):
     done = _BINOMIALS[0].shape[0]
     if done <= kmax:
         m = np.zeros((kmax + 1, kmax + 1))
-        q = np.zeros((kmax + 1, kmax + 1), dtype=np.int64)
+        q = np.zeros((kmax + 1, kmax + 1), dtype=np.int32)   # numpy's ldexp is fast for int32 only
         m[:done, :done], q[:done, :done] = _BINOMIALS
         row = _PASCAL_ROW
         for k in range(done, kmax + 1):
@@ -58,33 +60,44 @@ def _near_one(v):
     return (2.0 * a, h - 1) if a < sqrt(0.5) else (a, h)
 
 
-def _weights(n, d, j, g):
-    """Coefficient of ``<n+j|rho|n+d+j>`` in the image ``<n|rho'|n+d>``.
+def _weight_rays(n, j, g, kmax, j_cap=None):
+    """Coefficients of ``<n+j|rho|n+d+j>`` in the image ``<n|rho'|n+d>``, by offset ``d``.
 
     ``g`` in (0, 1] gives the damping weights; ``g = 1/eta > 1`` gives the
     inverse-series weights A_j (the sign then alternates with j).  ``n``
-    and ``j`` are broadcastable integer arrays, returned as at least 1-d;
-    entries with ``j < 0`` are zero.  The weight is the root of
-    ``C(k, j) C(k+d, j) g^(2n+d) |1-g|^(2j)``, ``k = n + j``; the binary
-    exponents of its factors add up as integers, and a product that leaves
-    the normal range (indices past about 1000) raises ``ValueError``.
+    and ``j`` are broadcastable integer arrays, made at least 2-d, and
+    ``kmax`` bounds ``n + j + d``.  The factors that do not depend on ``d``
+    are evaluated on this (n, j) grid once; the returned ``weights(d, rows)``
+    adds the rest on the grid's leading ``rows x rows`` block (default: all
+    of it).  Entries with ``j < 0`` or ``j > j_cap`` are zero.  The weight is
+    the root of ``C(k, j) C(k+d, j) g^(2n+d) |1-g|^(2j)``, ``k = n + j``; the
+    binary exponents of its factors add up as integers, and a product that
+    leaves the normal range (indices past about 1000) raises ``ValueError``.
     """
-    n, j = np.atleast_1d(n, j)
-    k, jv = n + j, np.maximum(j, 0)
-    m, q = _binomials(int(np.max(k)) + d)
-    at = k * m.shape[1] + jv                # flat index of C(k, j); C(k+d, j) is d rows on
-    at_d = at + d * m.shape[1]
+    n, j = np.atleast_2d(n, j)
+    jv = np.maximum(j, 0)
+    m, q = _binomials(kmax)
+    at = (n + j) * m.shape[1] + jv          # flat index of C(k, j); C(k+d, j) is d rows on
     a, h = _near_one(g)
     b, c = _near_one(abs(1.0 - g))
-    r = h * d % 2                           # moves an odd power of 2 into the root
-    z = (m.take(at) * m.take(at_d) * (a ** (2 * n + d) * 2.0**r)
-         * (b ** np.arange(0, 2 * np.max(jv) + 1, 2))[jv])
-    if not (np.max(z) < np.inf and (g == 1.0 or np.min(z) >= np.finfo(float).tiny)):
-        raise ValueError(f"loss weights at index {int(np.max(k))} leave the float range")
-    w = np.ldexp(np.sqrt(z), q.take(at) + q.take(at_d) + (h * (2 * n + d) - r) // 2 + c * jv)
-    if g > 1.0:
-        w = np.where(jv % 2 == 1, -w, w)
-    return np.where(j >= 0, w, 0.0)
+    a_pow = a ** np.arange(2 * kmax + 1)
+    b_pow = (b ** np.arange(0, 2 * np.max(jv) + 1, 2))[jv]
+    m_at = m.take(at)
+    e_at = (q.take(at) + c * jv + h * n).astype(np.int32)   # C(k, j), |1-g|^2j and g^2n exponents
+    flip = jv % 2 == 1
+    keep = (j >= 0) if j_cap is None else (j >= 0) & (j <= j_cap)
+
+    def weights(d, rows=None):
+        cut, r = np.s_[:rows, :rows], h * d % 2   # r moves an odd power of 2 into the root
+        z = m_at[cut] * m[d:].take(at[cut]) * (a_pow[2 * n[cut] + d] * 2.0**r) * b_pow[cut]
+        if not (np.max(z) < np.inf and (g == 1.0 or np.min(z) >= np.finfo(float).tiny)):
+            raise ValueError(f"loss weights at index {np.max((n + j)[cut])} leave the float range")
+        w = np.ldexp(np.sqrt(z), e_at[cut] + q[d:].take(at[cut]) + h * d // 2)
+        if g > 1.0:
+            np.negative(w, out=w, where=flip[cut])
+        return np.where(keep[cut], w, 0.0)
+
+    return weights
 
 
 def inverse_coefficient(n: int, d: int, j, eta: float):
@@ -101,13 +114,13 @@ def inverse_coefficient(n: int, d: int, j, eta: float):
     if n < 0 or d < 0 or np.any(np.asarray(j) < 0):
         raise ValueError("indices must be nonnegative")
     with np.errstate(over="ignore"):
-        weights = _weights(n, d, j, 1.0 / eta)
+        weights = _weight_rays(n, j, 1.0 / eta, n + int(np.max(j)) + d)(d).reshape(np.shape(j))
         finite = np.isfinite(weights**2)
     if not finite.all():
-        bad = int(np.min(np.broadcast_to(j, finite.shape)[~finite]))
+        bad = int(np.min(np.asarray(j)[~finite]))
         raise ValueError(f"inverse-series weight A_j({n}, {d}) at j = {bad} leaves the "
                          f"float range at efficiency {eta:g}")
-    return weights if np.ndim(j) else float(weights[0])
+    return weights if np.ndim(j) else float(weights)
 
 
 def _ray_weights(L, d, g, j_cap=None):
@@ -117,9 +130,7 @@ def _ray_weights(L, d, g, j_cap=None):
     length ``L``; entries beyond ``j_cap`` terms are zero.
     """
     nn = np.arange(L)[:, None]
-    jj = np.arange(L)[None, :] - nn
-    w = _weights(nn, d, jj, g)
-    return w if j_cap is None else np.where(jj <= j_cap, w, 0.0)
+    return _weight_rays(nn, np.arange(L) - nn, g, L - 1 + d, j_cap)(d)
 
 
 def _transform(rho: DensityMatrix, g: float, j_cap=None):
@@ -132,11 +143,15 @@ def _transform(rho: DensityMatrix, g: float, j_cap=None):
     D = rho.dim
     out = np.zeros((D, D), dtype=complex)
     last = np.zeros((D, D))
+    flat_out, flat_last = out.reshape(-1), last.reshape(-1)
+    nn = np.arange(D)[:, None]
+    with np.errstate(over="ignore"):
+        ray_weights = _weight_rays(nn, np.arange(D) - nn, g, D - 1, j_cap)
     for d in range(D):
         L = D - d
         ray = np.diagonal(rho.elements, offset=d).copy()
         with np.errstate(over="ignore"):
-            w = _ray_weights(L, d, g, j_cap=j_cap)
+            w = ray_weights(d, L)
         if not np.isfinite(w).all():
             n, k = np.argwhere(~np.isfinite(w))[0]
             raise ValueError(f"inverse-series weight A_j({n}, {d}) at j = {k - n} leaves the "
@@ -145,12 +160,12 @@ def _transform(rho: DensityMatrix, g: float, j_cap=None):
         # index of the last term actually summed for each output n
         k_last = np.minimum((L - 1) if j_cap is None else np.arange(L) + j_cap, L - 1)
         last_ray = np.abs(w[np.arange(L), k_last] * ray[k_last])
-        idx = np.arange(L)
-        out[idx, idx + d] = new_ray
-        last[idx, idx + d] = last_ray
+        upper, lower = np.s_[d:D * L:D + 1], np.s_[d * D::D + 1]   # diagonals d and -d
+        flat_out[upper] = new_ray
+        flat_last[upper] = last_ray
         if d > 0:
-            out[idx + d, idx] = new_ray.conj()
-            last[idx + d, idx] = last_ray
+            flat_out[lower] = new_ray.conj()
+            flat_last[lower] = last_ray
     return out, last
 
 
@@ -222,7 +237,7 @@ def analytic_threshold(r: float) -> float:
     A ray decaying like ``r^j`` gives a convergent series when
     ``|1 - 1/eta| * r < 1``, i.e. for ``eta > r/(1+r)``.
     """
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError("decay ratio must be nonnegative")
     if r >= 1.0:
         raise NoConvergenceError("decay ratio >= 1 admits no finite threshold")

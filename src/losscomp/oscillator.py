@@ -39,7 +39,8 @@ over the points for one ray ``f_{n+j, n+d+j}``, j = 0..j_max: it gathers
 the whole ray's coefficients at the occupied cells once and dots them with
 per-cell moments of the offsets, so a kernel costs its occupied cells, not
 its points.  All kernels of a ray have the parity of ``d``, so an odd ray
-takes the sign into the weights of its first sums once.
+takes the sign into the weights of its first sums once.  Unit weights (the
+default) share one moment set between both sums of an even ray.
 """
 from __future__ import annotations
 
@@ -270,7 +271,9 @@ def pattern_sums(n, d, j_max, x, weights=None):
         np.multiply(powers[p - 1], dt, out=powers[p])
 
     def moments(v, order):
-        return [np.bincount(at, v * powers[p], minlength=cells.size) for p in range(order)]
+        """``sum v dt^p`` over each occupied cell, ``p < order``; ``v = None`` is unit weights."""
+        return [np.bincount(at, powers[p] if v is None else v * powers[p], minlength=cells.size)
+                for p in range(order)]
 
     g = np.empty((_TERMS, j_max + 1, cells.size))
     for j in range(j_max + 1):
@@ -279,17 +282,20 @@ def pattern_sums(n, d, j_max, x, weights=None):
     s1 = np.empty((j_max + 1, len(w)))
     s2 = np.empty((j_max + 1, len(w)))
     for k, wk in enumerate(w):
-        s = moments(np.where(negative, -wk, wk) if d % 2 else wk, _TERMS)
+        sq = moments(None if weights is None else wk * wk, 2 * _TERMS - 1)
+        if d % 2:
+            s = moments(np.where(negative, -wk, wk), _TERMS)
+        else:
+            s = sq if weights is None else moments(wk, _TERMS)
         total = a[0] * s[0]
         for ak, sk in zip(a[1:], s[1:]):
             total += ak * sk
         s1[:, k] = np.sum(total, axis=1)
-        s = moments(wk * wk, 2 * _TERMS - 1)
         total = 0.0
         for i in range(_TERMS):
-            part = a[i] * s[2 * i]
+            part = a[i] * sq[2 * i]
             for l in range(i + 1, _TERMS):
-                part += a[l] * (2.0 * s[i + l])
+                part += a[l] * (2.0 * sq[i + l])
             part *= a[i]
             total += part
         s2[:, k] = np.sum(total, axis=1)

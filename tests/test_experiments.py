@@ -483,6 +483,16 @@ def test_default_tables_at_seed_7_keep_their_bytes(tmp_path):
     assert got == SEED_7_TABLES
 
 
+def test_coherent_fig1_tables_at_seed_7_keep_their_bytes(tmp_path):
+    """The one pinned run whose Gaussian draws carry a phase mean and whose damped
+    state has every ray nonzero."""
+    config = replace(default_config("fig1"), state_kind="coherent", state_alpha=1 + 0.5j,
+                     master_seed=7, trials=2)
+    paths = run_fig1(config, out=tmp_path / "fig1.csv")
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:12] for p in paths)
+    assert got == ("55b415526175", "f54b806fd1f6")
+
+
 def test_nongauss_table_at_seed_7_keeps_its_bytes(tmp_path):
     """The one default output that reaches the rejection and inverse-CDF samplers
     and an off-diagonal ray: ``bench/nongauss.py --seed 7``."""

@@ -463,6 +463,14 @@ class TestPatternSums:
         assert np.all(np.abs(s1 - np.sum(terms, axis=-1)) <= 1e-12 * np.sum(np.abs(terms), axis=-1))
         assert np.all(np.abs(s2 - np.sum(terms**2, axis=-1)) <= 1e-12 * np.sum(terms**2, axis=-1))
 
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_default_weights_equal_a_row_of_ones(self, d):
+        """No weights gives the bytes of one explicit row of ones, for either parity."""
+        x = np.append(rng_from(5, d).normal(0.0, 1.5, 4000), [0.0, -0.0, 2.0, -2.0])
+        s1, s2 = oscillator.pattern_sums(3, d, 6, x)
+        t1, t2 = oscillator.pattern_sums(3, d, 6, x, np.ones((1, x.size)))
+        assert s1.tobytes() == t1.tobytes() and s2.tobytes() == t2.tobytes()
+
     def test_shapes_follow_the_indices(self):
         x = np.array([[0.3, -1.2], [2.5, -0.0]])
         s1, s2 = oscillator.pattern_sums(2, 3, 0, x)

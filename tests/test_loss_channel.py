@@ -1,4 +1,5 @@
 """Loss-channel forward map, series inversion, and convergence diagnostics."""
+import hashlib
 import math
 import warnings
 
@@ -284,6 +285,10 @@ class TestAnalyticThreshold:
         with pytest.raises(ValueError):
             analytic_threshold(-0.1)
 
+    def test_nan_ratio_rejected(self):
+        with pytest.raises(ValueError, match="decay ratio must be nonnegative"):
+            analytic_threshold(float("nan"))
+
     def test_threshold_brackets_numerical_convergence(self):
         """For r = 1/2 the threshold is 1/3: the geometric proxy series
 
@@ -299,6 +304,26 @@ class TestAnalyticThreshold:
         q_below = abs(1.0 - 1.0 / 0.32) * r
         assert q_below > 1.0
         assert np.sum(q_below**j) > 1e50
+
+
+def test_transforms_keep_their_bytes():
+    """The bytes of forward and inverse transforms of a coherent state and an even cat.
+
+    The coherent state (dim 64) has every ray nonzero, the cat (alpha 1.5,
+    dim 32) every odd ray zero; the efficiencies lie on both sides of 1/2.
+    """
+    even = np.arange(32) % 2 == 0
+    cat = make_coherent(1.5, 32).elements * np.outer(even, even)
+    digest = hashlib.sha256()
+    for rho in (make_coherent(1 + 0.5j, 64), DensityMatrix(32, cat / np.trace(cat).real)):
+        for eta in (0.4, 0.5, 0.6, 0.9):
+            damped = apply_loss(rho, eta)
+            digest.update(damped.elements.tobytes())
+            for j_max in (6, 30):
+                res = invert_loss(damped, eta, j_max)
+                digest.update(res.state.elements.tobytes())
+                digest.update(res.last_term.tobytes())
+    assert digest.hexdigest()[:12] == "2a66a7834af4"
 
 
 PROPERTY = settings(derandomize=True, deadline=None)
