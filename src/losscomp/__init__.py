@@ -4,8 +4,8 @@ error of the compensated homodyne estimate diverges with the truncation
 index, while direct photodetection of the diagonal keeps converging.
 """
 
-from .compensation import (CompensationResult, compensated_element,
-                           convergence_scan, error_vs_eta, measure_ray)
+from .compensation import (CompensationResult, convergence_scan,
+                           error_vs_eta, measure_ray)
 from .direct_detection import (CountHistogram, estimate_probabilities,
                                sample_counts)
 from .exceptions import (ExtrapolationError, NoConvergenceError,
@@ -24,8 +24,7 @@ from .oscillator import evaluate_pattern
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompensationResult", "compensated_element", "convergence_scan",
-    "error_vs_eta", "measure_ray",
+    "CompensationResult", "convergence_scan", "error_vs_eta", "measure_ray",
     "CountHistogram", "estimate_probabilities", "sample_counts",
     "ExtrapolationError", "NoConvergenceError", "NumericalSanityError",
     "UndefinedRatioError",

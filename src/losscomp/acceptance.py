@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, oscillator
-from .compensation import compensated_element, convergence_scan
+from .compensation import convergence_scan
 from .fock_core import make_coherent, make_fock, make_thermal
 from .homodyne import (MeasuredRay, error_saturation_profile, estimate_element,
                        sample_quadratures)
@@ -174,7 +174,7 @@ def _ac7_unbiasedness():
 def _ac8_error_algebra():
     eps = 0.01
     ray = MeasuredRay(n=0, d=0, estimate=np.zeros(101), stderr=np.full(101, eps))
-    _, err = compensated_element(ray, 0, 0, 0.5, 100)
+    _, _, err = convergence_scan(ray, 0, 0, 0.5, [100]).trace[-1]
     exact_ok = abs(err - eps * np.sqrt(101.0)) <= 1e-14 * err
     verdicts = {}
     with np.errstate(over="ignore"):

@@ -7,14 +7,15 @@ statistical error of the truncated sum is the observable that decides
 whether compensation is meaningful; everything here exists to put a
 number on it.
 
-Two error views are provided.  ``compensated_element`` and
-``convergence_scan`` propagate the actual weights,
-``sqrt(sum_j A_j^2 eps_j^2)``, which is what an experimenter quotes for
-a specific target element.  ``error_vs_eta`` instead reports, at one
-efficiency, the normalized profile ``sqrt(sum_j z^{2j} eps_j^2)`` with
-``z = 1 - 1/eta``, which strips the combinatorial prefactors and
-isolates the transition at eta = 1/2: below it |z| >= 1 and the sum
-cannot converge no matter how precise the individual coefficients are.
+Two error views are provided.  ``convergence_scan`` propagates the
+actual weights, ``sqrt(sum_j A_j^2 eps_j^2)``, which is what an
+experimenter quotes for a specific target element; the series truncated
+at one index is the last point of a scan over ``[j_max]``.
+``error_vs_eta`` instead reports, at one efficiency, the normalized
+profile ``sqrt(sum_j z^{2j} eps_j^2)`` with ``z = 1 - 1/eta``, which
+strips the combinatorial prefactors and isolates the transition at
+eta = 1/2: below it |z| >= 1 and the sum cannot converge no matter how
+precise the individual coefficients are.
 """
 from __future__ import annotations
 
@@ -77,20 +78,6 @@ def _finalize_value(value, d):
                 f"diagonal estimate has imaginary residue {value.imag:.3g}")
         return complex(value.real, 0.0)
     return value
-
-
-def compensated_element(source, n: int, d: int, eta: float, j_max: int):
-    """Truncated compensation series and its propagated error.
-
-    The last point of ``convergence_scan(source, n, d, eta, [j_max])``.
-    ``source`` is anything :func:`measure_ray` accepts and must cover the
-    ray elements (n+j, n+d+j) for j up to ``j_max`` (ValueError
-    otherwise).  The error treats coefficients as uncorrelated, which
-    overlaps-in-data make approximate; the scan machinery reports
-    cross-trial spreads alongside when available.
-    """
-    _, value, error = convergence_scan(source, n, d, eta, [j_max]).trace[-1]
-    return value, error
 
 
 def _verdict_from_trace(trace):

@@ -100,6 +100,12 @@ def _weight_rays(n, j, g, kmax, j_cap=None):
     return weights
 
 
+def _range_error(n, d, j, eta):
+    """The error for an inverse-series weight A_j(n, d) at efficiency ``eta`` that overflows."""
+    return ValueError(f"inverse-series weight A_j({n}, {d}) at j = {j} leaves the "
+                      f"float range at efficiency {eta:g}")
+
+
 def inverse_coefficient(n: int, d: int, j, eta: float):
     """Inverse-series coefficient ``A_j(n, d, eta)``.
 
@@ -117,20 +123,8 @@ def inverse_coefficient(n: int, d: int, j, eta: float):
         weights = _weight_rays(n, j, 1.0 / eta, n + int(np.max(j)) + d)(d).reshape(np.shape(j))
         finite = np.isfinite(weights**2)
     if not finite.all():
-        bad = int(np.min(np.asarray(j)[~finite]))
-        raise ValueError(f"inverse-series weight A_j({n}, {d}) at j = {bad} leaves the "
-                         f"float range at efficiency {eta:g}")
+        raise _range_error(n, d, int(np.min(np.asarray(j)[~finite])), eta)
     return weights if np.ndim(j) else float(weights)
-
-
-def _ray_weights(L, d, g, j_cap=None):
-    """Weight matrix W[n, k] (k = n + j) for one off-diagonal ray.
-
-    Rows are output indices, columns input indices along the ray of
-    length ``L``; entries beyond ``j_cap`` terms are zero.
-    """
-    nn = np.arange(L)[:, None]
-    return _weight_rays(nn, np.arange(L) - nn, g, L - 1 + d, j_cap)(d)
 
 
 def _transform(rho: DensityMatrix, g: float, j_cap=None):
@@ -154,9 +148,10 @@ def _transform(rho: DensityMatrix, g: float, j_cap=None):
             w = ray_weights(d, L)
         if not np.isfinite(w).all():
             n, k = np.argwhere(~np.isfinite(w))[0]
-            raise ValueError(f"inverse-series weight A_j({n}, {d}) at j = {k - n} leaves the "
-                             f"float range at efficiency {1.0 / g:g}")
+            raise _range_error(n, d, k - n, 1.0 / g)
         new_ray = w @ ray
+        if d == 0:
+            new_ray = new_ray.real      # a diagonal is real; the weights would lift its rounding
         # index of the last term actually summed for each output n
         k_last = np.minimum((L - 1) if j_cap is None else np.arange(L) + j_cap, L - 1)
         last_ray = np.abs(w[np.arange(L), k_last] * ray[k_last])

@@ -31,18 +31,21 @@ cached as one contiguous ``(cells, 6)`` array, six Horner coefficients
 per cell.
 
 Kernels leave the table two ways, which share one locate step (``|x|``
-to its cell and offset).  ``evaluate_pattern`` gives values: it fetches
-each row's coefficients at the points in one gather and negates a row at
-``x < 0`` when its ``n + m`` is odd, so the parity ``(-1)^(n+m)`` is exact.
-``pattern_sums`` gives the weighted sums of a kernel and of its square
-over the points for one ray ``f_{n+j, n+d+j}``, j = 0..j_max: it gathers
-the whole ray's coefficients at the occupied cells once and dots them with
-per-cell moments of the offsets, so a kernel costs its occupied cells, not
-its points.  All kernels of a ray have the parity of ``d``, so an odd ray
-takes the sign into the weights of its first sums once.  Unit weights (the
-default) share one moment set between both sums of an even ray.
+to its cell and offset).  ``evaluate_pattern`` gives the values of one
+kernel: it fetches its coefficients at the points in one gather and
+negates them at ``x < 0`` when ``n + m`` is odd, so the parity
+``(-1)^(n+m)`` is exact.  ``pattern_sums`` gives the weighted sums of a
+kernel and of its square over the points for one ray ``f_{n+j, n+d+j}``,
+j = 0..j_max: it gathers the whole ray's coefficients at the occupied
+cells once and dots them with per-cell moments of the offsets, so a
+kernel costs its occupied cells, not its points.  All kernels of a ray
+have the parity of ``d``, so an odd ray takes the sign into the weights
+of its first sums once.  Unit weights (the default) share one moment set
+between both sums of an even ray.
 """
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -224,24 +227,21 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
     """Kernel f_nm at points ``x`` via cached quintic interpolation.
 
     Defined by unbiasedness:  averaging ``e^{i(m-n) phi} f_nm(x)`` over
-    homodyne samples of any state estimates ``<n|rho|m>``.  ``n`` and
-    ``m`` may be equal-length integer arrays: the points are located in
-    the table once and row k holds ``f_{n[k] m[k]}(x)``.  The parity
+    homodyne samples of any state estimates ``<n|rho|m>``.  ``n`` and ``m``
+    are integers (an index array raises TypeError); the values have the
+    shape of ``x``, a float for scalar ``x``.  The parity
     ``f_nm(-x) = (-1)^(n+m) f_nm(x)`` holds bit for bit.
     """
-    ns, ms = np.asarray(n), np.asarray(m)
-    if ns.shape != ms.shape or np.any(ns < 0) or np.any(ms < ns):
+    n, m = operator.index(n), operator.index(m)
+    if n < 0 or m < n:
         raise ValueError("kernel indices require 0 <= n <= m")
     xa = np.asarray(x, dtype=float)
-    t, idx, dt, negative = _locate(int(np.max(ms)), xa)
-    out = np.empty((ns.size, xa.size))
-    for row, nk, mk in zip(out, ns.ravel().tolist(), ms.ravel().tolist()):
-        g = np.take(t.spline(nk, mk), idx, axis=0)
-        np.add(((((g[:, 0] * dt + g[:, 1]) * dt + g[:, 2]) * dt + g[:, 3]) * dt + g[:, 4]) * dt,
-               g[:, 5], out=row)
-        if (nk + mk) % 2:
-            np.negative(row, out=row, where=negative)
-    return out.reshape(ns.shape + xa.shape)[()]
+    t, idx, dt, negative = _locate(m, xa)
+    c = np.take(t.spline(n, m), idx, axis=0).T
+    out = ((((c[0] * dt + c[1]) * dt + c[2]) * dt + c[3]) * dt + c[4]) * dt + c[5]
+    if (n + m) % 2:
+        np.negative(out, out=out, where=negative)
+    return out.reshape(xa.shape)[()]
 
 
 def pattern_sums(n, d, j_max, x, weights=None):

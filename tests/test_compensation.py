@@ -8,7 +8,6 @@ from losscomp import (
     CompensationResult,
     MeasuredRay,
     apply_loss,
-    compensated_element,
     convergence_scan,
     error_vs_eta,
     estimate_element,
@@ -32,14 +31,16 @@ def ray(estimates, errors, n0=0, d=0):
 
 
 class TestCompensatedElement:
+    """The series truncated at one index ``j_max``: the last point of a scan over ``[j_max]``."""
+
     def test_single_term_is_scaled_first_coefficient(self):
         coeffs = ray([0.37], [0.05], n0=2, d=1)
-        value, error = compensated_element(coeffs, 2, 1, 0.8, 0)
+        _, value, error = convergence_scan(coeffs, 2, 1, 0.8, [0]).trace[-1]
         scale = 0.8 ** (-2.5)
         assert value == pytest.approx(0.37 * scale, rel=1e-12)
         assert error == pytest.approx(0.05 * scale, rel=1e-12)
         # at n = d = 0 the scale is 1 and the coefficient passes through
-        value, error = compensated_element(ray([0.37], [0.05]), 0, 0, 0.8, 0)
+        _, value, error = convergence_scan(ray([0.37], [0.05]), 0, 0, 0.8, [0]).trace[-1]
         assert (value.real, error) == (0.37, 0.05)
 
     @pytest.mark.parametrize("j_max", [0, 3, 10, 100])
@@ -47,13 +48,13 @@ class TestCompensatedElement:
         # z = -1: every term contributes the same variance
         eps = 0.015
         coeffs = ray([0.0] * (j_max + 1), [eps] * (j_max + 1))
-        _, error = compensated_element(coeffs, 0, 0, 0.5, j_max)
+        *_, error = convergence_scan(coeffs, 0, 0, 0.5, [j_max]).trace[-1]
         assert error == pytest.approx(eps * math.sqrt(j_max + 1), rel=1e-14)
 
     def test_exact_coefficients_recover_signal_element(self):
         rho_meas = apply_loss(make_thermal(2.0, 64), 0.6)
         coeffs = measure_ray(rho_meas, 2, 0, 40)
-        value, error = compensated_element(coeffs, 2, 0, 0.6, 40)
+        _, value, error = convergence_scan(coeffs, 2, 0, 0.6, [40]).trace[-1]
         assert error == 0.0
         assert value.real == pytest.approx(4.0 / 27.0, abs=1e-10)
 
@@ -66,26 +67,20 @@ class TestCompensatedElement:
         inverted = invert_loss(rho_meas, 0.6, 40).state
         for n, d in [(0, 0), (2, 0), (1, 2)]:
             coeffs = measure_ray(rho_meas, n, d, 40)
-            value, _ = compensated_element(coeffs, n, d, 0.6, 40)
+            _, value, _ = convergence_scan(coeffs, n, d, 0.6, [40]).trace[-1]
             assert abs(value - inverted.element(n, n + d)) < 1e-10
-
-    def test_is_the_last_point_of_a_scan(self):
-        rng = rng_from(31)
-        coeffs = ray(rng.normal(0.0, 0.1, 101), rng.uniform(0.001, 0.01, 101), n0=2)
-        scan = convergence_scan(coeffs, 2, 0, 0.5, range(1, 101))
-        assert compensated_element(coeffs, 2, 0, 0.5, 100) == scan.trace[-1][1:]
 
     def test_missing_coefficient_rejected(self):
         coeffs = ray([1.0, 0.5], [0.1, 0.1])
         with pytest.raises(ValueError, match=r"element \(2, 2\)"):
-            compensated_element(coeffs, 0, 0, 0.8, 5)
+            convergence_scan(coeffs, 0, 0, 0.8, [5])
         with pytest.raises(ValueError, match=r"element \(1, 2\)"):
-            compensated_element(coeffs, 1, 1, 0.8, 1)  # wrong ray entirely
+            convergence_scan(coeffs, 1, 1, 0.8, [1])  # wrong ray entirely
 
     def test_imaginary_residue_on_diagonal_raises(self):
         coeffs = ray([0.5 + 0.1j], [0.05])
         with pytest.raises(NumericalSanityError):
-            compensated_element(coeffs, 0, 0, 0.8, 0)
+            convergence_scan(coeffs, 0, 0, 0.8, [0])
 
 
 class TestVerdicts:
@@ -278,7 +273,7 @@ def test_cross_trial_spread_within_factor_two_of_propagated():
     values, propagated = [], []
     for _ in range(100):
         data = sample_quadratures(dressed, 8000, rng)
-        value, error = compensated_element(measure_ray(data, 0, 0, 20), 0, 0, 0.6, 20)
+        _, value, error = convergence_scan(measure_ray(data, 0, 0, 20), 0, 0, 0.6, [20]).trace[-1]
         values.append(value.real)
         propagated.append(error)
     ratio = np.std(values, ddof=1) / np.mean(propagated)

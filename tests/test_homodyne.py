@@ -58,6 +58,11 @@ def six_gather_pattern(t, coefficients, parities, x):
     return np.array(rows)
 
 
+def kernel_rows(n, m, x):
+    """``evaluate_pattern`` for each pair ``(n[k], m[k])``, stacked: ``(pairs,) + x.shape``."""
+    return np.array([evaluate_pattern(nk, mk, x) for nk, mk in zip(n, m)])
+
+
 def row_derivatives(c, h):
     """Value, slope and curvature of each quintic row ``c`` (highest power first) at offset ``h``."""
     a = c[:, ::-1].T                    # a[k] multiplies dt^k
@@ -254,7 +259,7 @@ class TestPatternFunction:
         n, m = np.triu_indices(13)
         x = rng_from(17, 23).uniform(-10.0, 10.0, 1000)
         sign = np.where((n + m) % 2, -1.0, 1.0)[:, None]
-        assert evaluate_pattern(n, m, -x).tobytes() == (sign * evaluate_pattern(n, m, x)).tobytes()
+        assert kernel_rows(n, m, -x).tobytes() == (sign * kernel_rows(n, m, x)).tobytes()
 
     def test_bounded_through_index_40(self):
         x = np.linspace(-8.0, 8.0, 401)
@@ -264,20 +269,6 @@ class TestPatternFunction:
                 worst = max(worst, float(np.max(np.abs(evaluate_pattern(n, m, x)))))
         assert np.isfinite(worst)
         assert worst < 50.0
-
-    def test_index_arrays_equal_per_pair_calls(self):
-        n, m = np.array([0, 3, 5, 2, 7]), np.array([0, 4, 9, 2, 7])
-        x = np.linspace(-5.0, 5.0, 301)
-        rows = evaluate_pattern(n, m, x)
-        assert rows.shape == (5, 301)
-        points = evaluate_pattern(n, m, 0.37)
-        assert points.shape == (5,)
-        for k in range(5):
-            assert rows[k].tobytes() == evaluate_pattern(n[k], m[k], x).tobytes()
-            assert points[k] == evaluate_pattern(n[k], m[k], 0.37)
-        assert isinstance(evaluate_pattern(2, 2, 0.37), float)
-        with pytest.raises(ValueError):
-            evaluate_pattern(np.array([0, 3]), np.array([1, 2]), x)
 
     def test_interleaved_spline_equals_four_gather_reference(self):
         t = oscillator.tables_for(40, 10.0)
@@ -293,9 +284,9 @@ class TestPatternFunction:
         n, m = np.array(pairs).T
         want = six_gather_pattern(t, [t.spline(nk, mk).T for nk, mk in pairs],
                                   (-1.0) ** (n + m), x)
-        assert evaluate_pattern(n, m, x).tobytes() == want.tobytes()
+        assert kernel_rows(n, m, x).tobytes() == want.tobytes()
         grid = x[:506].reshape(2, 253)
-        assert evaluate_pattern(n, m, grid).tobytes() == want[:, :506].tobytes()
+        assert kernel_rows(n, m, grid).tobytes() == want[:, :506].tobytes()
         for k, (nk, mk) in enumerate(pairs):
             assert evaluate_pattern(nk, mk, x).tobytes() == want[k].tobytes()
         assert oscillator.tables_for(0) is t
@@ -361,6 +352,20 @@ class TestPatternFunction:
     def test_requires_ordered_indices(self):
         with pytest.raises(ValueError):
             evaluate_pattern(3, 1, 0.0)
+        with pytest.raises(ValueError):
+            evaluate_pattern(-1, 0, 0.0)
+
+    def test_evaluates_one_kernel_per_call(self):
+        """The values have the shape of the points, a float for a scalar; index arrays raise."""
+        x = np.linspace(-5.0, 5.0, 300).reshape(2, 150)
+        assert evaluate_pattern(2, 5, x).shape == (2, 150)
+        assert evaluate_pattern(np.int64(2), np.int64(5), x).tobytes() == \
+            evaluate_pattern(2, 5, x).tobytes()
+        value = evaluate_pattern(2, 2, 0.37)
+        assert isinstance(value, float) and value == evaluate_pattern(2, 2, [0.37])[0]
+        for n, m in [(np.array([0, 3]), np.array([1, 4])), (0, np.array([1, 4])), (2.0, 2)]:
+            with pytest.raises(TypeError):
+                evaluate_pattern(n, m, x)
 
     def test_far_outside_table_raises(self):
         with pytest.raises(ExtrapolationError):
@@ -458,7 +463,7 @@ class TestPatternSums:
         weights = np.where(e % 2, np.sin(e * phi), np.cos(e * phi))
         s1, s2 = oscillator.pattern_sums(n, d, j_max, x, weights if phased else None)
         rows = np.arange(n, n + j_max + 1)
-        terms = evaluate_pattern(rows, rows + d, x)[:, None, :] * weights
+        terms = kernel_rows(rows, rows + d, x)[:, None, :] * weights
         assert s1.shape == s2.shape == (j_max + 1, weights.shape[0])
         assert np.all(np.abs(s1 - np.sum(terms, axis=-1)) <= 1e-12 * np.sum(np.abs(terms), axis=-1))
         assert np.all(np.abs(s2 - np.sum(terms**2, axis=-1)) <= 1e-12 * np.sum(terms**2, axis=-1))
@@ -564,9 +569,9 @@ class TestEstimateElement:
     @staticmethod
     def documented_reductions(data, n, d, rows):
         """Per-sample reference: ``np.mean`` and ``np.std(ddof=1)`` of each kernel row's summands."""
-        kernels = evaluate_pattern(np.arange(n, n + rows), np.arange(n + d, n + d + rows), data.x)
+        kernels = kernel_rows(np.arange(n, n + rows), np.arange(n + d, n + d + rows), data.x)
         root = np.sqrt(len(data))
-        for kernel in np.atleast_2d(kernels):
+        for kernel in kernels:
             if d:
                 summands = np.exp(1j * d * data.phi) * kernel
                 spread = max(np.std(summands.real, ddof=1), np.std(summands.imag, ddof=1))

@@ -1,4 +1,5 @@
-"""Import cost: ``import losscomp`` loads only what the pipeline runs."""
+"""Import cost: ``import losscomp`` loads only what the pipeline runs, and no dead helper."""
+import ast
 import os
 import subprocess
 import sys
@@ -39,3 +40,16 @@ def test_import_builds_no_tables():
     code = ("import losscomp; from losscomp import loss_channel, oscillator; "
             "print(oscillator._TABLES is None, loss_channel._BINOMIALS[0].shape)")
     assert fresh(code) == "True (1, 1)\n"
+
+
+def test_every_private_helper_is_used_by_the_package():
+    """Each module-level private function or class is referenced from the package itself."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(losscomp.__file__).parent.glob("*.py")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = [f"{name}::{node.name}" for name, tree in sorted(trees.items()) for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+              and node.name.startswith("_") and not node.name.startswith("__")]
+    assert unused == []

@@ -20,7 +20,7 @@ from losscomp import (
 )
 from losscomp import loss_channel
 from losscomp.exceptions import NoConvergenceError, UndefinedRatioError
-from losscomp.loss_channel import _ray_weights
+from losscomp.loss_channel import _weight_rays
 
 
 def brute_force_coefficient(n, d, j, eta):
@@ -32,6 +32,22 @@ def brute_force_coefficient(n, d, j, eta):
     f = math.factorial
     ratio = (f(n + j) // f(n)) * (f(n + d + j) // f(n + d))
     return eta ** (-(2 * n + d) / 2) * math.sqrt(ratio) / f(j) * (1 - 1 / eta) ** j
+
+
+def transform_weights(dim, d, g):
+    """The weights ``_transform`` applies to ray ``d`` of a ``dim x dim`` state.
+
+    ``W[n, k]`` (``k = n + j``) maps input ``k`` to output ``n`` along the ray.
+    """
+    nn = np.arange(dim)[:, None]
+    return _weight_rays(nn, np.arange(dim) - nn, g, dim - 1)(d, dim - d)
+
+
+def random_state(rng, dim):
+    """A dense state ``a a^H / tr``, whose diagonal carries rounding-level imaginary parts."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return DensityMatrix(dim, rho / np.trace(rho).real)
 
 
 class TestInverseCoefficient:
@@ -67,7 +83,7 @@ class TestInverseCoefficient:
         """Series and matrix inversion share one weight formula, bit for bit."""
         for n, d in [(0, 0), (2, 0), (0, 2), (3, 0), (2, 1), (5, 3)]:
             for eta in (0.42, 0.5, 0.6, 0.9, 1.0):
-                row = _ray_weights(n + 41, d, 1.0 / eta)[n, n:]
+                row = transform_weights(n + 41 + d, d, 1.0 / eta)[n, n:]
                 assert np.array_equal(inverse_coefficient(n, d, np.arange(41), eta), row)
                 assert [inverse_coefficient(n, d, j, eta) for j in range(41)] == list(row)
 
@@ -80,23 +96,23 @@ class TestInverseCoefficient:
         want = np.exp(n * math.log(g) + j * math.log(1.0 - g) + lg[k] - lg[n] - lg[j])
         monkeypatch.setattr(loss_channel, "_BINOMIALS", (np.ones((1, 1)), np.zeros((1, 1), int)))
         monkeypatch.setattr(loss_channel, "_PASCAL_ROW", [1])
-        before = _ray_weights(40, 3, 1.0 / 0.55)
-        w = _ray_weights(L, 0, g)
+        before = transform_weights(43, 3, 1.0 / 0.55)
+        w = transform_weights(L, 0, g)
         assert loss_channel._BINOMIALS[0].shape == (L, L)
         assert np.all(np.isfinite(w)) and np.all(np.tril(w, -1) == 0.0)
         normal = want > 1e-300
         assert np.max(np.abs(w[n, k][normal] / want[normal] - 1.0)) < 1e-10
         assert np.max(np.abs(w[n, k][~normal])) < 1e-290
-        assert _ray_weights(40, 3, 1.0 / 0.55).tobytes() == before.tobytes()
+        assert transform_weights(43, 3, 1.0 / 0.55).tobytes() == before.tobytes()
 
     def test_ray_weights_past_the_normal_range_raise(self):
         """At g = 1/sqrt(2) the product under the root is about 2^-n, normal to n = 1022."""
         g, L = 2**-0.5, loss_channel._DIM_LIMIT
-        w = _ray_weights(L, 0, g)
+        w = transform_weights(L, 0, g)
         assert np.all(np.isfinite(w)) and w[-1, -1] == pytest.approx(g**1022, rel=1e-12)
         for L in (loss_channel._DIM_LIMIT + 1, 1100):
             with pytest.raises(ValueError, match="float range"):
-                _ray_weights(L, 0, g)
+                transform_weights(L, 0, g)
 
     def test_weights_whose_square_overflows_raise(self):
         """At eta = 0.05, A_j(2, 0)^2 leaves the float range from j = 116 (A_j itself at 236)."""
@@ -229,7 +245,7 @@ class TestInvertLoss:
         """A kept weight that overflows is named with its efficiency; zeroed ones past the cap pass."""
         damped = apply_loss(make_thermal(0.5, 300), 0.1)
         with np.errstate(over="ignore"):
-            assert not np.all(np.isfinite(_ray_weights(300, 0, 1.0 / 0.1)))
+            assert not np.all(np.isfinite(transform_weights(300, 0, 1.0 / 0.1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.all(np.isfinite(invert_loss(damped, 0.1, 4).state.elements))
@@ -239,6 +255,15 @@ class TestInvertLoss:
             with pytest.raises(ValueError, match=r"at j = 10 leaves the float range at "
                                                  r"efficiency 0\.05$"):
                 invert_loss(apply_loss(make_thermal(0.5, 300), 0.05), 0.05, 10)
+
+    def test_dense_state_with_rounding_on_its_diagonal(self):
+        """The weights (``eta^-n`` about 1e16 at n = 32) must not lift the diagonal's
+        rounding-level imaginary parts past the Hermitian check."""
+        rho = random_state(np.random.default_rng(7), 33)
+        assert 0.0 < np.max(np.abs(np.diagonal(rho.elements).imag)) < 1e-18
+        res = invert_loss(apply_loss(rho, 0.3), 0.3, 1)
+        assert np.all(np.diagonal(res.state.elements).imag == 0.0)
+        assert np.all(np.isfinite(res.state.elements))
 
     def test_diagnostic_shape(self):
         res = invert_loss(make_thermal(1.0, 16), 0.9, 4)
@@ -323,7 +348,7 @@ def test_transforms_keep_their_bytes():
                 res = invert_loss(damped, eta, j_max)
                 digest.update(res.state.elements.tobytes())
                 digest.update(res.last_term.tobytes())
-    assert digest.hexdigest()[:12] == "2a66a7834af4"
+    assert digest.hexdigest()[:12] == "0440dd91adff"
 
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -361,6 +386,15 @@ class TestProperties:
     @example(rho=make_fock(31, 32), eta=0.55)
     def test_inversion_undoes_loss_through_dim_32(self, rho, eta):
         self.assert_round_trip(rho, eta)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 33), eta=st.floats(0.3, 1.0),
+           j_max=st.integers(0, 40))
+    def test_transforms_give_an_exactly_real_diagonal(self, seed, dim, eta, j_max):
+        damped = apply_loss(random_state(np.random.default_rng(seed), dim), eta)
+        assert np.all(np.diagonal(damped.elements).imag == 0.0)
+        back = invert_loss(damped, eta, j_max).state
+        assert np.all(np.diagonal(back.elements).imag == 0.0)
 
     @PROPERTY
     @given(rho=mixtures(), eta=st.floats(0.0, 1.0, exclude_min=True))
