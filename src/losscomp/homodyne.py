@@ -13,6 +13,14 @@ anchored to.  It reads each kernel's sums over the samples from
 ``oscillator.pattern_sums`` and never evaluates a kernel at a sample.
 The Gaussian sampler adds the phase mean only for a nonzero amplitude;
 for a thermal law it is +-0, so skipping it keeps every draw's bits.
+
+Other states are sampled from tables on an x grid: a phase-invariant
+state's cumulative density for inverse-CDF draws, and for any other state
+a rejection proposal of ``_BINS`` phase bins, each with its own envelope
+over x.  Building them takes longer than one draw of a few thousand
+samples, and a scan draws many trials from one state, so the tables of the
+last state sampled are kept, keyed by its dimension and element bytes, and
+reused while the next state is equal.  Nothing is built at import.
 """
 from __future__ import annotations
 
@@ -90,6 +98,12 @@ def _is_phase_invariant(rho):
 
 
 _GRID_POINTS = 4097
+_BINS = 32          # phase bins of the rejection proposal
+_HEADROOM = 1.005   # envelope factor: room for interpolation between grid nodes
+# proposal points per density call in the rejection sampler: one call holds
+# a few complex (dim, points) arrays, so this caps them whatever N is
+_PDF_CHUNK = 8192
+_TABLES = {}        # one entry: (dim, element bytes) -> that state's sampling tables
 
 
 def _grid_for(rho):
@@ -98,58 +112,125 @@ def _grid_for(rho):
     return np.linspace(-half, half, _GRID_POINTS)
 
 
-def _sample_inverse_cdf(density, grid, n, rng, trace=None):
-    """``n`` draws from ``density`` on ``grid``; its mass must match ``trace`` if given."""
-    mass = np.concatenate(
-        [[0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(grid))])
-    total = mass[-1]
-    if trace is not None and abs(total - trace) > 1e-6:
-        raise NumericalSanityError(
-            f"quadrature density integrates to {total:.3g}, trace is {trace:.3g}; "
-            "state truncation is inadequate")
-    return np.interp(rng.random(n) * total, mass, grid)
+def _cumulative_mass(density, grid):
+    """Trapezoid integrals of ``density`` (last axis) from ``grid[0]`` to each node."""
+    steps = np.cumsum((density[..., 1:] + density[..., :-1]) * 0.5 * np.diff(grid), axis=-1)
+    return np.concatenate([np.zeros(density.shape[:-1] + (1,)), steps], axis=-1)
 
 
-# proposal points per density call in the rejection sampler: one call holds
-# a few complex (dim, points) arrays, so this caps them whatever N is
-_PDF_CHUNK = 16384
+class _InverseCdf:
+    """A phase-invariant state's density on a grid, as its cumulative mass."""
+
+    def __init__(self, rho):
+        self.grid = _grid_for(rho)
+        self.mass = _cumulative_mass(np.maximum(quadrature_pdf(rho, 0.0, self.grid), 0.0),
+                                     self.grid)
+        if abs(self.mass[-1] - rho.trace) > 1e-6:
+            raise NumericalSanityError(
+                f"quadrature density integrates to {self.mass[-1]:.3g}, trace is "
+                f"{rho.trace:.3g}; state truncation is inadequate")
+
+    def draw(self, rho, n, rng):
+        """Uniform phases, then x by inverse CDF."""
+        phi = rng.uniform(0.0, np.pi, n)
+        return np.interp(rng.random(n) * self.mass[-1], self.mass, self.grid), phi
 
 
-def _sample_rejection(rho, n, rng):
-    """Exact joint sampler for arbitrary states.
+class _BinnedEnvelope:
+    """Rejection proposal: ``_BINS`` phase bins, each with an x envelope on one grid.
 
-    The proposal draws phi uniformly and x from a phase-independent
-    envelope (sum of absolute ray profiles, which dominates p(x; phi)
-    for every phi); accepted pairs follow the joint density exactly.
-    The density is evaluated ``_PDF_CHUNK`` proposals at a time.
+    ``envelope[b]`` bounds ``p(x; phi)`` for every phi in bin b; ``mass`` is
+    the bins' cumulative envelope masses laid end to end, so one inverse-CDF
+    lookup picks the bin with probability proportional to its mass and x
+    within it.  ``rate`` is the acceptance rate, trace over mean bin mass.
+
+    With ray profiles ``P_d = sum_k rho_{k,k+d} psi_k psi_{k+d}``, ``p(x; phi)
+    = P_0 + 2 Re sum_{d>=1} e^{-id phi} P_d``.  For bin b, centre phi_b and
+    half-width delta, ``|e^{-id phi} - e^{-id phi_b}| <= min(d delta, 2)``, so
+    ``p(x; phi_b) + sum_{d>=1} 2 |P_d(x)| min(d delta, 2)`` bounds the bin.
     """
-    grid = _grid_for(rho)
-    psi = oscillator._psi_half(rho.dim - 1, grid)
-    envelope = np.zeros(grid.size)
-    for d in range(rho.dim):
-        ray = np.diagonal(rho.elements, offset=d)
-        profile = np.einsum("j,jx,jx->x", ray, psi[: rho.dim - d], psi[d:])
-        envelope += (1.0 if d == 0 else 2.0) * np.abs(profile)
-    envelope *= 1.005  # headroom for interpolation between grid nodes
-    xs_out = np.empty(n)
-    phi_out = np.empty(n)
-    filled = 0
-    for _ in range(200):
-        if filled == n:
-            break
-        batch = max(2 * (n - filled), 512)
-        xc = _sample_inverse_cdf(envelope, grid, batch, rng)
-        pc = rng.uniform(0.0, np.pi, batch)
-        height = rng.random(batch) * np.interp(xc, grid, envelope)
-        dens = np.concatenate([quadrature_pdf(rho, pc[lo:lo + _PDF_CHUNK], xc[lo:lo + _PDF_CHUNK])
-                               for lo in range(0, batch, _PDF_CHUNK)])
-        keep = np.nonzero(height <= np.maximum(dens, 0.0))[0][: n - filled]
-        xs_out[filled:filled + keep.size] = xc[keep]
-        phi_out[filled:filled + keep.size] = pc[keep]
-        filled += keep.size
-    if filled < n:
-        raise NumericalSanityError("rejection sampling failed to converge")
-    return xs_out, phi_out
+
+    def __init__(self, rho):
+        grid = _grid_for(rho)
+        psi = oscillator._psi_half(rho.dim - 1, grid)
+        profiles = np.zeros((rho.dim, grid.size), dtype=complex)
+        for d, profile in enumerate(profiles):
+            ray = np.diagonal(rho.elements, offset=d)
+            if ray.any():
+                pair = psi[: rho.dim - d] * psi[d:]
+                profile.real, profile.imag = ray.real @ pair, ray.imag @ pair
+        d = np.arange(rho.dim)
+        fold = np.where(d == 0, 1.0, 2.0)
+        half_width = np.pi / (2 * _BINS)
+        centres = (2 * np.arange(_BINS) + 1) * half_width
+        centre_pdf = (fold * np.exp(-1j * np.outer(centres, d)) @ profiles).real
+        slack = (fold * np.minimum(d * half_width, 2.0)) @ np.abs(profiles)
+        envelope = _HEADROOM * (np.maximum(centre_pdf, 0.0) + slack)
+        mass = _cumulative_mass(envelope, grid)
+        mass[1:] += np.cumsum(mass[:-1, -1])[:, None]
+        self.rate = rho.trace * _BINS / mass[-1, -1]
+        if not self.rate > 0.0:
+            raise NumericalSanityError(f"state of trace {rho.trace:.3g} has no density to sample")
+        self.grid, self.envelope, self.mass = grid, envelope, mass.ravel()
+
+    def draw(self, rho, n, rng):
+        """Exact joint draws: propose (bin, x, phi), accept under ``p(x; phi)``.
+
+        Each batch is sized from ``rate`` to fill what is left, with three
+        binomial deviations to spare, and holds at most four proposals per
+        missing sample, so a loose envelope costs passes, not memory.  The
+        density is evaluated ``_PDF_CHUNK`` proposals at a time.  A proposal
+        whose density exceeds its envelope raises, since the draws would be
+        biased.
+        """
+        points, flat = self.grid.size, self.envelope.ravel()
+        nodes = np.arange(flat.size, dtype=float)
+        step = (self.grid[-1] - self.grid[0]) / (points - 1)
+        xs_out = np.empty(n)
+        phi_out = np.empty(n)
+        filled = 0
+        for _ in range(200):
+            if filled == n:
+                break
+            left = n - filled
+            batch = min(int(np.ceil((left + 3.0 * np.sqrt(left)) / self.rate)), 4 * left + 512)
+            # position in the bins' concatenated grids; sorted queries search fast
+            u = rng.random(batch) * self.mass[-1]
+            order = np.argsort(u)
+            at = np.empty(batch)
+            at[order] = np.interp(u[order], self.mass, nodes)
+            b = at // points
+            xc = self.grid[0] + (at - b * points) * step
+            pc = np.minimum((b + rng.random(batch)) * (np.pi / _BINS), np.nextafter(np.pi, 0.0))
+            node = np.minimum(at.astype(np.int64), flat.size - 2)
+            frac = at - node
+            bound = flat[node] * (1.0 - frac) + flat[node + 1] * frac
+            height = rng.random(batch) * bound
+            dens = np.concatenate([
+                quadrature_pdf(rho, pc[lo:lo + _PDF_CHUNK], xc[lo:lo + _PDF_CHUNK])
+                for lo in range(0, batch, _PDF_CHUNK)])
+            if np.any(dens > bound):
+                raise NumericalSanityError(
+                    f"quadrature density exceeds its rejection envelope at "
+                    f"{np.count_nonzero(dens > bound)} of {batch} proposals; "
+                    "the draws would be biased")
+            keep = np.nonzero(height <= np.maximum(dens, 0.0))[0][:left]
+            xs_out[filled:filled + keep.size] = xc[keep]
+            phi_out[filled:filled + keep.size] = pc[keep]
+            filled += keep.size
+        if filled < n:
+            raise NumericalSanityError("rejection sampling failed to converge")
+        return xs_out, phi_out
+
+
+def _tables_for(rho):
+    """The sampling tables of a non-Gaussian state, kept for the next call on an equal state."""
+    key = (rho.dim, rho.elements.tobytes())
+    if key not in _TABLES:
+        table = (_InverseCdf if _is_phase_invariant(rho) else _BinnedEnvelope)(rho)
+        _TABLES.clear()
+        _TABLES[key] = table
+    return _TABLES[key]
 
 
 def sample_quadratures(rho: DensityMatrix, n: int, rng: np.random.Generator) -> QuadratureData:
@@ -159,8 +240,9 @@ def sample_quadratures(rho: DensityMatrix, n: int, rng: np.random.Generator) -> 
     carrying an exact Gaussian quadrature law (thermal, coherent, and
     their loss-damped images) are sampled in closed form; other
     phase-invariant states go through a tabulated inverse CDF; anything
-    else falls back to rejection sampling.  Deterministic given the
-    generator state.
+    else goes through rejection from a phase-binned envelope.  The last
+    two build their tables once per state (the last one is kept).
+    Deterministic given the generator state.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -170,13 +252,8 @@ def sample_quadratures(rho: DensityMatrix, n: int, rng: np.random.Generator) -> 
         x = np.sqrt(law.variance) * rng.standard_normal(n)
         if law.mean_amplitude:
             x = np.real(law.mean_amplitude * np.exp(1j * phi)) + x
-    elif _is_phase_invariant(rho):
-        phi = rng.uniform(0.0, np.pi, n)
-        grid = _grid_for(rho)
-        pdf = np.maximum(quadrature_pdf(rho, 0.0, grid), 0.0)
-        x = _sample_inverse_cdf(pdf, grid, n, rng, rho.trace)
     else:
-        x, phi = _sample_rejection(rho, n, rng)
+        x, phi = _tables_for(rho).draw(rho, n, rng)
     return QuadratureData(x=x, phi=phi)
 
 

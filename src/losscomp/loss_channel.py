@@ -127,12 +127,39 @@ def inverse_coefficient(n: int, d: int, j, eta: float):
     return weights if np.ndim(j) else float(weights)
 
 
+def _finite_rays(D, g, j_cap):
+    """Whether each ray ``d`` of a ``D x D`` transform surely has only finite kept weights.
+
+    Ray d's block holds the (n, j) with ``k = n + j <= D-1-d``.  There
+    ``C(k+d, j) <= C(D-1, j)`` and, for g > 1, ``g^d <= g^(D-1-k)``: the log2
+    bound these give no longer depends on d, so its running maximum over k
+    bounds every ray.  For g <= 1 a weight is at most 1.  The product under a
+    weight's root is within ``2^(D+2)`` of 1, so up to dim 1018 it cannot fail
+    the normal-range check either.
+    """
+    if D > 1018 or g <= 1.0:
+        return np.full(D, D <= 1018)
+    m, q = _binomials(D - 1)
+    k, j = np.tril_indices(D)
+    if j_cap is not None:
+        k, j = k[j <= j_cap], j[j <= j_cap]
+    log_c = np.log2(m[k, j]) + 2.0 * q[k, j]                    # log2 C(k, j)
+    log_top = np.log2(m[D - 1, j]) + 2.0 * q[D - 1, j]          # log2 C(D-1, j)
+    bound = (0.5 * (log_c + log_top) + (k - j + 0.5 * (D - 1 - k)) * log(g, 2)
+             + j * log(g - 1.0, 2))
+    peak = np.maximum.accumulate(np.maximum.reduceat(bound, np.searchsorted(k, np.arange(D))))
+    return peak[::-1] < 1020.0   # 2^1020: far from overflow after rounding
+
+
 def _transform(rho: DensityMatrix, g: float, j_cap=None):
     """Apply the ray-wise map with parameter ``g`` to every (n, d) ray.
 
     Returns the transformed matrix and the per-element magnitude of the
     last included term (the truncation diagnostic).  Raises ValueError when
-    a weight that is kept (``j <= j_cap``) leaves the float range.
+    a weight that is kept (``j <= j_cap``) leaves the float range.  An
+    all-zero ray whose weights are surely finite is not summed: it maps to
+    the zeros the sum gives, ``+0`` above the diagonal and ``conj(+0) = -0j``
+    below it.
     """
     D = rho.dim
     out = np.zeros((D, D), dtype=complex)
@@ -141,9 +168,15 @@ def _transform(rho: DensityMatrix, g: float, j_cap=None):
     nn = np.arange(D)[:, None]
     with np.errstate(over="ignore"):
         ray_weights = _weight_rays(nn, np.arange(D) - nn, g, D - 1, j_cap)
+    finite = _finite_rays(D, g, j_cap)
     for d in range(D):
         L = D - d
         ray = np.diagonal(rho.elements, offset=d).copy()
+        upper, lower = np.s_[d:D * L:D + 1], np.s_[d * D::D + 1]   # diagonals d and -d
+        if finite[d] and not ray.any():
+            if d > 0:
+                flat_out[lower] = complex(0.0, -0.0)
+            continue
         with np.errstate(over="ignore"):
             w = ray_weights(d, L)
         if not np.isfinite(w).all():
@@ -155,7 +188,6 @@ def _transform(rho: DensityMatrix, g: float, j_cap=None):
         # index of the last term actually summed for each output n
         k_last = np.minimum((L - 1) if j_cap is None else np.arange(L) + j_cap, L - 1)
         last_ray = np.abs(w[np.arange(L), k_last] * ray[k_last])
-        upper, lower = np.s_[d:D * L:D + 1], np.s_[d * D::D + 1]   # diagonals d and -d
         flat_out[upper] = new_ray
         flat_last[upper] = last_ray
         if d > 0:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.interpolate import BPoly
-from scipy.stats import kstest
+from scipy.stats import chisquare, kstest
 
 from losscomp import (
     QuadratureData,
@@ -90,6 +90,18 @@ def phase_averaged_cdf(rho, grid=np.linspace(-12.0, 12.0, 2401), phases=128):
     density = np.mean([quadrature_pdf(rho, p, grid) for p in phi], axis=0)
     mass = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) / 2 * np.diff(grid))])
     return lambda x: np.interp(x, grid, mass / mass[-1])
+
+
+def count_scored(monkeypatch):
+    """The point count of every ``quadrature_pdf`` call the samplers make from now on."""
+    scored, pdf = [], homodyne.quadrature_pdf
+
+    def counting(rho, phi, x):
+        scored.append(np.size(x))
+        return pdf(rho, phi, x)
+
+    monkeypatch.setattr(homodyne, "quadrature_pdf", counting)
+    return scored
 
 
 class TestQuadraturePdf:
@@ -208,23 +220,46 @@ class TestSampleQuadratures:
         data = sample_quadratures(rho, 20_000, rng_from(17, 23))
         assert kstest(data.x, phase_averaged_cdf(rho)).pvalue > 1e-3
 
+    @pytest.mark.parametrize("state,seed", [
+        (lambda: even_cat(1.5, 32), 26),
+        (lambda: strip_law(make_coherent(0.8 + 0.4j, 32)), 27),
+    ], ids=["even-cat", "coherent-stripped"])
+    def test_samples_follow_the_joint_density(self, state, seed):
+        """Counts in (x, phi) cells match ``quadrature_pdf / pi`` integrated over each cell.
+
+        The x marginal alone cannot see a draw whose phase is in the wrong
+        place.  Each of 8 phase bins is cut into 12 x cells of equal mass.
+        """
+        rho, n, cells = state(), 100_000, 12
+        grid = np.linspace(-10.0, 10.0, 8001)
+        nodes, node_weights = np.polynomial.legendre.leggauss(16)
+        data = sample_quadratures(rho, n, rng_from(17, seed))
+        observed, expected = [], []
+        for lo, hi in zip(np.linspace(0.0, np.pi, 9)[:-1], np.linspace(0.0, np.pi, 9)[1:]):
+            phases = (lo + hi) / 2 + (hi - lo) / 2 * nodes
+            dens = (hi - lo) / 2 * node_weights @ np.maximum(
+                [quadrature_pdf(rho, p, grid) for p in phases], 0.0) / np.pi
+            mass = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(grid))])
+            edges = np.interp(mass[-1] * np.arange(1, cells) / cells, mass, grid)
+            inside = (data.phi >= lo) & (data.phi < hi)
+            observed += list(np.bincount(np.searchsorted(edges, data.x[inside]),
+                                         minlength=cells))
+            expected += [mass[-1] / cells] * cells
+        expected = n * np.array(expected) / np.sum(expected)
+        assert chisquare(observed, expected).pvalue > 1e-3
+
     def test_rejection_density_in_chunks_equals_one_call(self, monkeypatch):
         """Proposals are scored ``_PDF_CHUNK`` points at a time with the draws of one call."""
         rho = even_cat(1.5, 32)
-        calls, pdf = [], homodyne.quadrature_pdf
-
-        def counting(rho, phi, x):
-            calls.append(np.size(x))
-            return pdf(rho, phi, x)
-
-        monkeypatch.setattr(homodyne, "quadrature_pdf", counting)
+        calls = count_scored(monkeypatch)
         monkeypatch.setattr(homodyne, "_PDF_CHUNK", 10**9)
         whole = sample_quadratures(rho, 3000, rng_from(17, 25))
-        assert calls[0] >= 6000
+        rate = homodyne._tables_for(rho).rate
+        assert calls[0] == int(np.ceil((3000 + 3.0 * np.sqrt(3000)) / rate))
         calls.clear()
         monkeypatch.setattr(homodyne, "_PDF_CHUNK", 1000)
         chunked = sample_quadratures(rho, 3000, rng_from(17, 25))
-        assert max(calls) == 1000 and len(calls) > 6
+        assert max(calls) == 1000 and len(calls) > 3
         assert chunked.x.tobytes() == whole.x.tobytes()
         assert chunked.phi.tobytes() == whole.phi.tobytes()
 
@@ -238,6 +273,114 @@ class TestSampleQuadratures:
         rho = DensityMatrix(2, np.diag([1.25, -0.25]).astype(complex))
         with pytest.raises(NumericalSanityError):
             sample_quadratures(rho, 100, rng_from(0))
+
+
+@st.composite
+def small_mixed_states(draw):
+    """A random mixed state of dim 2..8 with rank 1..3 and off-diagonal elements."""
+    dim, rank = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    elements = a @ a.conj().T
+    return DensityMatrix(dim, elements / np.trace(elements).real)
+
+
+class FixedDraws:
+    """A stand-in generator whose ``random`` calls return given constants, in turn."""
+
+    def __init__(self, *values):
+        self.values = values
+        self.calls = 0
+
+    def random(self, size):
+        value = self.values[self.calls % len(self.values)]
+        self.calls += 1
+        return np.full(size, value)
+
+
+class TestRejectionProposal:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(rho=small_mixed_states())
+    def test_bin_envelopes_dominate_the_density(self, rho):
+        """At grid midpoints and 9 phases per bin, each bin's envelope bounds ``p(x; phi)``."""
+        table = homodyne._BinnedEnvelope(rho)
+        mid = (table.grid[1:] + table.grid[:-1]) / 2
+        width = np.pi / homodyne._BINS
+        for b, envelope in enumerate(table.envelope):
+            bound = (envelope[1:] + envelope[:-1]) / 2
+            for phi in b * width + np.linspace(0.0, width, 9):
+                assert np.all(quadrature_pdf(rho, phi, mid) <= bound)
+        data = sample_quadratures(rho, 2000, rng_from(17, 28, rho.dim))
+        assert np.all((data.phi >= 0.0) & (data.phi < np.pi))
+
+    def test_top_edge_of_the_last_bin_stays_below_pi(self):
+        rho = even_cat(1.5, 32)
+        top = np.nextafter(1.0, 0.0)
+        x, phi = homodyne._tables_for(rho).draw(rho, 50, FixedDraws(1.0 - 0.5 / homodyne._BINS,
+                                                                     top, 0.0))
+        assert np.all(phi == np.nextafter(np.pi, 0.0))
+        assert np.all(np.isfinite(x))
+
+    def test_damped_cat_scores_at_most_1_2_proposals_per_sample(self, monkeypatch):
+        rho = apply_loss(even_cat(1.5, 32), 0.6)
+        scored = count_scored(monkeypatch)
+        for trial in range(3):
+            sample_quadratures(rho, 24_000, rng_from(17, 29, trial))
+        assert sum(scored) <= 1.2 * 3 * 24_000
+
+    def test_a_loose_envelope_costs_passes_not_memory(self, monkeypatch):
+        """At most four proposals per missing sample go into one batch."""
+        rho = strip_law(make_coherent(5.0, 96))
+        assert homodyne._tables_for(rho).rate < 0.25
+        scored = count_scored(monkeypatch)
+        monkeypatch.setattr(homodyne, "_PDF_CHUNK", 10**9)
+        sample_quadratures(rho, 1000, rng_from(17, 39))
+        assert scored[0] == 4 * 1000 + 512
+
+    def test_tables_are_built_once_per_state(self, monkeypatch):
+        """An equal state reuses the last tables; a changed state, or another kind, rebuilds."""
+        built = []
+
+        def counting(kind):
+            class Counting(kind):
+                def __init__(self, rho):
+                    built.append(kind.__name__)
+                    super().__init__(rho)
+            return Counting
+
+        for kind in (homodyne._BinnedEnvelope, homodyne._InverseCdf):
+            monkeypatch.setattr(homodyne, kind.__name__, counting(kind))
+        monkeypatch.setattr(homodyne, "_TABLES", {})
+        cat = even_cat(1.5, 32)
+        sample_quadratures(cat, 100, rng_from(17, 30))
+        sample_quadratures(DensityMatrix(32, cat.elements.copy()), 100, rng_from(17, 31))
+        assert built == ["_BinnedEnvelope"]
+        sample_quadratures(apply_loss(cat, 0.6), 100, rng_from(17, 32))
+        sample_quadratures(make_fock(3, 16), 100, rng_from(17, 33))
+        sample_quadratures(make_fock(3, 16), 100, rng_from(17, 34))
+        sample_quadratures(cat, 100, rng_from(17, 35))
+        assert built == ["_BinnedEnvelope", "_BinnedEnvelope", "_InverseCdf", "_BinnedEnvelope"]
+        assert len(homodyne._TABLES) == 1
+
+    def test_inverse_cdf_draws_are_the_same_from_kept_tables(self, monkeypatch):
+        monkeypatch.setattr(homodyne, "_TABLES", {})
+        rho = make_fock(3, 32)
+        first = sample_quadratures(rho, 500, rng_from(17, 36))
+        again = sample_quadratures(make_fock(3, 32), 500, rng_from(17, 36))
+        assert first.x.tobytes() == again.x.tobytes()
+        assert first.phi.tobytes() == again.phi.tobytes()
+
+    def test_traceless_state_raises(self):
+        elements = np.zeros((4, 4), dtype=complex)
+        elements[0, 1] = elements[1, 0] = 0.5
+        with pytest.raises(NumericalSanityError, match="no density to sample"):
+            sample_quadratures(DensityMatrix(4, elements), 10, rng_from(17, 38))
+
+    def test_too_small_envelope_raises(self, monkeypatch):
+        monkeypatch.setattr(homodyne, "_TABLES", {})
+        monkeypatch.setattr(homodyne, "_HEADROOM", 0.9)
+        with pytest.raises(NumericalSanityError, match="exceeds its rejection envelope"):
+            sample_quadratures(even_cat(1.5, 32), 5000, rng_from(17, 37))
 
 
 class TestPatternFunction:

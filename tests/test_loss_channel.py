@@ -2,6 +2,7 @@
 import hashlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -256,6 +257,19 @@ class TestInvertLoss:
                                                  r"efficiency 0\.05$"):
                 invert_loss(apply_loss(make_thermal(0.5, 300), 0.05), 0.05, 10)
 
+    def test_zero_rays_with_kept_weights_past_the_float_range_raise(self):
+        """An all-zero ray is not summed, but its kept weights are range-checked all the same."""
+        off_diagonal = np.zeros((300, 300), dtype=complex)
+        off_diagonal[0, 1] = off_diagonal[1, 0] = 0.5
+        for elements in (np.zeros((300, 300)), off_diagonal):
+            rho = DensityMatrix(300, elements)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.all(np.isfinite(invert_loss(rho, 0.1, 4).state.elements))
+                with pytest.raises(ValueError, match=r"A_j\(291, 0\) at j = 6 leaves the float "
+                                                     r"range at efficiency 0\.1$"):
+                    invert_loss(rho, 0.1, 6)
+
     def test_dense_state_with_rounding_on_its_diagonal(self):
         """The weights (``eta^-n`` about 1e16 at n = 32) must not lift the diagonal's
         rounding-level imaginary parts past the Hermitian check."""
@@ -395,6 +409,30 @@ class TestProperties:
         assert np.all(np.diagonal(damped.elements).imag == 0.0)
         back = invert_loss(damped, eta, j_max).state
         assert np.all(np.diagonal(back.elements).imag == 0.0)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 40), eta=st.floats(0.03, 1.0),
+           j_cap=st.one_of(st.none(), st.integers(0, 40)), inverse=st.booleans())
+    def test_skipped_zero_rays_keep_every_byte(self, seed, dim, eta, j_cap, inverse):
+        """The transform with all-zero rays skipped equals the one that sums every ray."""
+        rng = np.random.default_rng(seed)
+        elements = random_state(rng, dim).elements
+        for d in np.flatnonzero(rng.random(dim) < 0.7):
+            elements[np.arange(dim - d), np.arange(d, dim)] = 0.0
+            elements[np.arange(d, dim), np.arange(dim - d)] = 0.0
+        rho, g = DensityMatrix(dim, elements), 1.0 / eta if inverse else eta
+
+        def outcome():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    return b"".join(a.tobytes() for a in loss_channel._transform(rho, g, j_cap))
+                except ValueError as error:
+                    return str(error)
+
+        skipped = outcome()
+        with mock.patch.object(loss_channel, "_finite_rays", lambda D, g, j_cap: np.zeros(D, bool)):
+            assert outcome() == skipped
 
     @PROPERTY
     @given(rho=mixtures(), eta=st.floats(0.0, 1.0, exclude_min=True))
