@@ -17,10 +17,12 @@ for a thermal law it is +-0, so skipping it keeps every draw's bits.
 Other states are sampled from tables on an x grid: a phase-invariant
 state's cumulative density for inverse-CDF draws, and for any other state
 a rejection proposal of ``_BINS`` phase bins, each with its own envelope
-over x.  Building them takes longer than one draw of a few thousand
-samples, and a scan draws many trials from one state, so the tables of the
-last state sampled are kept, keyed by its dimension and element bytes, and
-reused while the next state is equal.  Nothing is built at import.
+over x, whose proposals are scored through the state's kept eigenpairs
+rather than by ``quadrature_pdf``.  Building them takes longer than one draw
+of a few thousand samples, and a scan draws many trials from one state, so
+the tables of the last state sampled are kept, keyed by its dimension and
+element bytes, and reused while the next state is equal.  Nothing is built
+at import.
 """
 from __future__ import annotations
 
@@ -70,16 +72,15 @@ class MeasuredRay:
             raise ValueError("estimate and stderr must be 1-d arrays of equal length")
 
 
-def quadrature_pdf(rho: DensityMatrix, phi, x) -> np.ndarray:
-    """Quadrature density ``p(x; phi)`` for the given state.
+def _rotated(dim, phi, x):
+    """``e^{i n phi} psi_n(x)`` for ``n < dim``, a complex ``(dim, points)`` array.
 
-    ``phi`` is one phase or one per point of ``x``; scalar ``phi`` and
-    ``x`` give a float, anything else an array.
+    ``phi`` is one phase or one per point of ``x``.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     step = np.exp(1j * np.atleast_1d(np.asarray(phi, dtype=float)))
-    rotated = np.empty((rho.dim, max(xa.size, step.size)), dtype=complex)
-    rotated[:] = oscillator._psi_half(rho.dim - 1, xa)
+    rotated = np.empty((dim, max(xa.size, step.size)), dtype=complex)
+    rotated[:] = oscillator._psi_half(dim - 1, xa)
     # e^{i n phi} as e^{i (n-1) phi} e^{i phi}, so it is 1 exactly at phi = 0.  Each
     # power is a new array: numpy 2.4 rounded an in-place one-element product
     # differently from the same product in a longer array, which split
@@ -88,6 +89,16 @@ def quadrature_pdf(rho: DensityMatrix, phi, x) -> np.ndarray:
     for row in rotated[1:]:
         power = power * step
         row *= power
+    return rotated
+
+
+def quadrature_pdf(rho: DensityMatrix, phi, x) -> np.ndarray:
+    """Quadrature density ``p(x; phi)`` for the given state.
+
+    ``phi`` is one phase or one per point of ``x``; scalar ``phi`` and
+    ``x`` give a float, anything else an array.
+    """
+    rotated = _rotated(rho.dim, phi, x)
     dens = np.einsum("nx,nx->x", rotated, rho.elements @ rotated.conj()).real
     return dens if np.ndim(x) or np.ndim(phi) else float(dens[0])
 
@@ -118,6 +129,14 @@ def _cumulative_mass(density, grid):
     return np.concatenate([np.zeros(density.shape[:-1] + (1,)), steps], axis=-1)
 
 
+def _sorted_interp(u, xp, fp):
+    """``np.interp(u, xp, fp)`` in the order of ``u``, looked up in sorted order (faster)."""
+    order = np.argsort(u)
+    out = np.empty(u.size)
+    out[order] = np.interp(u[order], xp, fp)
+    return out
+
+
 class _InverseCdf:
     """A phase-invariant state's density on a grid, as its cumulative mass."""
 
@@ -130,10 +149,10 @@ class _InverseCdf:
                 f"quadrature density integrates to {self.mass[-1]:.3g}, trace is "
                 f"{rho.trace:.3g}; state truncation is inadequate")
 
-    def draw(self, rho, n, rng):
+    def draw(self, n, rng):
         """Uniform phases, then x by inverse CDF."""
         phi = rng.uniform(0.0, np.pi, n)
-        return np.interp(rng.random(n) * self.mass[-1], self.mass, self.grid), phi
+        return _sorted_interp(rng.random(n) * self.mass[-1], self.mass, self.grid), phi
 
 
 class _BinnedEnvelope:
@@ -148,6 +167,16 @@ class _BinnedEnvelope:
     = P_0 + 2 Re sum_{d>=1} e^{-id phi} P_d``.  For bin b, centre phi_b and
     half-width delta, ``|e^{-id phi} - e^{-id phi_b}| <= min(d delta, 2)``, so
     ``p(x; phi_b) + sum_{d>=1} 2 |P_d(x)| min(d delta, 2)`` bounds the bin.
+
+    Proposals are scored through the state's eigenpairs, ``rho = V diag(lam)
+    V^H``: with ``R_n = e^{in phi} psi_n(x)``, ``p(x; phi) = sum_r lam_r
+    |sum_n V_nr R_n|^2``, so ``density`` costs O(rank dim) per point where
+    ``quadrature_pdf`` costs O(dim^2).  The pairs of smallest ``|lam|`` are
+    dropped while their ``|lam|`` sum to at most machine epsilon times the
+    trace; since ``|sum_n V_nr R_n|^2 <= sum_n psi_n(x)^2``, that moves ``p`` by
+    less than the rounding the quadratic form carries.  A state whose negative
+    eigenvalues sum below ``-1e-6`` of its trace raises: its ``p`` is not a
+    probability law.
     """
 
     def __init__(self, rho):
@@ -172,8 +201,24 @@ class _BinnedEnvelope:
         if not self.rate > 0.0:
             raise NumericalSanityError(f"state of trace {rho.trace:.3g} has no density to sample")
         self.grid, self.envelope, self.mass = grid, envelope, mass.ravel()
+        values, vectors = np.linalg.eigh(rho.elements)
+        negative = float(np.sum(values[values < 0.0]))
+        if negative < -1e-6 * rho.trace:
+            raise NumericalSanityError(
+                f"state has negative eigenvalues summing to {negative:.3g} (trace "
+                f"{rho.trace:.3g}); its quadrature density is not a probability law")
+        order = np.argsort(np.abs(values))
+        dropped = np.count_nonzero(
+            np.cumsum(np.abs(values[order])) <= np.finfo(float).eps * rho.trace)
+        kept = order[dropped:]
+        self.weights, self.modes = values[kept], vectors[:, kept].T
 
-    def draw(self, rho, n, rng):
+    def density(self, phi, x):
+        """``p(x; phi)`` at equal-length arrays of phases and points, from the kept eigenpairs."""
+        amplitude = self.modes @ _rotated(self.modes.shape[1], phi, x)
+        return self.weights @ (amplitude.real ** 2 + amplitude.imag ** 2)
+
+    def draw(self, n, rng):
         """Exact joint draws: propose (bin, x, phi), accept under ``p(x; phi)``.
 
         Each batch is sized from ``rate`` to fill what is left, with three
@@ -194,11 +239,8 @@ class _BinnedEnvelope:
                 break
             left = n - filled
             batch = min(int(np.ceil((left + 3.0 * np.sqrt(left)) / self.rate)), 4 * left + 512)
-            # position in the bins' concatenated grids; sorted queries search fast
-            u = rng.random(batch) * self.mass[-1]
-            order = np.argsort(u)
-            at = np.empty(batch)
-            at[order] = np.interp(u[order], self.mass, nodes)
+            # position in the bins' concatenated grids
+            at = _sorted_interp(rng.random(batch) * self.mass[-1], self.mass, nodes)
             b = at // points
             xc = self.grid[0] + (at - b * points) * step
             pc = np.minimum((b + rng.random(batch)) * (np.pi / _BINS), np.nextafter(np.pi, 0.0))
@@ -207,7 +249,7 @@ class _BinnedEnvelope:
             bound = flat[node] * (1.0 - frac) + flat[node + 1] * frac
             height = rng.random(batch) * bound
             dens = np.concatenate([
-                quadrature_pdf(rho, pc[lo:lo + _PDF_CHUNK], xc[lo:lo + _PDF_CHUNK])
+                self.density(pc[lo:lo + _PDF_CHUNK], xc[lo:lo + _PDF_CHUNK])
                 for lo in range(0, batch, _PDF_CHUNK)])
             if np.any(dens > bound):
                 raise NumericalSanityError(
@@ -253,7 +295,7 @@ def sample_quadratures(rho: DensityMatrix, n: int, rng: np.random.Generator) -> 
         if law.mean_amplitude:
             x = np.real(law.mean_amplitude * np.exp(1j * phi)) + x
     else:
-        x, phi = _tables_for(rho).draw(rho, n, rng)
+        x, phi = _tables_for(rho).draw(n, rng)
     return QuadratureData(x=x, phi=phi)
 
 

@@ -93,14 +93,14 @@ def phase_averaged_cdf(rho, grid=np.linspace(-12.0, 12.0, 2401), phases=128):
 
 
 def count_scored(monkeypatch):
-    """The point count of every ``quadrature_pdf`` call the samplers make from now on."""
-    scored, pdf = [], homodyne.quadrature_pdf
+    """The point count of every proposal-scoring call the rejection sampler makes from now on."""
+    scored, density = [], homodyne._BinnedEnvelope.density
 
-    def counting(rho, phi, x):
+    def counting(table, phi, x):
         scored.append(np.size(x))
-        return pdf(rho, phi, x)
+        return density(table, phi, x)
 
-    monkeypatch.setattr(homodyne, "quadrature_pdf", counting)
+    monkeypatch.setattr(homodyne._BinnedEnvelope, "density", counting)
     return scored
 
 
@@ -254,6 +254,7 @@ class TestSampleQuadratures:
         calls = count_scored(monkeypatch)
         monkeypatch.setattr(homodyne, "_PDF_CHUNK", 10**9)
         whole = sample_quadratures(rho, 3000, rng_from(17, 25))
+        assert calls
         rate = homodyne._tables_for(rho).rate
         assert calls[0] == int(np.ceil((3000 + 3.0 * np.sqrt(3000)) / rate))
         calls.clear()
@@ -316,8 +317,8 @@ class TestRejectionProposal:
     def test_top_edge_of_the_last_bin_stays_below_pi(self):
         rho = even_cat(1.5, 32)
         top = np.nextafter(1.0, 0.0)
-        x, phi = homodyne._tables_for(rho).draw(rho, 50, FixedDraws(1.0 - 0.5 / homodyne._BINS,
-                                                                     top, 0.0))
+        x, phi = homodyne._tables_for(rho).draw(50, FixedDraws(1.0 - 0.5 / homodyne._BINS,
+                                                               top, 0.0))
         assert np.all(phi == np.nextafter(np.pi, 0.0))
         assert np.all(np.isfinite(x))
 
@@ -326,6 +327,7 @@ class TestRejectionProposal:
         scored = count_scored(monkeypatch)
         for trial in range(3):
             sample_quadratures(rho, 24_000, rng_from(17, 29, trial))
+        assert scored
         assert sum(scored) <= 1.2 * 3 * 24_000
 
     def test_a_loose_envelope_costs_passes_not_memory(self, monkeypatch):
@@ -335,6 +337,7 @@ class TestRejectionProposal:
         scored = count_scored(monkeypatch)
         monkeypatch.setattr(homodyne, "_PDF_CHUNK", 10**9)
         sample_quadratures(rho, 1000, rng_from(17, 39))
+        assert scored
         assert scored[0] == 4 * 1000 + 512
 
     def test_tables_are_built_once_per_state(self, monkeypatch):
@@ -381,6 +384,59 @@ class TestRejectionProposal:
         monkeypatch.setattr(homodyne, "_HEADROOM", 0.9)
         with pytest.raises(NumericalSanityError, match="exceeds its rejection envelope"):
             sample_quadratures(even_cat(1.5, 32), 5000, rng_from(17, 37))
+
+    def test_state_with_a_negative_eigenvalue_raises(self):
+        """Eigenvalues -0.1 and 1.1: the clipped density is no state's, so nothing is drawn."""
+        rho = DensityMatrix(2, np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex))
+        with pytest.raises(NumericalSanityError, match="negative eigenvalues"):
+            sample_quadratures(rho, 1000, rng_from(17, 40))
+
+    def test_inverse_cdf_lookup_is_pointwise(self):
+        """The sorted lookup returns ``np.interp``'s bits in draw order."""
+        table = homodyne._InverseCdf(make_fock(3, 32))
+        u = rng_from(17, 41).random(5000) * table.mass[-1]
+        got = homodyne._sorted_interp(u, table.mass, table.grid)
+        assert got.tobytes() == np.interp(u, table.mass, table.grid).tobytes()
+
+
+def damped_cat():
+    return apply_loss(even_cat(1.5, 32), 0.6)
+
+
+class TestFactoredDensity:
+    """Proposals are scored from the kept eigenpairs; ``quadrature_pdf`` is the reference."""
+
+    @staticmethod
+    def assert_scores_match(rho, seed):
+        rng = rng_from(17, 42, seed)
+        x, phi = rng.normal(0.0, 1.5, 3000), rng.uniform(0.0, np.pi, 3000)
+        want = quadrature_pdf(rho, phi, x)
+        got = homodyne._BinnedEnvelope(rho).density(phi, x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(rho=small_mixed_states(), seed=st.integers(0, 2**16))
+    def test_mixed_states(self, rho, seed):
+        self.assert_scores_match(rho, seed)
+
+    @pytest.mark.parametrize("state", [
+        lambda: strip_law(make_coherent(0.8 + 0.4j, 32)),
+        lambda: apply_loss(make_coherent(1.3 - 0.8j, 32), 0.6),
+        damped_cat,
+    ], ids=["coherent-stripped", "coherent-damped", "cat-damped"])
+    def test_named_states(self, state):
+        self.assert_scores_match(state(), 0)
+
+    def test_damped_cat_keeps_two_eigenpairs(self):
+        rho = damped_cat()
+        table = homodyne._BinnedEnvelope(rho)
+        assert table.weights.size == 2 and table.modes.shape == (2, 32)
+        dropped = np.sort(np.abs(np.linalg.eigh(rho.elements)[0]))[:-2]
+        assert np.sum(dropped) <= np.finfo(float).eps * rho.trace
+
+    def test_full_rank_state_keeps_every_eigenpair(self):
+        table = homodyne._BinnedEnvelope(strip_law(make_thermal(2.0, 16)))
+        assert table.weights.size == 16
 
 
 class TestPatternFunction:
