@@ -3,9 +3,12 @@
 Each run is fully determined by an :class:`ExperimentConfig`.  The RNG
 splitting rule is ``default_rng(SeedSequence((master_seed, eta_index,
 trial)))`` per (efficiency, trial) cell, so cells are independent and
-any execution order gives identical output.  Tables carry a 12-hex-digit
-hash of the canonical config serialization in every row; reruns with the
-same config are byte-identical.
+any execution order gives identical output.  A homodyne run therefore
+scans its cells on forked worker processes, one per CPU the process may
+run on (``taskset -c 0`` gives a one-CPU, serial run); a direct-detection
+run, whose cells take microseconds, stays in-process.  The bytes are the
+same either way.  Tables carry a 12-hex-digit hash of the canonical config
+serialization in every row; reruns with the same config are byte-identical.
 
 Outputs per run: a mean table (one row per (eta, truncation index),
 averaged over trials) and a sibling ``*_trials.csv`` with the per-trial
@@ -14,6 +17,8 @@ rows that the averages came from.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -214,29 +219,94 @@ def _trials_path(path: Path) -> Path:
     return path.with_name(path.stem + "_trials" + path.suffix)
 
 
+def _cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# a forked worker's run: (config, damped signal per efficiency, j_M grid per
+# efficiency, scan), handed over by ``_adopt`` as the worker starts
+_RUN = None
+
+
+def _adopt(run):
+    global _RUN
+    _RUN = run
+
+
+def _cell(cell, run=None):
+    """Result of one ``(eta_index, trial)`` cell of ``run``, by default the worker's."""
+    config, damped, grids, scan = _RUN if run is None else run
+    eta_index, trial = cell
+    source = _measurement_source(config, damped[eta_index],
+                                 _trial_rng(config, eta_index, trial))
+    return scan(source, config.target_n, config.target_d, config.eta_list[eta_index],
+                grids[eta_index])
+
+
+def _map_cells(run, cells, serial):
+    """``[_cell(c, run) for c in cells]``, in order, on one forked worker per available CPU.
+
+    Runs in-process when ``serial`` is set, when one CPU or one cell leaves
+    nothing to share, where ``fork`` does not exist, or while other threads run,
+    whose held locks a forked worker would inherit.  The workers inherit
+    ``run`` and every table built so far through the fork.  Chunks of about a
+    quarter of a worker's share balance cells of unequal cost.  A worker's
+    exception is raised here; a worker that dies raises ``BrokenProcessPool``
+    instead of leaving its cells unanswered.  No worker outlives the call.
+    """
+    workers = min(_cpus(), len(cells))
+    if serial or workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_cell(cell, run) for cell in cells]
+    # imported here, not at the top: the import alone takes about 25 ms
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(run,))
+    try:
+        return list(pool.map(_cell, cells, chunksize=max(1, len(cells) // (4 * workers))))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _scan_cells(config, out, scan):
     """The (eta, trial) cell loop behind every figure table.
 
     Validates ``config``, checks the output directory, sizes the kernel table
-    for the largest kernel index a homodyne run needs, damps the signal once
-    per efficiency, and hands each cell a fresh dataset drawn from its own RNG
-    stream to ``scan(source, target_n, target_d, eta, jm_grid)``.  Returns the
-    output path, the signal and, per efficiency, ``(eta, jm_grid, [result per trial])``.
+    for the largest kernel index a homodyne run needs and builds the kernel
+    rows of its ray, and damps the signal once per efficiency.  Then it hands
+    each cell a fresh dataset drawn from its own RNG stream to
+    ``scan(source, target_n, target_d, eta, jm_grid)``.  Homodyne cells run on
+    forked workers, one per CPU in the process's affinity, which inherit the
+    table, its rows and the damped states; direct-detection cells run
+    in-process.  Results come back in cell order, so the output does not
+    depend on the worker count.  Returns the output path, the signal and, per
+    efficiency, ``(eta, jm_grid, [result per trial])``.
     """
     signal, grids = config.validate()
     out_path = Path(out) if out is not None else Path(config.output_path)
     if not out_path.parent.is_dir():
         raise FileNotFoundError(f"output directory {out_path.parent} does not exist")
     n, d = config.target_n, config.target_d
-    if config.detection == "homodyne":     # one kernel table, sized for every cell's ray
-        oscillator.tables_for(n + d + max(max(grid) for grid in grids))
-    table = []
-    for eta_index, (eta, jm_grid) in enumerate(zip(config.eta_list, grids)):
-        damped = apply_loss(signal, eta)
-        table.append((eta, jm_grid, [
-            scan(_measurement_source(config, damped, _trial_rng(config, eta_index, trial)),
-                 n, d, eta, jm_grid)
-            for trial in range(config.trials)]))
+    # one kernel table, sized for every cell's ray, and the ray's rows: built here,
+    # they are built once, not once per forked worker
+    if config.detection == "homodyne":
+        j_top = max(max(grid) for grid in grids)
+        tables = oscillator.tables_for(n + d + j_top)
+        for j in range(j_top + 1):
+            tables.spline(n + j, n + d + j)
+    damped = [apply_loss(signal, eta) for eta in config.eta_list]
+    cells = [(eta_index, trial) for eta_index in range(len(grids))
+             for trial in range(config.trials)]
+    results = _map_cells((config, damped, grids, scan), cells,
+                         serial=config.detection == "direct")
+    trials = config.trials
+    table = [(eta, jm_grid, results[k * trials:(k + 1) * trials])
+             for k, (eta, jm_grid) in enumerate(zip(config.eta_list, grids))]
     return out_path, signal, table
 
 

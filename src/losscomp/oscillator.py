@@ -199,8 +199,11 @@ def tables_for(max_index: int, reach: float = 0.0) -> _Tables:
     A rebuild grows what is short (index floor 32); neither index nor range ever shrinks.
     """
     global _TABLES
-    if not (reach <= _X_LIMIT and max_index <= _INDEX_LIMIT):  # also rejects NaN
-        raise ExtrapolationError(f"index {max_index} or |x| = {reach:g} past the kernel table")
+    if not reach <= _X_LIMIT:       # also rejects NaN
+        raise ExtrapolationError(f"|x| = {reach:g} past the kernel table's limit {_X_LIMIT:g}")
+    if max_index > _INDEX_LIMIT:
+        raise ExtrapolationError(f"index {max_index} past the kernel table's limit "
+                                 f"{_INDEX_LIMIT}")
     t = _TABLES
     if t is None or t.max_index < max_index or t.x_max < reach:
         if t is not None:

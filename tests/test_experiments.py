@@ -1,7 +1,12 @@
 """Experiment harness: config files, seeding, CSV schema, CLI wiring."""
+import contextlib
 import csv
 import hashlib
 import importlib.util
+import multiprocessing
+import os
+import signal
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from losscomp import apply_loss, cli, convergence_scan, experiments, oscillator
-from losscomp.exceptions import NumericalSanityError
+from losscomp.exceptions import ExtrapolationError, NumericalSanityError
 from losscomp.experiments import (
     ExperimentConfig,
     config_hash,
@@ -354,6 +359,13 @@ class TestScanTables:
         assert [r["j_M"] for r in rows] == ["1", "2", "5"]
         assert all(np.isfinite(float(r["value"])) for r in rows)
 
+    def test_samples_past_the_table_name_the_limit(self, tmp_path):
+        """A config ``validate()`` accepts whose samples land past ``|x| = 26``."""
+        config = replace(default_config("fig1"), state_nbar=1e6, trials=1, n_samples=2000)
+        with pytest.raises(ExtrapolationError, match=r"\|x\| = [0-9.]+ past the kernel "
+                                                     r"table's limit 26$"):
+            run_fig1(config, out=tmp_path / "fig1.csv")
+
     @pytest.mark.parametrize("figure", ["fig1", "fig2"])
     def test_table_history_leaves_bytes_unchanged(self, figure, tmp_path, monkeypatch):
         """A kernel's bits do not depend on the table's range, so the CSV bytes do not either."""
@@ -462,6 +474,146 @@ class TestFig2Table:
                          n_samples=500, trials=3, jm_list=(5,))
         run_fig2(config, out=tmp_path / "f2.csv")
         assert calls == [0.7, 0.5, 0.45]
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Pin this process to one CPU of its affinity, which makes a run serial; restore after."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs to compare a pooled run with a serial one")
+
+# one signal per sampler path: Gaussian draws, Gaussian with a phase mean, inverse CDF
+SIGNALS = {"thermal": {}, "coherent": dict(state_kind="coherent", state_alpha=1 + 0.5j),
+           "fock": dict(state_kind="fock", state_m=2)}
+
+
+def small_fig2(**overrides):
+    return replace(default_config("fig2"), eta_list=(0.7, 0.5), n_samples=2000, trials=2,
+                   jm_list=(10, 20, 100), **overrides)
+
+
+class TestWorkers:
+    @needs_two_cpus
+    @pytest.mark.parametrize("signal", sorted(SIGNALS))
+    @pytest.mark.parametrize("figure", ["fig1", "fig2"])
+    def test_bytes_do_not_depend_on_the_worker_count(self, figure, signal, tmp_path):
+        small, run = (small_fig1, run_fig1) if figure == "fig1" else (small_fig2, run_fig2)
+        config = small(**SIGNALS[signal])
+        with one_cpu():
+            serial = [p.read_bytes() for p in run(config, out=tmp_path / "serial.csv")]
+        pooled = [p.read_bytes() for p in run(config, out=tmp_path / "pooled.csv")]
+        assert pooled == serial
+
+    @staticmethod
+    def cell_pids(config, tmp_path, monkeypatch):
+        """The pid of the process that drew each cell's samples, in cell order."""
+        log, source = tmp_path / "pids", experiments._measurement_source
+
+        def logging_source(config, damped, rng):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{rng.bit_generator.seed_seq.entropy[1:]} {os.getpid()}\n")
+            return source(config, damped, rng)
+
+        monkeypatch.setattr(experiments, "_measurement_source", logging_source)
+        log.unlink(missing_ok=True)
+        run_scan_table(config, out=tmp_path / "run.csv")
+        monkeypatch.setattr(experiments, "_measurement_source", source)
+        return [int(line.rsplit(" ", 1)[1]) for line in sorted(log.read_text().splitlines())]
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("figure", ["fig1", "direct"])
+    def test_homodyne_cells_run_on_workers(self, figure, tmp_path, monkeypatch):
+        """Homodyne cells draw their samples in forked workers unless the process has one
+        CPU; photocounting cells always draw theirs in-process.  No worker or thread of
+        the pool outlives the run."""
+        config = replace(default_config(figure), eta_list=(0.6, 0.5) if figure == "fig1"
+                         else (0.45, 0.42), n_samples=500, trials=2, jm_list=(1, 2, 5))
+        with one_cpu():
+            assert self.cell_pids(config, tmp_path, monkeypatch) == [os.getpid()] * 4
+        threads = threading.active_count()
+        pids = self.cell_pids(config, tmp_path, monkeypatch)
+        assert (os.getpid() not in pids) == (figure == "fig1")
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    @needs_two_cpus
+    def test_cells_stay_in_process_while_other_threads_run(self, tmp_path, monkeypatch):
+        """A forked worker would inherit the locks other threads hold."""
+        config = small_fig1(n_samples=500)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            assert self.cell_pids(config, tmp_path, monkeypatch) == [os.getpid()] * 4
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert os.getpid() not in self.cell_pids(config, tmp_path, monkeypatch)
+
+    def test_failing_cell_fails_the_same_way_from_a_worker(self, tmp_path, monkeypatch,
+                                                            capfd):
+        source = experiments._measurement_source
+        message = "density integrates to 0.9 in cell (1, 1)"
+
+        def failing_source(config, damped, rng):
+            if rng.bit_generator.seed_seq.entropy[1:] == (1, 1):
+                raise NumericalSanityError(message)
+            return source(config, damped, rng)
+
+        monkeypatch.setattr(experiments, "_measurement_source", failing_source)
+        config = small_fig1()
+        with pytest.raises(NumericalSanityError) as info:
+            run_fig1(config, out=tmp_path / "fig1.csv")
+        assert type(info.value) is NumericalSanityError and str(info.value) == message
+        assert multiprocessing.active_children() == []
+        conf = tmp_path / "small.conf"
+        conf.write_text(serialize_config(config))
+        capfd.readouterr()
+        assert cli.main(["fig1", "--config", str(conf), "--out", str(tmp_path / "c.csv")]) == 2
+        assert capfd.readouterr() == ("", f"losscomp: error: {message}\n")
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(experiments, "_measurement_source", source)
+        run_fig1(config, out=tmp_path / "fig1.csv")
+        assert multiprocessing.active_children() == []
+
+    @needs_two_cpus
+    def test_killed_worker_fails_the_run_instead_of_hanging_it(self, tmp_path, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        parent, source = os.getpid(), experiments._measurement_source
+
+        def killing_source(config, damped, rng):
+            if os.getpid() != parent and rng.bit_generator.seed_seq.entropy[1:] == (1, 1):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return source(config, damped, rng)
+
+        monkeypatch.setattr(experiments, "_measurement_source", killing_source)
+        with pytest.raises(BrokenProcessPool):
+            run_fig1(small_fig1(), out=tmp_path / "fig1.csv")
+        assert multiprocessing.active_children() == []
+
+    def test_warm_runs_build_no_kernels_in_workers(self, tmp_path, monkeypatch):
+        """The parent builds the ray's kernel rows before any worker forks, so its cache
+        learns them and a second run finds every row there."""
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        config = small_fig1(jm_list=(1, 2, 5, 20, 60))
+        first = [p.read_bytes() for p in run_fig1(config, out=tmp_path / "first.csv")]
+
+        def no_kernels(self, n, m):
+            raise AssertionError(f"kernel ({n}, {m}) built on a warm run")
+
+        monkeypatch.setattr(oscillator._Tables, "kernel_derivatives", no_kernels)
+        assert [p.read_bytes() for p in run_fig1(config, out=tmp_path / "second.csv")] == first
 
 
 # sha256 prefixes of the default tables at master seed 7 (``losscomp <figure> --seed 7``)

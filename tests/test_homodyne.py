@@ -599,6 +599,15 @@ class TestPatternFunction:
                 assert a.shape[-1] in (t.x_half.size, t.x_cell.size, t.x_cell.size - 1), name
         assert all(c.shape == (t.x_cell.size - 1, 6) for c in t.kernels.values())
 
+    @pytest.mark.parametrize("index,reach,message", [
+        (oscillator._INDEX_LIMIT + 1, 0.0, "index 484 past the kernel table's limit 483"),
+        (22, 1984.94, "|x| = 1984.94 past the kernel table's limit 26"),
+        (22, np.nan, "|x| = nan past the kernel table's limit 26")])
+    def test_table_error_names_the_limit_it_hit(self, index, reach, message):
+        with pytest.raises(ExtrapolationError) as info:
+            oscillator.tables_for(index, reach)
+        assert str(info.value) == message
+
     def test_table_at_its_limits(self, monkeypatch):
         t = oscillator._Tables(32, oscillator._X_LIMIT)
         assert t.x_max == oscillator._X_LIMIT

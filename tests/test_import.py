@@ -30,6 +30,12 @@ def test_import_leaves_optional_modules_unloaded():
     assert loaded_after("import losscomp", f"m in {lazy!r}") == "[]\n"
 
 
+def test_import_leaves_the_worker_pool_unloaded():
+    """A run imports its worker pool when it forks one; ``import losscomp`` does not."""
+    pool = ("multiprocessing", "concurrent")
+    assert loaded_after("import losscomp", f"m.split('.')[0] in {pool!r}") == "[]\n"
+
+
 @pytest.mark.parametrize("module", ["losscomp", "losscomp.cli"])
 def test_runtime_loads_no_scipy(module):
     assert loaded_after(f"import {module}", "m.split('.')[0] == 'scipy'") == "[]\n"
