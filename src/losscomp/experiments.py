@@ -4,11 +4,12 @@ Each run is fully determined by an :class:`ExperimentConfig`.  The RNG
 splitting rule is ``default_rng(SeedSequence((master_seed, eta_index,
 trial)))`` per (efficiency, trial) cell, so cells are independent and
 any execution order gives identical output.  A homodyne run therefore
-scans its cells on forked worker processes, one per CPU the process may
-run on (``taskset -c 0`` gives a one-CPU, serial run); a direct-detection
-run, whose cells take microseconds, stays in-process.  The bytes are the
-same either way.  Tables carry a 12-hex-digit hash of the canonical config
-serialization in every row; reruns with the same config are byte-identical.
+shares its cells among the process and forked children, one process per
+CPU it may run on (``taskset -c 0`` gives a one-CPU, serial run); a
+direct-detection run, whose cells take microseconds, stays in-process.
+The bytes are the same either way.  Tables carry a 12-hex-digit hash of
+the canonical config serialization in every row; reruns with the same
+config are byte-identical.
 
 Outputs per run: a mean table (one row per (eta, truncation index),
 averaged over trials) and a sibling ``*_trials.csv`` with the per-trial
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
+import signal
 import threading
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -227,19 +230,9 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-# a forked worker's run: (config, damped signal per efficiency, j_M grid per
-# efficiency, scan), handed over by ``_adopt`` as the worker starts
-_RUN = None
-
-
-def _adopt(run):
-    global _RUN
-    _RUN = run
-
-
-def _cell(cell, run=None):
-    """Result of one ``(eta_index, trial)`` cell of ``run``, by default the worker's."""
-    config, damped, grids, scan = _RUN if run is None else run
+def _cell(cell, run):
+    """Result of one ``(eta_index, trial)`` cell of ``run``."""
+    config, damped, grids, scan = run
     eta_index, trial = cell
     source = _measurement_source(config, damped[eta_index],
                                  _trial_rng(config, eta_index, trial))
@@ -247,30 +240,84 @@ def _cell(cell, run=None):
                 grids[eta_index])
 
 
-def _map_cells(run, cells, serial):
-    """``[_cell(c, run) for c in cells]``, in order, on one forked worker per available CPU.
+def _send(run, cells, write):
+    """Pickle ``[_cell(c, run) for c in cells]``, or the exception it raised, into ``write``.
 
-    Runs in-process when ``serial`` is set, when one CPU or one cell leaves
-    nothing to share, where ``fork`` does not exist, or while other threads run,
-    whose held locks a forked worker would inherit.  The workers inherit
-    ``run`` and every table built so far through the fork.  Chunks of about a
-    quarter of a worker's share balance cells of unequal cost.  A worker's
-    exception is raised here; a worker that dies raises ``BrokenProcessPool``
-    instead of leaving its cells unanswered.  No worker outlives the call.
+    An outcome the parent could not load comes as a ``ChildProcessError`` naming it.
     """
-    workers = min(_cpus(), len(cells))
-    if serial or workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [_cell(cell, run) for cell in cells]
-    # imported here, not at the top: the import alone takes about 25 ms
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_adopt, initargs=(run,))
     try:
-        return list(pool.map(_cell, cells, chunksize=max(1, len(cells) // (4 * workers))))
+        outcome = [_cell(cell, run) for cell in cells]
+    except BaseException as exc:  # KeyboardInterrupt too: the parent raises it
+        outcome = exc
+    try:
+        data = pickle.dumps(outcome)
+        pickle.loads(data)  # an exception whose arguments do not rebuild it fails here
+    except Exception:
+        data = pickle.dumps(ChildProcessError(f"child process {os.getpid()} cannot send "
+                                              f"back its {type(outcome).__name__}: {outcome}"))
+    with open(write, "wb") as pipe:
+        pipe.write(data)
+
+
+def _unpack(pid, status, data):
+    """The results child ``pid`` sent as ``data`` before it ended with ``status``."""
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+               else f"exited with status {code}")
+        raise ChildProcessError(f"child process {pid} {how} before sending its cells' results")
+    outcome = pickle.loads(data)
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
+
+
+def _map_cells(run, cells, serial):
+    """``[_cell(c, run) for c in cells]``, in order, shared among ``W`` processes.
+
+    ``W`` is one per CPU the process may run on, at most one per cell, and 1
+    when ``serial`` is set, where ``fork`` does not exist, or while other
+    threads run, whose held locks a forked child would inherit.  The parent
+    forks ``W - 1`` children, which inherit ``run`` and every table built so
+    far; child ``k`` computes ``cells[k::W]`` and pickles its results back
+    through a pipe, the parent computes ``cells[0::W]`` itself, so ``W = 1`` is
+    the serial loop.  A child's exception is raised here with its type and
+    message; a child that dies raises ``ChildProcessError`` naming it.  Every
+    child is killed and reaped before the call returns or raises.
+    """
+    workers = (1 if serial or not hasattr(os, "fork") or threading.active_count() > 1
+               else min(_cpus(), len(cells)))
+    children = {}  # pid -> read end of its pipe, in share order
+    try:
+        for share in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)  # so a write to a dead parent fails instead of blocking
+                    _send(run, cells[share::workers], write)
+                    status = 0
+                finally:  # never return into the parent's stack
+                    os._exit(status)
+            children[pid] = open(read, "rb")
+            # closed before the next fork, the child's write end is the only one left,
+            # so its death reads as EOF
+            os.close(write)
+        results = [None] * len(cells)
+        results[0::workers] = [_cell(cell, run) for cell in cells[0::workers]]
+        for share, pid in enumerate(list(children), start=1):
+            with children[pid] as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            results[share::workers] = _unpack(pid, status, data)
+        return results
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _scan_cells(config, out, scan):
@@ -280,12 +327,13 @@ def _scan_cells(config, out, scan):
     for the largest kernel index a homodyne run needs and builds the kernel
     rows of its ray, and damps the signal once per efficiency.  Then it hands
     each cell a fresh dataset drawn from its own RNG stream to
-    ``scan(source, target_n, target_d, eta, jm_grid)``.  Homodyne cells run on
-    forked workers, one per CPU in the process's affinity, which inherit the
-    table, its rows and the damped states; direct-detection cells run
-    in-process.  Results come back in cell order, so the output does not
-    depend on the worker count.  Returns the output path, the signal and, per
-    efficiency, ``(eta, jm_grid, [result per trial])``.
+    ``scan(source, target_n, target_d, eta, jm_grid)``.  Homodyne cells are
+    shared, interleaved, among this process and forked children, one process
+    per CPU in its affinity; the children inherit the table, its rows and the
+    damped states.  Direct-detection cells run in-process.  Results come back
+    in cell order, so the output does not depend on the process count.
+    Returns the output path, the signal and, per efficiency, ``(eta, jm_grid,
+    [result per trial])``.
     """
     signal, grids = config.validate()
     out_path = Path(out) if out is not None else Path(config.output_path)
@@ -293,7 +341,7 @@ def _scan_cells(config, out, scan):
         raise FileNotFoundError(f"output directory {out_path.parent} does not exist")
     n, d = config.target_n, config.target_d
     # one kernel table, sized for every cell's ray, and the ray's rows: built here,
-    # they are built once, not once per forked worker
+    # they are built once, not once per forked child
     if config.detection == "homodyne":
         j_top = max(max(grid) for grid in grids)
         tables = oscillator.tables_for(n + d + j_top)

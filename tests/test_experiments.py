@@ -3,10 +3,11 @@ import contextlib
 import csv
 import hashlib
 import importlib.util
-import multiprocessing
 import os
+import re
 import signal
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -501,17 +502,60 @@ def small_fig2(**overrides):
                    jm_list=(10, 20, 100), **overrides)
 
 
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the block with ``TimeoutError`` instead of letting it hang past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def raising_in(cell, exc, monkeypatch):
+    """Make the cell ``(eta_index, trial)`` raise ``exc`` as it draws its samples."""
+    source = experiments._measurement_source
+
+    def failing_source(config, damped, rng):
+        if rng.bit_generator.seed_seq.entropy[1:] == cell:
+            raise exc
+        return source(config, damped, rng)
+
+    monkeypatch.setattr(experiments, "_measurement_source", failing_source)
+
+
+class TwoPartError(Exception):
+    """Pickles, but its arguments do not rebuild it: unpickling raises ``TypeError``."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
 class TestWorkers:
     @needs_two_cpus
     @pytest.mark.parametrize("signal", sorted(SIGNALS))
     @pytest.mark.parametrize("figure", ["fig1", "fig2"])
-    def test_bytes_do_not_depend_on_the_worker_count(self, figure, signal, tmp_path):
+    def test_bytes_do_not_depend_on_the_worker_count(self, figure, signal, tmp_path,
+                                                     monkeypatch):
         small, run = (small_fig1, run_fig1) if figure == "fig1" else (small_fig2, run_fig2)
         config = small(**SIGNALS[signal])
         with one_cpu():
             serial = [p.read_bytes() for p in run(config, out=tmp_path / "serial.csv")]
-        pooled = [p.read_bytes() for p in run(config, out=tmp_path / "pooled.csv")]
-        assert pooled == serial
+        shared = [p.read_bytes() for p in run(config, out=tmp_path / "shared.csv")]
+        monkeypatch.setattr(experiments, "_cpus", lambda: 3)
+        three = [p.read_bytes() for p in run(config, out=tmp_path / "three.csv")]
+        assert shared == serial and three == serial
 
     @staticmethod
     def cell_pids(config, tmp_path, monkeypatch):
@@ -532,22 +576,38 @@ class TestWorkers:
     @needs_two_cpus
     @pytest.mark.parametrize("figure", ["fig1", "direct"])
     def test_homodyne_cells_run_on_workers(self, figure, tmp_path, monkeypatch):
-        """Homodyne cells draw their samples in forked workers unless the process has one
-        CPU; photocounting cells always draw theirs in-process.  No worker or thread of
-        the pool outlives the run."""
+        """Homodyne cells are dealt in turn to this process and one forked child per
+        further CPU (on two CPUs their pids alternate) unless the process has one CPU;
+        photocounting cells always draw in-process.  No child or thread outlives the run."""
         config = replace(default_config(figure), eta_list=(0.6, 0.5) if figure == "fig1"
                          else (0.45, 0.42), n_samples=500, trials=2, jm_list=(1, 2, 5))
+        parent = os.getpid()
         with one_cpu():
-            assert self.cell_pids(config, tmp_path, monkeypatch) == [os.getpid()] * 4
+            assert self.cell_pids(config, tmp_path, monkeypatch) == [parent] * 4
         threads = threading.active_count()
         pids = self.cell_pids(config, tmp_path, monkeypatch)
-        assert (os.getpid() not in pids) == (figure == "fig1")
-        assert multiprocessing.active_children() == []
+        if figure == "direct":
+            assert pids == [parent] * 4
+        else:
+            workers = min(len(os.sched_getaffinity(0)), 4)
+            assert [set(pids[k::workers]) for k in range(workers)] == \
+                [{parent}, *({pid} for pid in pids[1:workers])]
+            assert len(set(pids)) == workers
+        assert_no_children()
         assert threading.active_count() == threads
+
+    def test_three_processes_deal_cells_in_turn(self, tmp_path, monkeypatch):
+        """A 4-cell run on three processes: the parent draws cells 0 and 3, two children
+        one cell each."""
+        monkeypatch.setattr(experiments, "_cpus", lambda: 3)
+        pids = self.cell_pids(small_fig1(n_samples=500), tmp_path, monkeypatch)
+        assert pids[0] == pids[3] == os.getpid()
+        assert len({os.getpid(), pids[1], pids[2]}) == 3
+        assert_no_children()
 
     @needs_two_cpus
     def test_cells_stay_in_process_while_other_threads_run(self, tmp_path, monkeypatch):
-        """A forked worker would inherit the locks other threads hold."""
+        """A forked child would inherit the locks other threads hold."""
         config = small_fig1(n_samples=500)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(60,))
@@ -558,49 +618,108 @@ class TestWorkers:
             release.set()
             other.join(timeout=60)
         assert not other.is_alive()
-        assert os.getpid() not in self.cell_pids(config, tmp_path, monkeypatch)
+        pids = self.cell_pids(config, tmp_path, monkeypatch)
+        assert pids[0] == os.getpid() and len(set(pids)) > 1
 
     def test_failing_cell_fails_the_same_way_from_a_worker(self, tmp_path, monkeypatch,
                                                             capfd):
+        """Cell (1, 1) is a child's on two CPUs."""
+        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
         source = experiments._measurement_source
         message = "density integrates to 0.9 in cell (1, 1)"
-
-        def failing_source(config, damped, rng):
-            if rng.bit_generator.seed_seq.entropy[1:] == (1, 1):
-                raise NumericalSanityError(message)
-            return source(config, damped, rng)
-
-        monkeypatch.setattr(experiments, "_measurement_source", failing_source)
+        raising_in((1, 1), NumericalSanityError(message), monkeypatch)
         config = small_fig1()
-        with pytest.raises(NumericalSanityError) as info:
+        with deadline(60), pytest.raises(NumericalSanityError) as info:
             run_fig1(config, out=tmp_path / "fig1.csv")
         assert type(info.value) is NumericalSanityError and str(info.value) == message
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         conf = tmp_path / "small.conf"
         conf.write_text(serialize_config(config))
         capfd.readouterr()
-        assert cli.main(["fig1", "--config", str(conf), "--out", str(tmp_path / "c.csv")]) == 2
+        with deadline(60):
+            assert cli.main(["fig1", "--config", str(conf),
+                             "--out", str(tmp_path / "c.csv")]) == 2
         assert capfd.readouterr() == ("", f"losscomp: error: {message}\n")
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         monkeypatch.setattr(experiments, "_measurement_source", source)
         run_fig1(config, out=tmp_path / "fig1.csv")
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
-    @needs_two_cpus
-    def test_killed_worker_fails_the_run_instead_of_hanging_it(self, tmp_path, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_failing_cell_in_the_parents_share_kills_the_children(self, cpus, tmp_path,
+                                                                   monkeypatch):
+        """Cell (0, 0) is the parent's first: it raises while every child still sleeps in
+        its first cell, and the children are killed, not waited for."""
+        monkeypatch.setattr(experiments, "_cpus", lambda: cpus)
+        parent = os.getpid()
 
-        parent, source = os.getpid(), experiments._measurement_source
+        def source(config, damped, rng):
+            if os.getpid() != parent:
+                time.sleep(600)
+            raise NumericalSanityError("density integrates to 0.9")
 
-        def killing_source(config, damped, rng):
-            if os.getpid() != parent and rng.bit_generator.seed_seq.entropy[1:] == (1, 1):
-                os.kill(os.getpid(), signal.SIGKILL)
-            return source(config, damped, rng)
-
-        monkeypatch.setattr(experiments, "_measurement_source", killing_source)
-        with pytest.raises(BrokenProcessPool):
+        monkeypatch.setattr(experiments, "_measurement_source", source)
+        with deadline(60), pytest.raises(NumericalSanityError, match="integrates to 0.9"):
             run_fig1(small_fig1(), out=tmp_path / "fig1.csv")
-        assert multiprocessing.active_children() == []
+        assert_no_children()
+
+    @pytest.mark.parametrize("kind", ["local class", "two-part init"])
+    def test_unsendable_exception_is_one_line_naming_its_type(self, kind, tmp_path,
+                                                              monkeypatch, capfd):
+        """A child's exception that does not pickle, or does not unpickle, arrives as a
+        ``ChildProcessError`` naming its type, which the CLI prints as one line."""
+        class LocalError(Exception):
+            pass
+
+        exc = LocalError("cell (1, 1)") if kind == "local class" else TwoPartError("x", "y")
+        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+        raising_in((1, 1), exc, monkeypatch)
+        config = small_fig1()
+        name = type(exc).__name__
+        sent = re.escape(f"cannot send back its {name}: {exc}")
+        with deadline(60), pytest.raises(ChildProcessError, match=f"{sent}$"):
+            run_fig1(config, out=tmp_path / "fig1.csv")
+        assert_no_children()
+        conf = tmp_path / "small.conf"
+        conf.write_text(serialize_config(config))
+        capfd.readouterr()
+        with deadline(60):
+            assert cli.main(["fig1", "--config", str(conf),
+                             "--out", str(tmp_path / "c.csv")]) == 2
+        out, err = capfd.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert re.fullmatch(rf"losscomp: error: child process \d+ {sent}\n", err)
+        assert_no_children()
+
+    def test_killed_worker_fails_the_run_instead_of_hanging_it(self, tmp_path, monkeypatch,
+                                                               capfd):
+        """A child killed by a signal fails the run with ``ChildProcessError`` naming it,
+        and the CLI with one line and exit 2.  On two processes cell (1, 1) is the child's;
+        on three, cell (0, 1) is the first child's, which dies while the second may still
+        scan."""
+        parent, source = os.getpid(), experiments._measurement_source
+        config = small_fig1()
+        conf = tmp_path / "small.conf"
+        conf.write_text(serialize_config(config))
+        killed = r"child process \d+ was killed by SIGKILL before sending its cells' results"
+        for cpus, cell in [(2, (1, 1)), (3, (0, 1))]:
+            def killing_source(config, damped, rng):
+                if os.getpid() != parent and rng.bit_generator.seed_seq.entropy[1:] == cell:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return source(config, damped, rng)
+
+            monkeypatch.setattr(experiments, "_cpus", lambda: cpus)
+            monkeypatch.setattr(experiments, "_measurement_source", killing_source)
+            with deadline(60), pytest.raises(ChildProcessError, match=f"^{killed}$"):
+                run_fig1(config, out=tmp_path / "fig1.csv")
+            assert_no_children()
+            capfd.readouterr()
+            with deadline(60):
+                assert cli.main(["fig1", "--config", str(conf),
+                                 "--out", str(tmp_path / "c.csv")]) == 2
+            out, err = capfd.readouterr()
+            assert out == "" and re.fullmatch(f"losscomp: error: {killed}\n", err)
+            assert_no_children()
 
     def test_warm_runs_build_no_kernels_in_workers(self, tmp_path, monkeypatch):
         """The parent builds the ray's kernel rows before any worker forks, so its cache

@@ -30,10 +30,22 @@ def test_import_leaves_optional_modules_unloaded():
     assert loaded_after("import losscomp", f"m in {lazy!r}") == "[]\n"
 
 
+POOL = ("multiprocessing", "concurrent")
+
+
 def test_import_leaves_the_worker_pool_unloaded():
-    """A run imports its worker pool when it forks one; ``import losscomp`` does not."""
-    pool = ("multiprocessing", "concurrent")
-    assert loaded_after("import losscomp", f"m.split('.')[0] in {pool!r}") == "[]\n"
+    assert loaded_after("import losscomp", f"m.split('.')[0] in {POOL!r}") == "[]\n"
+
+
+def test_forking_run_leaves_the_worker_pool_unloaded(tmp_path):
+    """A homodyne run forks its children with ``os.fork`` and talks to them through pipes."""
+    run = ("from dataclasses import replace; from losscomp import experiments; "
+           "experiments._cpus = lambda: 2; "
+           "experiments.run_fig1(replace(experiments.default_config('fig1'), "
+           "eta_list=(0.6, 0.5), n_samples=500, trials=2, jm_list=(1, 2)), "
+           f"out={str(tmp_path / 'fig1.csv')!r})")
+    assert loaded_after(run, f"m.split('.')[0] in {POOL!r}") == "[]\n"
+    assert (tmp_path / "fig1_trials.csv").is_file()
 
 
 @pytest.mark.parametrize("module", ["losscomp", "losscomp.cli"])
