@@ -18,6 +18,7 @@ rows that the averages came from.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import signal
@@ -32,7 +33,7 @@ from .compensation import convergence_scan, error_vs_eta, truncation_indices
 from .direct_detection import sample_counts
 from .fock_core import StateSpec
 from .homodyne import sample_quadratures
-from .loss_channel import _DIM_LIMIT, apply_loss, inverse_coefficient
+from .loss_channel import _DIM_LIMIT, _damped_law, apply_loss, inverse_coefficient
 
 DEFAULT_MASTER_SEED = 235711
 
@@ -43,6 +44,9 @@ DEFAULT_MASTER_SEED = 235711
 _BUDGET = 5 * 10**7
 # a run holds about 150 B per sample whatever j_M is: 10^7 samples is 1.5 GiB
 _SAMPLE_LIMIT = 10**7
+# expected homodyne samples past the kernel table's |x| limit, over all of a run's
+# cells, above which a config is rejected up front instead of failing after sampling
+_PAST_LIMIT_BOUND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,10 @@ class ExperimentConfig:
                 raise ValueError("truncation grid reaches beyond the state dimension")
         for eta, grid in zip(self.eta_list, grids):  # raises where a weight's square overflows
             inverse_coefficient(self.target_n, self.target_d, np.arange(max(grid) + 1), eta)
-        return self.state().build(), grids  # the build surfaces bad state parameters
+        signal = self.state().build()  # the build surfaces bad state parameters
+        if self.detection == "homodyne":
+            _check_sample_extent(self, signal)
+        return signal, grids
 
     def truncation_grid(self, eta: float) -> list:
         """j_M grid for one efficiency: explicit list (checked), or the default.
@@ -131,6 +138,34 @@ class ExperimentConfig:
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
+
+
+def _check_sample_extent(config, signal):
+    """Reject a homodyne run whose samples may land past the kernel table's ``|x|`` limit.
+
+    A Gaussian-law state's samples at efficiency eta are normal with the damped
+    law's variance and a mean no farther from 0 than the damped amplitude's
+    modulus, so their expected count past the limit over all cells has a
+    closed form.  A number state's mass past the limit is negligible while its
+    index fits the table (1.8e-67 at the largest index, 483).
+    """
+    limit = oscillator._X_LIMIT
+    if signal.quadrature_law is None:
+        if config.state_m > oscillator._INDEX_LIMIT:
+            raise ValueError(f"fock state m = {config.state_m}: its samples may pass the kernel "
+                             f"table's limit |x| = {limit:g}, which fits indices up to "
+                             f"{oscillator._INDEX_LIMIT}")
+        return
+    expected = 0.0
+    for eta in config.eta_list:
+        law = _damped_law(signal.quadrature_law, eta)
+        mean, scale = abs(law.mean_amplitude), math.sqrt(2.0 * law.variance)
+        expected += math.erfc((limit - mean) / scale) + math.erfc((limit + mean) / scale)
+    expected *= 0.5 * config.n_samples * config.trials
+    if not expected <= _PAST_LIMIT_BOUND:
+        raise ValueError(f"{config.state_kind} state: {expected:.3g} samples expected past the "
+                         f"kernel table's limit |x| = {limit:g}, above the bound "
+                         f"{_PAST_LIMIT_BOUND:g}")
 
 
 def _format_value(value, sign=""):
@@ -344,9 +379,7 @@ def _scan_cells(config, out, scan):
     # they are built once, not once per forked child
     if config.detection == "homodyne":
         j_top = max(max(grid) for grid in grids)
-        tables = oscillator.tables_for(n + d + j_top)
-        for j in range(j_top + 1):
-            tables.spline(n + j, n + d + j)
+        oscillator.tables_for(n + d + j_top).band(d, n + j_top + 1)
     damped = [apply_loss(signal, eta) for eta in config.eta_list]
     cells = [(eta_index, trial) for eta_index in range(len(grids))
              for trial in range(config.trials)]

@@ -142,6 +142,8 @@ def make_coherent(alpha: complex, dim: int) -> DensityMatrix:
         log_mag = -abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - 0.5 * log_fact
         amp = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
     el = np.outer(amp, amp.conj())
+    if not np.diagonal(el).real.any():  # no photon-number law left to sample
+        raise ValueError(f"coherent amplitude {alpha} leaves no weight inside dimension {dim}")
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amp) ** 2)))
     law = GaussianQuadratureLaw(variance=0.25, mean_amplitude=alpha)
     return _check_state(DensityMatrix(dim, el, tail_bound=tail, quadrature_law=law))

@@ -196,20 +196,24 @@ def _transform(rho: DensityMatrix, g: float, j_cap=None):
     return out, last
 
 
+def _damped_law(law, eta):
+    """The Gaussian quadrature law ``law`` after loss of efficiency ``eta``; None stays None."""
+    if law is None:
+        return None
+    # loss maps the Gaussian families onto themselves exactly:
+    # thermal nbar -> eta*nbar, coherent alpha -> sqrt(eta)*alpha
+    amp = np.sqrt(eta) * law.mean_amplitude
+    var = 0.25 + eta * (law.variance - 0.25)
+    return GaussianQuadratureLaw(variance=var, mean_amplitude=amp)
+
+
 def apply_loss(rho_sig: DensityMatrix, eta: float) -> DensityMatrix:
     """Damp ``rho_sig`` through a beam-splitter-type loss of efficiency ``eta``."""
     if not 0.0 < eta <= 1.0:
         raise ValueError("efficiency must lie in (0, 1]")
     out, _ = _transform(rho_sig, eta)
-    law = rho_sig.quadrature_law
-    if law is not None:
-        # loss maps the Gaussian families onto themselves exactly:
-        # thermal nbar -> eta*nbar, coherent alpha -> sqrt(eta)*alpha
-        amp = np.sqrt(eta) * law.mean_amplitude
-        var = 0.25 + eta * (law.variance - 0.25)
-        law = GaussianQuadratureLaw(variance=var, mean_amplitude=amp)
     return DensityMatrix(rho_sig.dim, out, tail_bound=rho_sig.tail_bound,
-                         quadrature_law=law)
+                         quadrature_law=_damped_law(rho_sig.quadrature_law, eta))
 
 
 @dataclass

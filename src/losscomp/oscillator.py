@@ -22,26 +22,26 @@ normalization integral stops at the range its own index needs, so a
 kernel has the same bits in every table that holds it.
 
 The table holds ``psi``, ``chi`` and ``chi'`` on the half line ``x >= 0``
-at the tabulation step and the cached splines built from them.  A spline
-lives on cells ``_CELL_SUB`` steps wide, between every fifth tabulation
-node.  On each cell a kernel is the quintic Hermite interpolant of its
-tabulated value, slope and curvature at both ends; slope and curvature
-follow from the ODE, so no spline system is solved.  Its coefficients are
-cached as one contiguous ``(cells, 6)`` array, six Horner coefficients
-per cell.
+at the tabulation step and the splines built from them.  A spline lives on
+cells ``_CELL_SUB`` steps wide, between every fifth tabulation node.  On
+each cell a kernel is the quintic Hermite interpolant of its tabulated
+value, slope and curvature at both ends; slope and curvature follow from
+the ODE, so no spline system is solved.  The kernels ``f_{k,k+d}`` of one
+offset ``d`` are cached as one ``(rows, 6, cells)`` band: row k holds six
+Horner coefficients per cell, each a contiguous plane.
 
 Kernels leave the table two ways, which share one locate step (``|x|``
 to its cell and offset).  ``evaluate_pattern`` gives the values of one
-kernel: it fetches its coefficients at the points in one gather and
-negates them at ``x < 0`` when ``n + m`` is odd, so the parity
-``(-1)^(n+m)`` is exact.  ``pattern_sums`` gives the weighted sums of a
-kernel and of its square over the points for one ray ``f_{n+j, n+d+j}``,
-j = 0..j_max: it gathers the whole ray's coefficients at the occupied
-cells once and dots them with per-cell moments of the offsets, so a
-kernel costs its occupied cells, not its points.  All kernels of a ray
-have the parity of ``d``, so an odd ray takes the sign into the weights
-of its first sums once.  Unit weights (the default) share one moment set
-between both sums of an even ray.
+kernel: it fetches its band row at the points in one gather and negates
+them at ``x < 0`` when ``n + m`` is odd, so the parity ``(-1)^(n+m)`` is
+exact.  ``pattern_sums`` gives the weighted sums of a kernel and of its
+square over the points for one ray ``f_{n+j, n+d+j}``, j = 0..j_max, which
+is rows n..n+j_max of band d: it gathers them at the occupied cells once
+and dots them with per-cell moments of the offsets, so a kernel costs its
+occupied cells, not its points.  All kernels of a ray have the parity of
+``d``, so an odd ray takes the sign into the weights of its first sums
+once.  Unit weights (the default) share one moment set between both sums
+of an even ray.
 """
 from __future__ import annotations
 
@@ -132,7 +132,7 @@ class _Tables:
         self.simpson *= TAB_STEP / 3.0
         self.x_cell = self.x_half[::_CELL_SUB].copy()    # x_max is whole: nh is a multiple of 5
         self.dx = np.diff(self.x_cell)
-        self.kernels = {}
+        self.bands = {}
 
     def kernel_derivatives(self, n, m):
         """Kernel f_nm on ``x_half``, its slope and curvature on ``x_cell``, all over the anchor.
@@ -164,30 +164,33 @@ class _Tables:
                + 2.0 * (q_n * psi * dchi + q_m * dpsi * chi))
         return f / anchor, df / anchor, ddf / anchor
 
-    def spline(self, n, m):
-        """Quintic Hermite coefficients of f_nm on ``x_cell``, one row per cell: ``(cells, 6)``.
+    def band(self, d, rows):
+        """Quintic Hermite coefficients of kernels f_{k,k+d}, k < ``rows``: ``(rows, 6, cells)``.
 
-        Each row holds the Horner coefficients in ``x - x_i``, highest power
-        first, that match the kernel's value, slope and curvature at both
-        ends of the cell.  Cell-major, so one gather fetches all six
-        coefficients of a point.
+        Row k holds, per cell on ``x_cell``, the Horner coefficients in
+        ``x - x_i``, highest power first, that match the kernel's value, slope
+        and curvature at both ends of the cell.  Rows are built once and kept;
+        a longer band appends the rows it lacks.
         """
-        key = (n, m)
-        if key not in self.kernels:
-            f, dy, ddy = self.kernel_derivatives(n, m)
-            y = f[::_CELL_SUB]
+        band = self.bands.get(d, np.empty((0, _TERMS, self.dx.size)))
+        if len(band) < rows:
+            grown = np.empty((rows, _TERMS, self.dx.size))
+            grown[:len(band)] = band
             h = self.dx
-            # what the Taylor quadratic at the left end misses at the right end,
-            # in value, slope and curvature, each scaled to units of h^k
-            e0 = y[1:] - (y[:-1] + h * (dy[:-1] + 0.5 * h * ddy[:-1]))
-            e1 = h * (dy[1:] - (dy[:-1] + h * ddy[:-1]))
-            e2 = h * h * (ddy[1:] - ddy[:-1])
-            self.kernels[key] = np.column_stack([
-                (6.0 * e0 - 3.0 * e1 + 0.5 * e2) / h**5,
-                (-15.0 * e0 + 7.0 * e1 - e2) / h**4,
-                (10.0 * e0 - 4.0 * e1 + 0.5 * e2) / h**3,
-                0.5 * ddy[:-1], dy[:-1], y[:-1]])
-        return self.kernels[key]
+            for k in range(len(band), rows):
+                f, dy, ddy = self.kernel_derivatives(k, k + d)
+                y = f[::_CELL_SUB]
+                # what the Taylor quadratic at the left end misses at the right end,
+                # in value, slope and curvature, each scaled to units of h^k
+                e0 = y[1:] - (y[:-1] + h * (dy[:-1] + 0.5 * h * ddy[:-1]))
+                e1 = h * (dy[1:] - (dy[:-1] + h * ddy[:-1]))
+                e2 = h * h * (ddy[1:] - ddy[:-1])
+                grown[k] = [(6.0 * e0 - 3.0 * e1 + 0.5 * e2) / h**5,
+                            (-15.0 * e0 + 7.0 * e1 - e2) / h**4,
+                            (10.0 * e0 - 4.0 * e1 + 0.5 * e2) / h**3,
+                            0.5 * ddy[:-1], dy[:-1], y[:-1]]
+            band = self.bands[d] = grown
+        return band[:rows]
 
 
 _TABLES: _Tables | None = None
@@ -240,7 +243,7 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
         raise ValueError("kernel indices require 0 <= n <= m")
     xa = np.asarray(x, dtype=float)
     t, idx, dt, negative = _locate(m, xa)
-    c = np.take(t.spline(n, m), idx, axis=0).T
+    c = np.take(t.band(m - n, n + 1)[n], idx, axis=1)
     out = ((((c[0] * dt + c[1]) * dt + c[2]) * dt + c[3]) * dt + c[4]) * dt + c[5]
     if (n + m) % 2:
         np.negative(out, out=out, where=negative)
@@ -278,10 +281,8 @@ def pattern_sums(n, d, j_max, x, weights=None):
         return [np.bincount(at, powers[p] if v is None else v * powers[p], minlength=cells.size)
                 for p in range(order)]
 
-    g = np.empty((_TERMS, j_max + 1, cells.size))
-    for j in range(j_max + 1):
-        g[:, j] = np.take(t.spline(n + j, n + d + j), cells, axis=0).T
-    a = g[::-1]                                 # a[k] multiplies dt^k
+    # the ray's rows in one gather at the occupied cells, as contiguous planes; a[k] * dt^k
+    a = np.take(t.band(d, n + j_max + 1)[n:], cells, axis=2).transpose(1, 0, 2).copy()[::-1]
     s1 = np.empty((j_max + 1, len(w)))
     s2 = np.empty((j_max + 1, len(w)))
     for k, wk in enumerate(w):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from losscomp import apply_loss, cli, convergence_scan, experiments, oscillator
-from losscomp.exceptions import ExtrapolationError, NumericalSanityError
+from losscomp.exceptions import NumericalSanityError
 from losscomp.experiments import (
     ExperimentConfig,
     config_hash,
@@ -163,13 +163,38 @@ class TestConfigHash:
     def test_text_round_trip_is_exact(self, config):
         """Floats that 9 digits cannot hold are written in full, so the hash is exact.
 
-        Only an efficiency below 1/2 may be rejected, for inverse weights past the float range.
+        Only an efficiency below 1/2 may be rejected, for inverse weights past the float
+        range, and a Gaussian state whose samples may land past the kernel table.
         """
         try:
             config.validate()
         except ValueError as exc:
-            assert "float range" in str(exc) and min(config.eta_list) < 0.5
+            assert ("float range" in str(exc) and min(config.eta_list) < 0.5
+                    or str(exc).startswith(f"{config.state_kind} state: ")
+                    and config.state_kind != "fock")
         assert parse_config(serialize_config(config)) == config
+
+
+@st.composite
+def small_configs(draw):
+    """One-trial configs of every state kind and detection, with short scans and at most
+    1,500 samples per cell: thermal nbar up to 2,000 and coherent amplitudes up to 40
+    reach past the kernel table's ``|x| = 26``."""
+    dim = draw(st.integers(8, 48))
+    kind = draw(st.sampled_from(["thermal", "coherent", "fock"]))
+    detection = draw(st.sampled_from(["homodyne", "direct"]))
+    state = {"thermal": dict(state_nbar=draw(st.floats(0.0, 2000.0))),
+             "coherent": dict(state_alpha=draw(st.complex_numbers(
+                 max_magnitude=40.0, allow_nan=False, allow_infinity=False))),
+             "fock": dict(state_m=draw(st.integers(0, dim - 1)))}[kind]
+    return ExperimentConfig(
+        state_kind=kind, dim=dim, detection=detection, **state,
+        target_n=draw(st.integers(0, 3)),
+        target_d=draw(st.integers(0, 2)) if detection == "homodyne" else 0,
+        eta_list=tuple(draw(st.lists(st.floats(0.3, 1.0), min_size=1, max_size=2))),
+        n_samples=draw(st.integers(2, 1500)),
+        jm_list=tuple(sorted(draw(st.sets(st.integers(1, 5), min_size=1)))),
+        trials=1, master_seed=draw(st.integers(0, 2**32)))
 
 
 class TestValidation:
@@ -197,6 +222,8 @@ class TestValidation:
         dict(state_kind="coherent", state_alpha=complex("inf+0j")),
         dict(jm_list=(0,), n_samples=10**9),            # budget product 0; ~150 GB held
         dict(jm_list=(1,), n_samples=5 * 10**7),        # within budget; ~7 GiB held
+        dict(state_kind="coherent", state_alpha=28 + 0j, dim=8, detection="direct",
+             target_n=0, jm_list=(1,)),                 # every amplitude underflows to 0
     ])
     def test_rejected(self, overrides):
         # a bad state parameter is named in the message
@@ -204,6 +231,49 @@ class TestValidation:
         match = next((names[k] for k in overrides if k in names), None)
         with pytest.raises(ValueError, match=match):
             replace(default_config("fig1"), **overrides).validate()
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(state_nbar=60.0), "thermal state: 0.000359 samples expected past the kernel "
+                                "table's limit |x| = 26, above the bound 1e-06"),
+        (dict(state_kind="coherent", state_alpha=32 + 0j, dim=200), "coherent state: 1.83e+03 "
+         "samples expected past the kernel table's limit |x| = 26, above the bound 1e-06"),
+        (dict(state_kind="fock", state_m=484, dim=500), "fock state m = 484: its samples may "
+         "pass the kernel table's limit |x| = 26, which fits indices up to 483"),
+    ], ids=["thermal", "coherent", "fock"])
+    def test_samples_that_may_pass_the_table_rejected(self, overrides, message):
+        """Rejected with a message naming the state, the limit and the bound."""
+        with pytest.raises(ValueError) as info:
+            replace(default_config("fig1"), **overrides).validate()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("overrides", [
+        dict(state_nbar=45.0), dict(state_kind="coherent", state_alpha=20 + 0j, dim=200),
+        dict(state_kind="fock", state_m=483, dim=484)], ids=["thermal", "coherent", "fock"])
+    def test_samples_inside_the_table_accepted(self, overrides):
+        replace(default_config("fig1"), **overrides).validate()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(config=small_configs())
+    def test_accepted_configs_run_and_rejected_ones_never_sample(self, config,
+                                                                 tmp_path_factory):
+        """A config ``validate()`` accepts runs to finite CSVs; one it rejects raises
+        ``ValueError`` before any dataset is drawn."""
+        out = tmp_path_factory.mktemp("fuzz") / "run.csv"
+        try:
+            config.validate()
+        except ValueError:
+            def sample(*args):
+                raise AssertionError("sampled before the config was rejected")
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(experiments, "_measurement_source", sample)
+                with pytest.raises(ValueError):
+                    run_scan_table(config, out=out)
+            assert not out.exists()
+            return
+        for path in run_scan_table(config, out=out):
+            for row in read_rows(path):
+                assert all(np.isfinite(float(row[k])) for k in ("value", "propagated_error"))
 
     def test_negative_seed_rejected_up_front(self, tmp_path, capsys):
         config = parse_config("master_seed = -1\n", base=default_config("direct"))
@@ -360,12 +430,18 @@ class TestScanTables:
         assert [r["j_M"] for r in rows] == ["1", "2", "5"]
         assert all(np.isfinite(float(r["value"])) for r in rows)
 
-    def test_samples_past_the_table_name_the_limit(self, tmp_path):
-        """A config ``validate()`` accepts whose samples land past ``|x| = 26``."""
+    def test_samples_past_the_table_name_the_limit(self, tmp_path, monkeypatch):
+        """A config whose samples would land past ``|x| = 26`` is rejected before sampling."""
+        def sample(*args):
+            raise AssertionError("sampled before the config was rejected")
+
+        monkeypatch.setattr(experiments, "sample_quadratures", sample)
         config = replace(default_config("fig1"), state_nbar=1e6, trials=1, n_samples=2000)
-        with pytest.raises(ExtrapolationError, match=r"\|x\| = [0-9.]+ past the kernel "
-                                                     r"table's limit 26$"):
+        with pytest.raises(ValueError, match=r"^thermal state: 7\.68e\+03 samples expected past "
+                                             r"the kernel table's limit \|x\| = 26, above the "
+                                             r"bound 1e-06$"):
             run_fig1(config, out=tmp_path / "fig1.csv")
+        assert not (tmp_path / "fig1.csv").exists()
 
     @pytest.mark.parametrize("figure", ["fig1", "fig2"])
     def test_table_history_leaves_bytes_unchanged(self, figure, tmp_path, monkeypatch):

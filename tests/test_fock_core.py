@@ -71,6 +71,14 @@ def test_coherent_tight_truncation_reports_tail():
     assert deficit <= rho.tail_bound + 1e-12
 
 
+@pytest.mark.parametrize("alpha", [40.0, 28.0])     # amplitudes 0; amplitudes 1e-162, squares 0
+def test_coherent_with_no_weight_inside_the_truncation_rejected(alpha):
+    with pytest.raises(ValueError, match=r"^coherent amplitude \(\d+\+0j\) leaves no weight "
+                                         r"inside dimension 8$"):
+        make_coherent(alpha, 8)
+    assert make_coherent(27.0, 8).trace > 0.0
+
+
 def test_mean_photon_thermal():
     assert make_thermal(2.0, 64).diagonal() @ np.arange(64) == pytest.approx(2.0, abs=1e-8)
 

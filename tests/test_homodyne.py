@@ -63,9 +63,15 @@ def kernel_rows(n, m, x):
     return np.array([evaluate_pattern(nk, mk, x) for nk, mk in zip(n, m)])
 
 
+def band_row(t, n, m):
+    """Kernel f_nm's ``(6, cells)`` quintic coefficients: row n of the table's band m - n."""
+    return t.band(m - n, n + 1)[n]
+
+
 def row_derivatives(c, h):
-    """Value, slope and curvature of each quintic row ``c`` (highest power first) at offset ``h``."""
-    a = c[:, ::-1].T                    # a[k] multiplies dt^k
+    """Value, slope and curvature of quintic coefficients ``c`` (``(6, cells)``, highest
+    power first) at offset ``h`` in each cell."""
+    a = c[::-1]                         # a[k] multiplies dt^k
     k = np.arange(6)[:, None]
     return (np.sum(a * h**k, axis=0),
             np.sum((k * a)[1:] * h ** (k[1:] - 1), axis=0),
@@ -473,15 +479,15 @@ class TestPatternFunction:
         t = oscillator.tables_for(40, 10.0)
         pairs = [(0, 0), (2, 5), (7, 7), (13, 40)]
         for n, m in pairs:
-            c = t.spline(n, m)
-            assert c.shape == (t.x_cell.size - 1, 6)
+            c = band_row(t, n, m)
+            assert c.shape == (6, t.x_cell.size - 1)
             assert c.flags.c_contiguous
         nodes = np.concatenate([t.x_half[[1, 2503, t.x_half.size // 2 + 1, -2]],
                                 t.x_cell[[0, 1, 500, -2, -1]]])
         x = np.concatenate([nodes, -nodes, [-t.x_max, t.x_max, -0.0, 0.37, -2.6, 9.999],
                             rng_from(17, 20).uniform(-t.x_max, t.x_max, 488)])
         n, m = np.array(pairs).T
-        want = six_gather_pattern(t, [t.spline(nk, mk).T for nk, mk in pairs],
+        want = six_gather_pattern(t, [band_row(t, nk, mk) for nk, mk in pairs],
                                   (-1.0) ** (n + m), x)
         assert kernel_rows(n, m, x).tobytes() == want.tobytes()
         grid = x[:506].reshape(2, 253)
@@ -500,7 +506,7 @@ class TestPatternFunction:
         t = oscillator.tables_for(m)
         f, slope, curvature = t.kernel_derivatives(n, m)
         jet = [f[::oscillator._CELL_SUB], slope, curvature]
-        c = t.spline(n, m)
+        c = band_row(t, n, m)
         for end, h in ((slice(None, -1), 0.0), (slice(1, None), t.dx)):
             for got, want in zip(row_derivatives(c, h), jet):
                 assert np.max(np.abs(got - want[end])) <= 1e-9 * np.max(np.abs(want))
@@ -593,11 +599,12 @@ class TestPatternFunction:
         assert t.x_cell[-1] == t.x_half[-1]
         assert not hasattr(t, "dpsi"), "psi' follows from two stored psi rows"
         for n, m in [(0, 0), (3, 8), (12, 12)]:
-            t.spline(n, m)
+            band_row(t, n, m)
         for name, a in vars(t).items():     # dx holds one width per spline cell
             if isinstance(a, np.ndarray):
                 assert a.shape[-1] in (t.x_half.size, t.x_cell.size, t.x_cell.size - 1), name
-        assert all(c.shape == (t.x_cell.size - 1, 6) for c in t.kernels.values())
+        assert all(b.shape[1:] == (6, t.x_cell.size - 1) for b in t.bands.values())
+        assert len(t.bands[0]) >= 13 and len(t.bands[5]) >= 4
 
     @pytest.mark.parametrize("index,reach,message", [
         (oscillator._INDEX_LIMIT + 1, 0.0, "index 484 past the kernel table's limit 483"),
@@ -638,9 +645,29 @@ class TestPatternFunction:
         pairs = [(0, 0), (0, 3), (5, 9), (20, 32), (31, 40)]
         first, *others = [oscillator._Tables(*size) for size in [(40, 0.0), (40, 17.0), (70, 0.0)]]
         for n, m in pairs:
-            want = first.spline(n, m)
+            want = band_row(first, n, m)
             for t in others:
-                assert np.array_equal(t.spline(n, m)[:want.shape[0]], want), (n, m, t.x_max)
+                assert np.array_equal(band_row(t, n, m)[:, :want.shape[1]], want), (n, m, t.x_max)
+
+    def test_band_grown_in_steps_equals_one_build(self, monkeypatch):
+        """Rows appended over several calls have the bits of one call's rows, and each
+        kernel is built once, in row order."""
+        d, built = 2, []
+        derivatives = oscillator._Tables.kernel_derivatives
+
+        def counted(self, n, m):
+            built.append((n, m))
+            return derivatives(self, n, m)
+
+        monkeypatch.setattr(oscillator._Tables, "kernel_derivatives", counted)
+        grown, whole = oscillator._Tables(104, 0.0), oscillator._Tables(104, 0.0)
+        cells = grown.x_cell.size - 1
+        for rows in (5, 40, 103, 40):
+            assert grown.band(d, rows).shape == (rows, 6, cells)
+        assert built == [(k, k + d) for k in range(103)]
+        built.clear()
+        assert grown.band(d, 103).tobytes() == whole.band(d, 103).tobytes()
+        assert built == [(k, k + d) for k in range(103)]   # the one-call table's rows alone
 
 
 @st.composite

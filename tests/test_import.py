@@ -61,7 +61,8 @@ def test_import_builds_no_tables():
 
 
 def test_every_private_helper_is_used_by_the_package():
-    """Each module-level private function or class is referenced from the package itself."""
+    """Each module-level private function or class, and each non-dunder method of a
+    module-level class, is referenced from the package itself."""
     trees = {path.name: ast.parse(path.read_text())
              for path in Path(losscomp.__file__).parent.glob("*.py")}
     used = {node.id if isinstance(node, ast.Name) else node.attr
@@ -70,4 +71,8 @@ def test_every_private_helper_is_used_by_the_package():
     unused = [f"{name}::{node.name}" for name, tree in sorted(trees.items()) for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
               and node.name.startswith("_") and not node.name.startswith("__")]
+    unused += [f"{name}::{node.name}.{method.name}" for name, tree in sorted(trees.items())
+               for node in tree.body if isinstance(node, ast.ClassDef)
+               for method in node.body if isinstance(method, ast.FunctionDef)
+               and method.name not in used and not method.name.startswith("__")]
     assert unused == []
