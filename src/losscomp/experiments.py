@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -74,6 +75,10 @@ class ExperimentConfig:
 
     def validate(self):
         """Reject a config that cannot run; return its signal state and per-eta j_M grids."""
+        entries = [(name, getattr(self, name)) for name in _INT_FIELDS]
+        for name, value in entries + [("jm_list", j) for j in self.jm_list or ()]:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name}: {value!r} is not an integer")
         if self.detection not in ("homodyne", "direct"):
             raise ValueError(f"unknown detection mode {self.detection!r}")
         if not self.eta_list:
@@ -138,6 +143,7 @@ class ExperimentConfig:
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
+_INT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "int")
 
 
 def _check_sample_extent(config, signal):
@@ -171,7 +177,7 @@ def _check_sample_extent(config, signal):
 def _format_value(value, sign=""):
     if value is None:
         return "auto"
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return ",".join(map(_format_value, value))
     if isinstance(value, complex):
         return f"{_format_value(value.real)}{_format_value(value.imag, '+')}j"
@@ -182,9 +188,15 @@ def _format_value(value, sign=""):
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical flat ``key = value`` text; the hash is taken over this."""
-    lines = [f"{name} = {_format_value(getattr(config, name))}"
-             for name in _CONFIG_FIELDS]
+    """Canonical flat ``key = value`` text; the hash is taken over this.
+
+    A list is written as the equal tuple and a real ``state_alpha`` as the
+    equal complex number, so equal configs share their text and hash.
+    """
+    values = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    if isinstance(values["state_alpha"], numbers.Number):
+        values["state_alpha"] = complex(values["state_alpha"])
+    lines = [f"{name} = {_format_value(value)}" for name, value in values.items()]
     return "\n".join(lines) + "\n"
 
 

@@ -127,39 +127,17 @@ def inverse_coefficient(n: int, d: int, j, eta: float):
     return weights if np.ndim(j) else float(weights)
 
 
-def _finite_rays(D, g, j_cap):
-    """Whether each ray ``d`` of a ``D x D`` transform surely has only finite kept weights.
-
-    Ray d's block holds the (n, j) with ``k = n + j <= D-1-d``.  There
-    ``C(k+d, j) <= C(D-1, j)`` and, for g > 1, ``g^d <= g^(D-1-k)``: the log2
-    bound these give no longer depends on d, so its running maximum over k
-    bounds every ray.  For g <= 1 a weight is at most 1.  The product under a
-    weight's root is within ``2^(D+2)`` of 1, so up to dim 1018 it cannot fail
-    the normal-range check either.
-    """
-    if D > 1018 or g <= 1.0:
-        return np.full(D, D <= 1018)
-    m, q = _binomials(D - 1)
-    k, j = np.tril_indices(D)
-    if j_cap is not None:
-        k, j = k[j <= j_cap], j[j <= j_cap]
-    log_c = np.log2(m[k, j]) + 2.0 * q[k, j]                    # log2 C(k, j)
-    log_top = np.log2(m[D - 1, j]) + 2.0 * q[D - 1, j]          # log2 C(D-1, j)
-    bound = (0.5 * (log_c + log_top) + (k - j + 0.5 * (D - 1 - k)) * log(g, 2)
-             + j * log(g - 1.0, 2))
-    peak = np.maximum.accumulate(np.maximum.reduceat(bound, np.searchsorted(k, np.arange(D))))
-    return peak[::-1] < 1020.0   # 2^1020: far from overflow after rounding
-
-
 def _transform(rho: DensityMatrix, g: float, j_cap=None):
     """Apply the ray-wise map with parameter ``g`` to every (n, d) ray.
 
     Returns the transformed matrix and the per-element magnitude of the
     last included term (the truncation diagnostic).  Raises ValueError when
-    a weight that is kept (``j <= j_cap``) leaves the float range.  An
-    all-zero ray whose weights are surely finite is not summed: it maps to
-    the zeros the sum gives, ``+0`` above the diagonal and ``conj(+0) = -0j``
-    below it.
+    a weight that is kept (``j <= j_cap``) leaves the float range.  A damping
+    weight (``g <= 1``) is at most 1, and up to dim 1018 the product under its
+    root is within ``2^(D+2)`` of 1, so none fails that check: there an
+    all-zero ray is not summed but set to the zeros the sum gives, ``+0``
+    above the diagonal and ``conj(+0) = -0j`` below it.  The inverse series
+    (``g > 1``) sums every ray.
     """
     D = rho.dim
     out = np.zeros((D, D), dtype=complex)
@@ -168,12 +146,12 @@ def _transform(rho: DensityMatrix, g: float, j_cap=None):
     nn = np.arange(D)[:, None]
     with np.errstate(over="ignore"):
         ray_weights = _weight_rays(nn, np.arange(D) - nn, g, D - 1, j_cap)
-    finite = _finite_rays(D, g, j_cap)
+    skip = g <= 1.0 and D <= 1018
     for d in range(D):
         L = D - d
         ray = np.diagonal(rho.elements, offset=d).copy()
         upper, lower = np.s_[d:D * L:D + 1], np.s_[d * D::D + 1]   # diagonals d and -d
-        if finite[d] and not ray.any():
+        if skip and not ray.any():
             if d > 0:
                 flat_out[lower] = complex(0.0, -0.0)
             continue

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from losscomp import apply_loss, cli, convergence_scan, experiments, oscillator
 from losscomp.exceptions import NumericalSanityError
@@ -149,19 +149,24 @@ class TestConfigHash:
         state_kind=st.sampled_from(["thermal", "coherent", "fock"]),
         state_nbar=st.floats(0.0, 1e6),
         state_alpha=st.complex_numbers(max_magnitude=10.0, allow_nan=False,
-                                       allow_infinity=False),
+                                       allow_infinity=False)
+        | st.integers(-10, 10) | st.floats(-10.0, 10.0),
         state_m=st.integers(0, 63),
         target_n=st.integers(0, 20),
         target_d=st.integers(0, 20),
         eta_list=st.lists(st.floats(0.0, 1.0, exclude_min=True),
-                          min_size=1, max_size=4).map(tuple),
+                          min_size=1, max_size=4).flatmap(
+            lambda v: st.sampled_from([tuple(v), v])),
         n_samples=st.integers(2, 10**5),
-        jm_list=st.none() | st.sets(st.integers(0, 100), min_size=1).map(
-            lambda s: tuple(sorted(s))),
+        jm_list=st.none() | st.sets(st.integers(0, 100), min_size=1).flatmap(
+            lambda s: st.sampled_from([tuple(sorted(s)), sorted(s)])),
         trials=st.integers(1, 100),
         master_seed=st.integers(0, 2**64 - 1)))
+    @example(config=ExperimentConfig(eta_list=[0.6, 0.5], state_alpha=2))
+    @example(config=ExperimentConfig(jm_list=[10, 20, 100]))
     def test_text_round_trip_is_exact(self, config):
-        """Floats that 9 digits cannot hold are written in full, so the hash is exact.
+        """Floats that 9 digits cannot hold are written in full, so the hash is exact; a
+        list reads back as the equal tuple and a real amplitude as the equal complex number.
 
         Only an efficiency below 1/2 may be rejected, for inverse weights past the float
         range, and a Gaussian state whose samples may land past the kernel table.
@@ -172,7 +177,11 @@ class TestConfigHash:
             assert ("float range" in str(exc) and min(config.eta_list) < 0.5
                     or str(exc).startswith(f"{config.state_kind} state: ")
                     and config.state_kind != "fock")
-        assert parse_config(serialize_config(config)) == config
+        canonical = replace(config, eta_list=tuple(config.eta_list),
+                            state_alpha=complex(config.state_alpha),
+                            jm_list=config.jm_list and tuple(config.jm_list))
+        assert parse_config(serialize_config(config)) == canonical
+        assert config_hash(config) == config_hash(canonical)
 
 
 @st.composite
@@ -245,6 +254,24 @@ class TestValidation:
         with pytest.raises(ValueError) as info:
             replace(default_config("fig1"), **overrides).validate()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(n_samples=2000.0), "n_samples: 2000.0 is not an integer"),
+        (dict(trials=2.0), "trials: 2.0 is not an integer"),
+        (dict(dim=64.0), "dim: 64.0 is not an integer"),
+        (dict(target_n=2.0), "target_n: 2.0 is not an integer"),
+        (dict(master_seed=True), "master_seed: True is not an integer"),
+        (dict(jm_list=(2.5, 10)), "jm_list: 2.5 is not an integer"),
+    ])
+    def test_non_integers_in_integer_fields_rejected(self, overrides, message, tmp_path):
+        """Rejected up front by name, not by a ``TypeError`` mid-run or by truncating j_M."""
+        config = replace(default_config("fig1"), **overrides)
+        with pytest.raises(ValueError) as info:
+            config.validate()
+        assert str(info.value) == message
+        with pytest.raises(ValueError, match="is not an integer"):
+            run_fig1(config, out=tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("overrides", [
         dict(state_nbar=45.0), dict(state_kind="coherent", state_alpha=20 + 0j, dim=200),

@@ -2,7 +2,6 @@
 import hashlib
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +41,37 @@ def transform_weights(dim, d, g):
     """
     nn = np.arange(dim)[:, None]
     return _weight_rays(nn, np.arange(dim) - nn, g, dim - 1)(d, dim - d)
+
+
+def every_ray_transform(rho, g, j_cap):
+    """``_transform`` with no ray skipped, as bytes: every ray summed through ``_weight_rays``.
+
+    Returns the bytes of the transformed matrix and of the last-term diagnostic,
+    or the text of the ``ValueError`` a weight past the float range raises.
+    """
+    D = rho.dim
+    out, last = np.zeros((D, D), dtype=complex), np.zeros((D, D))
+    nn = np.arange(D)[:, None]
+    try:
+        weights = _weight_rays(nn, np.arange(D) - nn, g, D - 1, j_cap)
+        for d in range(D):
+            L, i = D - d, np.arange(D - d)
+            ray = np.diagonal(rho.elements, offset=d).copy()
+            w = weights(d, L)
+            bad = np.argwhere(~np.isfinite(w))
+            if bad.size:
+                n, k = bad[0]
+                return (f"inverse-series weight A_j({n}, {d}) at j = {k - n} leaves the "
+                        f"float range at efficiency {1.0 / g:g}")
+            summed = w @ ray
+            if d == 0:
+                summed = summed.real
+            k_last = np.minimum(L - 1 if j_cap is None else i + j_cap, L - 1)
+            out[i, i + d], last[i, i + d] = summed, np.abs(w[i, k_last] * ray[k_last])
+            out[i + d, i], last[i + d, i] = summed.conj(), last[i, i + d]
+    except ValueError as error:
+        return str(error)
+    return out.tobytes() + last.tobytes()
 
 
 def random_state(rng, dim):
@@ -190,6 +220,27 @@ class TestApplyLoss:
     def test_rejects_bad_efficiency(self, eta):
         with pytest.raises(ValueError):
             apply_loss(make_fock(0, 4), eta)
+
+    def test_only_the_forward_map_skips_all_zero_rays(self, monkeypatch):
+        """A thermal state's rays 1..63 are zero: damping sums ray 0 alone, inversion all 64."""
+        summed, weight_rays = [], loss_channel._weight_rays
+
+        def counting_weight_rays(*args):
+            weights = weight_rays(*args)
+
+            def counted(d, rows=None):
+                summed.append(d)
+                return weights(d, rows)
+
+            return counted
+
+        monkeypatch.setattr(loss_channel, "_weight_rays", counting_weight_rays)
+        rho = make_thermal(2.0, 64)
+        apply_loss(rho, 0.5)
+        assert summed == [0]
+        summed.clear()
+        invert_loss(rho, 0.5, 64)
+        assert summed == list(range(64))
 
 
 class TestInvertLoss:
@@ -414,25 +465,20 @@ class TestProperties:
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 40), eta=st.floats(0.03, 1.0),
            j_cap=st.one_of(st.none(), st.integers(0, 40)), inverse=st.booleans())
     def test_skipped_zero_rays_keep_every_byte(self, seed, dim, eta, j_cap, inverse):
-        """The transform with all-zero rays skipped equals the one that sums every ray."""
+        """The transform, which skips all-zero rays where it can, equals the sum over every ray."""
         rng = np.random.default_rng(seed)
         elements = random_state(rng, dim).elements
         for d in np.flatnonzero(rng.random(dim) < 0.7):
             elements[np.arange(dim - d), np.arange(d, dim)] = 0.0
             elements[np.arange(d, dim), np.arange(dim - d)] = 0.0
         rho, g = DensityMatrix(dim, elements), 1.0 / eta if inverse else eta
-
-        def outcome():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    return b"".join(a.tobytes() for a in loss_channel._transform(rho, g, j_cap))
-                except ValueError as error:
-                    return str(error)
-
-        skipped = outcome()
-        with mock.patch.object(loss_channel, "_finite_rays", lambda D, g, j_cap: np.zeros(D, bool)):
-            assert outcome() == skipped
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                got = b"".join(a.tobytes() for a in loss_channel._transform(rho, g, j_cap))
+            except ValueError as error:
+                got = str(error)
+            assert got == every_ray_transform(rho, g, j_cap)
 
     @PROPERTY
     @given(rho=mixtures(), eta=st.floats(0.0, 1.0, exclude_min=True))
