@@ -26,7 +26,7 @@ import numpy as np
 from .direct_detection import CountHistogram, estimate_probabilities
 from .exceptions import NumericalSanityError
 from .fock_core import DensityMatrix
-from .homodyne import MeasuredRay, QuadratureData, estimate_element
+from .homodyne import MeasuredRay, QuadratureData, _indices, estimate_element
 from .loss_channel import inverse_coefficient
 
 
@@ -100,8 +100,9 @@ def _verdict_from_trace(trace):
 
 
 def truncation_indices(j_list) -> list:
-    """``j_list`` as ints; ValueError unless nonempty, nonnegative and strictly ascending."""
-    j_list = [int(j) for j in j_list]
+    """``j_list`` as ints; ValueError unless integers, nonempty, nonnegative and strictly
+    ascending."""
+    j_list = _indices(j_list)
     if not j_list or j_list[0] < 0 or any(a >= b for a, b in zip(j_list, j_list[1:])):
         raise ValueError(f"truncation indices {j_list} must be nonempty, nonnegative "
                          "and strictly ascending")

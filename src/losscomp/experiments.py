@@ -7,7 +7,9 @@ any execution order gives identical output.  A homodyne run therefore
 shares its cells among the process and forked children, one process per
 CPU it may run on (``taskset -c 0`` gives a one-CPU, serial run); a
 direct-detection run, whose cells take microseconds, stays in-process.
-The bytes are the same either way.  Tables carry a 12-hex-digit hash of
+The bytes are the same either way, and so is a failing cell's exception:
+a child whose cell raises sends nothing, and the parent scans that
+child's cells itself.  Tables carry a 12-hex-digit hash of
 the canonical config serialization in every row; reruns with the same
 config are byte-identical.
 
@@ -75,10 +77,19 @@ class ExperimentConfig:
 
     def validate(self):
         """Reject a config that cannot run; return its signal state and per-eta j_M grids."""
-        entries = [(name, getattr(self, name)) for name in _INT_FIELDS]
-        for name, value in entries + [("jm_list", j) for j in self.jm_list or ()]:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name}: {value!r} is not an integer")
+        entries = [(f.name, f.type, getattr(self, f.name)) for f in fields(self)
+                   if f.type in _KINDS]
+        for name, kind in (("eta_list", "float"), ("jm_list", "int")):
+            values = getattr(self, name)
+            if values is None and name == "jm_list":
+                continue
+            if not isinstance(values, (tuple, list)):
+                raise ValueError(f"{name}: {values!r} is not a tuple or list")
+            entries += [(name, kind, value) for value in values]
+        for name, kind, value in entries:
+            types, what = _KINDS[kind]
+            if not isinstance(value, types) or isinstance(value, bool) and kind != "complex":
+                raise ValueError(f"{name}: {value!r} is not {what}")
         if self.detection not in ("homodyne", "direct"):
             raise ValueError(f"unknown detection mode {self.detection!r}")
         if not self.eta_list:
@@ -143,7 +154,10 @@ class ExperimentConfig:
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
-_INT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "int")
+# what a field of each annotated type, or an entry of eta_list (float) or jm_list (int),
+# must be; a bool passes only as the complex state_alpha
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number"),
+          "complex": (numbers.Number, "a number"), "str": (str, "a string")}
 
 
 def _check_sample_extent(config, signal):
@@ -287,38 +301,6 @@ def _cell(cell, run):
                 grids[eta_index])
 
 
-def _send(run, cells, write):
-    """Pickle ``[_cell(c, run) for c in cells]``, or the exception it raised, into ``write``.
-
-    An outcome the parent could not load comes as a ``ChildProcessError`` naming it.
-    """
-    try:
-        outcome = [_cell(cell, run) for cell in cells]
-    except BaseException as exc:  # KeyboardInterrupt too: the parent raises it
-        outcome = exc
-    try:
-        data = pickle.dumps(outcome)
-        pickle.loads(data)  # an exception whose arguments do not rebuild it fails here
-    except Exception:
-        data = pickle.dumps(ChildProcessError(f"child process {os.getpid()} cannot send "
-                                              f"back its {type(outcome).__name__}: {outcome}"))
-    with open(write, "wb") as pipe:
-        pipe.write(data)
-
-
-def _unpack(pid, status, data):
-    """The results child ``pid`` sent as ``data`` before it ended with ``status``."""
-    code = os.waitstatus_to_exitcode(status)
-    if code:
-        how = (f"was killed by {signal.Signals(-code).name}" if code < 0
-               else f"exited with status {code}")
-        raise ChildProcessError(f"child process {pid} {how} before sending its cells' results")
-    outcome = pickle.loads(data)
-    if isinstance(outcome, BaseException):
-        raise outcome
-    return outcome
-
-
 def _map_cells(run, cells, serial):
     """``[_cell(c, run) for c in cells]``, in order, shared among ``W`` processes.
 
@@ -328,37 +310,49 @@ def _map_cells(run, cells, serial):
     forks ``W - 1`` children, which inherit ``run`` and every table built so
     far; child ``k`` computes ``cells[k::W]`` and pickles its results back
     through a pipe, the parent computes ``cells[0::W]`` itself, so ``W = 1`` is
-    the serial loop.  A child's exception is raised here with its type and
-    message; a child that dies raises ``ChildProcessError`` naming it.  Every
-    child is killed and reaped before the call returns or raises.
+    the serial loop.  A child whose cell raises exits 1 and sends nothing, and
+    the parent computes that child's share itself, so a failing cell raises
+    its own exception here, as at ``W = 1``, and a cell that fails only in a
+    child costs time, not the run.  Where several cells fail, the parent's
+    share decides first, then each child's in turn.  A child killed by a
+    signal raises ``ChildProcessError`` naming it.  Every child is killed and
+    reaped before the call returns or raises.
     """
     workers = (1 if serial or not hasattr(os, "fork") or threading.active_count() > 1
                else min(_cpus(), len(cells)))
+
+    def scan(share):
+        return [_cell(cell, run) for cell in cells[share::workers]]
+
     children = {}  # pid -> read end of its pipe, in share order
     try:
         for share in range(1, workers):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                status = 1
                 try:
                     os.close(read)  # so a write to a dead parent fails instead of blocking
-                    _send(run, cells[share::workers], write)
-                    status = 0
+                    with open(write, "wb") as pipe:
+                        pickle.dump(scan(share), pipe)
+                    os._exit(0)
                 finally:  # never return into the parent's stack
-                    os._exit(status)
+                    os._exit(1)
             children[pid] = open(read, "rb")
             # closed before the next fork, the child's write end is the only one left,
             # so its death reads as EOF
             os.close(write)
         results = [None] * len(cells)
-        results[0::workers] = [_cell(cell, run) for cell in cells[0::workers]]
+        results[0::workers] = scan(0)
         for share, pid in enumerate(list(children), start=1):
             with children[pid] as pipe:
                 data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            results[share::workers] = _unpack(pid, status, data)
+            if code < 0:
+                raise ChildProcessError(f"child process {pid} was killed by "
+                                        f"{signal.Signals(-code).name} before sending its "
+                                        "cells' results")
+            results[share::workers] = pickle.loads(data) if code == 0 else scan(share)
         return results
     finally:
         for pid, pipe in children.items():

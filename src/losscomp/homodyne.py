@@ -26,6 +26,7 @@ at import.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,6 +323,15 @@ def estimate_element(samples: QuadratureData, n: int, d: int, j_max: int = 0) ->
     return MeasuredRay(n, d, estimate, np.max(spread, axis=1) / np.sqrt(n_s))
 
 
+def _indices(j_list) -> list:
+    """``j_list`` as ints; ValueError naming an entry that is a bool or not an integer."""
+    j_list = list(j_list)
+    for j in j_list:
+        if isinstance(j, bool) or not isinstance(j, numbers.Integral):
+            raise ValueError(f"truncation index {j!r} is not an integer")
+    return [int(j) for j in j_list]
+
+
 def error_saturation_profile(samples: QuadratureData, j_list, n0: int, d: int):
     """``(j, stderr * sqrt(N))`` for the elements ``(n0+j, n0+d+j)``.
 
@@ -329,7 +339,7 @@ def error_saturation_profile(samples: QuadratureData, j_list, n0: int, d: int):
     the saturation that makes the compensation series diverge at low
     efficiency.
     """
-    j_list = [int(j) for j in j_list]
+    j_list = _indices(j_list)
     lo = min(j_list)
     ray = estimate_element(samples, n0 + lo, d, max(j_list) - lo)
     return [(j, ray.stderr[j - lo] * np.sqrt(len(samples))) for j in j_list]

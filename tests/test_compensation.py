@@ -152,7 +152,8 @@ class TestConvergenceScan:
         assert isinstance(res, CompensationResult)
         assert len(res.trace) == 3
 
-    @pytest.mark.parametrize("bad", [[], [2, 1, 3], [1, 1, 2], [-1, 0, 1]])
+    @pytest.mark.parametrize("bad", [[], [2, 1, 3], [1, 1, 2], [-1, 0, 1], [2.5, 10],
+                                     [True, 3]])
     def test_rejects_bad_truncation_lists(self, bad):
         with pytest.raises(ValueError):
             convergence_scan(make_thermal(1.0, 16), 0, 0, 0.9, bad)

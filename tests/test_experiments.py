@@ -262,14 +262,25 @@ class TestValidation:
         (dict(target_n=2.0), "target_n: 2.0 is not an integer"),
         (dict(master_seed=True), "master_seed: True is not an integer"),
         (dict(jm_list=(2.5, 10)), "jm_list: 2.5 is not an integer"),
+        (dict(eta_list=(0.6, "0.5")), "eta_list: '0.5' is not a real number"),
+        (dict(state_nbar="2"), "state_nbar: '2' is not a real number"),
+        (dict(jm_list=5), "jm_list: 5 is not a tuple or list"),
+        (dict(eta_list=0.5), "eta_list: 0.5 is not a tuple or list"),
+        (dict(state_alpha=None), "state_alpha: None is not a number"),
+        (dict(state_nbar=True), "state_nbar: True is not a real number"),
+        (dict(eta_list=(True,)), "eta_list: True is not a real number"),
+        (dict(output_path=3), "output_path: 3 is not a string"),
+        (dict(state_kind="coherent", state_alpha="1"), "state_alpha: '1' is not a number"),
     ])
     def test_non_integers_in_integer_fields_rejected(self, overrides, message, tmp_path):
-        """Rejected up front by name, not by a ``TypeError`` mid-run or by truncating j_M."""
+        """Rejected up front by name, not by a ``TypeError`` mid-run or by truncating j_M.
+        So is a wrongly typed value of another field, which used to end in a bare
+        ``TypeError`` or be accepted although its config text does not read back equal."""
         config = replace(default_config("fig1"), **overrides)
         with pytest.raises(ValueError) as info:
             config.validate()
         assert str(info.value) == message
-        with pytest.raises(ValueError, match="is not an integer"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_fig1(config, out=tmp_path / "t.csv")
         assert not (tmp_path / "t.csv").exists()
 
@@ -766,32 +777,48 @@ class TestWorkers:
             run_fig1(small_fig1(), out=tmp_path / "fig1.csv")
         assert_no_children()
 
+    @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("kind", ["local class", "two-part init"])
-    def test_unsendable_exception_is_one_line_naming_its_type(self, kind, tmp_path,
-                                                              monkeypatch, capfd):
-        """A child's exception that does not pickle, or does not unpickle, arrives as a
-        ``ChildProcessError`` naming its type, which the CLI prints as one line."""
+    def test_unsendable_exception_is_raised_as_on_one_cpu(self, kind, cpus, tmp_path,
+                                                          monkeypatch):
+        """An exception that does not pickle, or does not unpickle, is raised with the type
+        and message a one-CPU run raises.  Cell (1, 1) is a child's on two processes and the
+        parent's on three."""
         class LocalError(Exception):
             pass
 
         exc = LocalError("cell (1, 1)") if kind == "local class" else TwoPartError("x", "y")
-        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
         raising_in((1, 1), exc, monkeypatch)
         config = small_fig1()
-        name = type(exc).__name__
-        sent = re.escape(f"cannot send back its {name}: {exc}")
-        with deadline(60), pytest.raises(ChildProcessError, match=f"{sent}$"):
-            run_fig1(config, out=tmp_path / "fig1.csv")
+        with one_cpu(), pytest.raises(type(exc)) as serial:
+            run_fig1(config, out=tmp_path / "serial.csv")
+        monkeypatch.setattr(experiments, "_cpus", lambda: cpus)
+        with deadline(60), pytest.raises(Exception) as shared:
+            run_fig1(config, out=tmp_path / "shared.csv")
+        assert type(shared.value) is type(serial.value) is type(exc)
+        assert str(shared.value) == str(serial.value) == str(exc)
         assert_no_children()
-        conf = tmp_path / "small.conf"
-        conf.write_text(serialize_config(config))
-        capfd.readouterr()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_cells_failing_only_in_children_are_scanned_by_the_parent(self, cpus, tmp_path,
+                                                                      monkeypatch):
+        """A child whose cell raises sends nothing; the parent scans that child's share
+        itself and the run writes the one-CPU bytes."""
+        config = small_fig1()
+        with one_cpu():
+            serial = [p.read_bytes() for p in run_fig1(config, out=tmp_path / "serial.csv")]
+        parent, source = os.getpid(), experiments._measurement_source
+
+        def source_failing_in_children(config, damped, rng):
+            if os.getpid() != parent:
+                raise NumericalSanityError("density integrates to 0.9 in a child")
+            return source(config, damped, rng)
+
+        monkeypatch.setattr(experiments, "_cpus", lambda: cpus)
+        monkeypatch.setattr(experiments, "_measurement_source", source_failing_in_children)
         with deadline(60):
-            assert cli.main(["fig1", "--config", str(conf),
-                             "--out", str(tmp_path / "c.csv")]) == 2
-        out, err = capfd.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert re.fullmatch(rf"losscomp: error: child process \d+ {sent}\n", err)
+            shared = [p.read_bytes() for p in run_fig1(config, out=tmp_path / "shared.csv")]
+        assert shared == serial
         assert_no_children()
 
     def test_killed_worker_fails_the_run_instead_of_hanging_it(self, tmp_path, monkeypatch,

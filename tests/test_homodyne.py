@@ -1,5 +1,6 @@
 """Homodyne statistics: pdf, samplers, pattern kernels, and estimators."""
 import hashlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -975,6 +976,21 @@ class TestErrorSaturation:
         profile = error_saturation_profile(data, [0, 3, 7], 1, 0)
         assert [j for j, _ in profile] == [0, 3, 7]
         assert all(isinstance(j, int) and v > 0.0 for j, v in profile)
+
+    @pytest.mark.parametrize("j_list,bad", [([5.7], "5.7"), ([2, True], "True"),
+                                            (np.array([1.0, 3.0]), "np.float64(1.0)")])
+    def test_profile_rejects_non_integer_indices(self, j_list, bad):
+        """Named, not truncated: ``[5.7]`` used to report j 5."""
+        data = sample_quadratures(make_thermal(1.0, 32), 500, rng_from(17, 18))
+        with pytest.raises(ValueError, match=f"^truncation index {re.escape(bad)} is not an "
+                                             "integer$"):
+            error_saturation_profile(data, j_list, 1, 0)
+
+    def test_profile_keeps_unsorted_and_numpy_indices(self):
+        data = sample_quadratures(make_thermal(1.0, 32), 500, rng_from(17, 18))
+        want = error_saturation_profile(data, [7, 0, 3], 1, 0)
+        assert error_saturation_profile(data, np.array([7, 0, 3]), 1, 0) == want
+        assert [j for j, _ in want] == [7, 0, 3]
 
 
 class TestContainers:
