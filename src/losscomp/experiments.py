@@ -7,9 +7,12 @@ any execution order gives identical output.  A homodyne run therefore
 shares its cells among the process and forked children, one process per
 CPU it may run on (``taskset -c 0`` gives a one-CPU, serial run); a
 direct-detection run, whose cells take microseconds, stays in-process.
-The bytes are the same either way, and so is a failing cell's exception:
-a child whose cell raises sends nothing, and the parent scans that
-child's cells itself.  Tables carry a 12-hex-digit hash of
+Each process scans its cells of one efficiency as one batch: one kernel
+pass estimates every trial's ray, and a ray's bytes do not depend on the
+batch it is in.  The bytes are the same whatever the process count, and
+so is the exception of a failing run: that of the first failing cell in
+cell order.  A child whose cell raises sends nothing, and the parent
+scans that child's cells itself.  Tables carry a 12-hex-digit hash of
 the canonical config serialization in every row; reruns with the same
 config are byte-identical.
 
@@ -20,8 +23,10 @@ rows that the averages came from.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import numbers
+import operator
 import os
 import pickle
 import signal
@@ -35,7 +40,7 @@ from . import oscillator
 from .compensation import convergence_scan, error_vs_eta, truncation_indices
 from .direct_detection import sample_counts
 from .fock_core import StateSpec
-from .homodyne import sample_quadratures
+from .homodyne import estimate_rays, sample_quadratures
 from .loss_channel import _DIM_LIMIT, _damped_law, apply_loss, inverse_coefficient
 
 DEFAULT_MASTER_SEED = 235711
@@ -47,6 +52,9 @@ DEFAULT_MASTER_SEED = 235711
 _BUDGET = 5 * 10**7
 # a run holds about 150 B per sample whatever j_M is: 10^7 samples is 1.5 GiB
 _SAMPLE_LIMIT = 10**7
+# samples a homodyne batch holds at once, with 20-70 B of kernel-pass arrays each beside
+# their own 16 B (fig1 and fig2 defaults batch every trial); it does not change the bytes
+_BATCH_SAMPLES = 10**6
 # expected homodyne samples past the kernel table's |x| limit, over all of a run's
 # cells, above which a config is rejected up front instead of failing after sampling
 _PAST_LIMIT_BOUND = 1e-6
@@ -291,39 +299,68 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _cell(cell, run):
-    """Result of one ``(eta_index, trial)`` cell of ``run``."""
+def _cells(run, eta_index, trials):
+    """Results of the cells ``(eta_index, trial)``, in order, in batches of trials.
+
+    Each trial draws its own dataset; a homodyne run estimates the rays of a
+    batch, at most ``_BATCH_SAMPLES`` samples, in one kernel pass, and each
+    cell's scan reads its own ray.
+    """
     config, damped, grids, scan = run
-    eta_index, trial = cell
-    source = _measurement_source(config, damped[eta_index],
-                                 _trial_rng(config, eta_index, trial))
-    return scan(source, config.target_n, config.target_d, config.eta_list[eta_index],
-                grids[eta_index])
+    n, d, grid = config.target_n, config.target_d, grids[eta_index]
+    size = max(1, _BATCH_SAMPLES // config.n_samples)
+    results = []
+    for lo in range(0, len(trials), size):
+        sources = [_measurement_source(config, damped[eta_index], _trial_rng(config, eta_index, t))
+                   for t in trials[lo:lo + size]]
+        if config.detection == "homodyne":
+            sources = estimate_rays(sources, n, d, grid[-1])
+        results += [scan(source, n, d, config.eta_list[eta_index], grid) for source in sources]
+    return results
+
+
+def _scan_share(run, cells):
+    """Results of ``cells`` (eta-major), one batch per efficiency, up to the first failing cell.
+
+    Returns the results and the first failing cell's exception (the cell at
+    ``len(results)``), or None.  A batch that raises is scanned again one
+    cell at a time, so which cell fails, and how, does not depend on the
+    cells that share its batch.
+    """
+    results = []
+    for eta_index, group in itertools.groupby(cells, key=operator.itemgetter(0)):
+        trials = [trial for _, trial in group]
+        try:
+            results += _cells(run, eta_index, trials)
+        except Exception:
+            for trial in trials:
+                try:
+                    results += _cells(run, eta_index, [trial])
+                except Exception as exc:
+                    return results, exc
+    return results, None
 
 
 def _map_cells(run, cells, serial):
-    """``[_cell(c, run) for c in cells]``, in order, shared among ``W`` processes.
+    """The results of ``cells``, in order, shared among ``W`` processes.
 
     ``W`` is one per CPU the process may run on, at most one per cell, and 1
     when ``serial`` is set, where ``fork`` does not exist, or while other
     threads run, whose held locks a forked child would inherit.  The parent
     forks ``W - 1`` children, which inherit ``run`` and every table built so
-    far; child ``k`` computes ``cells[k::W]`` and pickles its results back
-    through a pipe, the parent computes ``cells[0::W]`` itself, so ``W = 1`` is
-    the serial loop.  A child whose cell raises exits 1 and sends nothing, and
-    the parent computes that child's share itself, so a failing cell raises
-    its own exception here, as at ``W = 1``, and a cell that fails only in a
-    child costs time, not the run.  Where several cells fail, the parent's
-    share decides first, then each child's in turn.  A child killed by a
-    signal raises ``ChildProcessError`` naming it.  Every child is killed and
-    reaped before the call returns or raises.
+    far; child ``k`` scans ``cells[k::W]`` and pickles its results back
+    through a pipe, the parent scans ``cells[0::W]`` itself, so ``W = 1`` is
+    the serial loop.  A child whose cell raises exits 1 and sends nothing,
+    and the parent scans that child's cells itself, so a cell that fails only
+    in a child costs time, not the run.  The exception raised is that of the
+    first failing cell in cell order, as at ``W = 1``: once the parent knows
+    a failing cell, it waits only for the children holding an earlier cell
+    and kills the rest at once.  A child killed by a signal raises
+    ``ChildProcessError`` naming it.  Every child is killed and reaped before
+    the call returns or raises.
     """
     workers = (1 if serial or not hasattr(os, "fork") or threading.active_count() > 1
                else min(_cpus(), len(cells)))
-
-    def scan(share):
-        return [_cell(cell, run) for cell in cells[share::workers]]
-
     children = {}  # pid -> read end of its pipe, in share order
     try:
         for share in range(1, workers):
@@ -332,9 +369,11 @@ def _map_cells(run, cells, serial):
             if pid == 0:
                 try:
                     os.close(read)  # so a write to a dead parent fails instead of blocking
-                    with open(write, "wb") as pipe:
-                        pickle.dump(scan(share), pipe)
-                    os._exit(0)
+                    results, failure = _scan_share(run, cells[share::workers])
+                    if failure is None:
+                        with open(write, "wb") as pipe:
+                            pickle.dump(results, pipe)
+                        os._exit(0)
                 finally:  # never return into the parent's stack
                     os._exit(1)
             children[pid] = open(read, "rb")
@@ -342,8 +381,11 @@ def _map_cells(run, cells, serial):
             # so its death reads as EOF
             os.close(write)
         results = [None] * len(cells)
-        results[0::workers] = scan(0)
+        mine, failure = _scan_share(run, cells[0::workers])
+        first = len(cells) if failure is None else len(mine) * workers  # first failing cell
         for share, pid in enumerate(list(children), start=1):
+            if share >= first:      # this child and the later ones hold no earlier cell
+                break
             with children[pid] as pipe:
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -352,7 +394,15 @@ def _map_cells(run, cells, serial):
                 raise ChildProcessError(f"child process {pid} was killed by "
                                         f"{signal.Signals(-code).name} before sending its "
                                         "cells' results")
-            results[share::workers] = pickle.loads(data) if code == 0 else scan(share)
+            part, exc = (pickle.loads(data), None) if code == 0 else \
+                _scan_share(run, cells[share:first:workers])
+            if exc is not None:
+                first, failure = share + len(part) * workers, exc
+            elif failure is None:
+                results[share::workers] = part
+        if failure is not None:
+            raise failure
+        results[0::workers] = mine
         return results
     finally:
         for pid, pipe in children.items():
@@ -366,13 +416,16 @@ def _scan_cells(config, out, scan):
 
     Validates ``config``, checks the output directory, sizes the kernel table
     for the largest kernel index a homodyne run needs and builds the kernel
-    rows of its ray, and damps the signal once per efficiency.  Then it hands
-    each cell a fresh dataset drawn from its own RNG stream to
-    ``scan(source, target_n, target_d, eta, jm_grid)``.  Homodyne cells are
-    shared, interleaved, among this process and forked children, one process
-    per CPU in its affinity; the children inherit the table, its rows and the
-    damped states.  Direct-detection cells run in-process.  Results come back
-    in cell order, so the output does not depend on the process count.
+    rows of its ray, and damps the signal once per efficiency.  Then each
+    cell draws a fresh dataset from its own RNG stream; a homodyne cell's
+    ray is estimated in one batch with the other cells of its efficiency in
+    the same process.  ``scan(source, target_n, target_d, eta, jm_grid)``
+    reads each cell's ray or counts.  Homodyne cells are shared, interleaved,
+    among this process and forked children, one process per CPU in its
+    affinity; the children inherit the table, its rows, the contraction
+    blocks built so far and the damped states.  Direct-detection cells run
+    in-process.  Results come back in cell order, so the output does not
+    depend on the process count.
     Returns the output path, the signal and, per efficiency, ``(eta, jm_grid,
     [result per trial])``.
     """

@@ -9,8 +9,11 @@ e^{-i phi})/2`` with vacuum variance 1/4, and the distribution at phase
 Matrix elements are estimated from samples by phase-weighted kernel
 averages; ``estimate_element`` is unbiased for every state, which is
 the contract the kernel construction in :mod:`losscomp.oscillator` is
-anchored to.  It reads each kernel's sums over the samples from
-``oscillator.pattern_sums`` and never evaluates a kernel at a sample.
+anchored to.  It is the batch of one of ``estimate_rays``, which reads
+each kernel's sums over the samples of several datasets from one
+``oscillator.pattern_sums`` pass and never evaluates a kernel at a
+sample.  A dataset's ray has the same bytes alone or in any batch, at
+any BLAS thread count; its last bits come from the CPU's BLAS kernel.
 The Gaussian sampler adds the phase mean only for a nonzero amplitude;
 for a thermal law it is +-0, so skipping it keeps every draw's bits.
 
@@ -300,27 +303,39 @@ def sample_quadratures(rho: DensityMatrix, n: int, rng: np.random.Generator) -> 
     return QuadratureData(x=x, phi=phi)
 
 
-def estimate_element(samples: QuadratureData, n: int, d: int, j_max: int = 0) -> MeasuredRay:
-    """Estimate the ray ``<n+j|rho|n+d+j>``, j = 0..j_max, from homodyne samples.
+def estimate_rays(datasets, n: int, d: int, j_max: int = 0) -> list:
+    """Estimate the ray ``<n+j|rho|n+d+j>``, j = 0..j_max, from each of several datasets.
 
     Element j is the sample mean of ``e^{i d phi} f_{n+j,n+d+j}(x)``; its
     standard error is the larger componentwise sample deviation divided
     by sqrt(N).  Both come from the sums of the summands and of their
-    squares, which ``oscillator.pattern_sums`` forms from per-cell moments.
+    squares, which ``oscillator.pattern_sums`` forms for every dataset in
+    one pass.  A dataset's ray has the same bytes in any batch.
     """
-    if len(samples) < 2:
+    if any(len(samples) < 2 for samples in datasets):
         raise ValueError("need at least two samples")
-    n_s = len(samples)
-    if d:
-        phase = np.exp(1j * d * samples.phi)
-        weights = (phase.real, phase.imag)
-    else:
-        weights = None
-    s1, s2 = oscillator.pattern_sums(n, d, j_max, samples.x, weights)
-    mean = s1 / n_s
-    spread = np.sqrt(np.maximum(s2 - n_s * mean**2, 0.0) / (n_s - 1))
-    estimate = mean[:, 0] + 1j * mean[:, 1] if d else mean[:, 0]
-    return MeasuredRay(n, d, estimate, np.max(spread, axis=1) / np.sqrt(n_s))
+    columns = []
+    for samples in datasets:
+        phase = np.exp(1j * d * samples.phi) if d else None
+        columns.append((samples.x, None if phase is None else (phase.real, phase.imag)))
+    s1, s2 = oscillator.pattern_sums(n, d, j_max, columns)
+    width = 2 if d else 1
+    rays = []
+    for k, samples in enumerate(datasets):
+        n_s, own = len(samples), slice(k * width, (k + 1) * width)
+        mean = s1[:, own] / n_s
+        spread = np.sqrt(np.maximum(s2[:, own] - n_s * mean**2, 0.0) / (n_s - 1))
+        estimate = mean[:, 0] + 1j * mean[:, 1] if d else mean[:, 0]
+        rays.append(MeasuredRay(n, d, estimate, np.max(spread, axis=1) / np.sqrt(n_s)))
+    return rays
+
+
+def estimate_element(samples: QuadratureData, n: int, d: int, j_max: int = 0) -> MeasuredRay:
+    """Estimate the ray ``<n+j|rho|n+d+j>``, j = 0..j_max, from homodyne samples.
+
+    The batch of one of :func:`estimate_rays`.
+    """
+    return estimate_rays([samples], n, d, j_max)[0]
 
 
 def _indices(j_list) -> list:

@@ -36,12 +36,23 @@ kernel: it fetches its band row at the points in one gather and negates
 them at ``x < 0`` when ``n + m`` is odd, so the parity ``(-1)^(n+m)`` is
 exact.  ``pattern_sums`` gives the weighted sums of a kernel and of its
 square over the points for one ray ``f_{n+j, n+d+j}``, j = 0..j_max, which
-is rows n..n+j_max of band d: it gathers them at the occupied cells once
-and dots them with per-cell moments of the offsets, so a kernel costs its
-occupied cells, not its points.  All kernels of a ray have the parity of
-``d``, so an odd ray takes the sign into the weights of its first sums
-once.  Unit weights (the default) share one moment set between both sums
-of an even ray.
+is rows n..n+j_max of band d, and for a batch of datasets at once.  It
+contracts per-cell moments of the offsets with the band's coefficients and
+those of their squares, kept as fixed blocks (``_Tables.blocks``), so a
+kernel costs its occupied cells, not its points.  All kernels of a ray
+have the parity of ``d``, so an odd ray takes the sign into the weights of
+its first sums once.
+
+Each block product is one BLAS ``gemm`` of 32 kernel rows, 256 cell
+coefficients and 16 moment columns.  That is under OpenBLAS's one-thread
+limit (4 x 65,536 multiply-adds), so no product is split over threads, and
+the fixed shape keeps every column's arithmetic the same.  Block products
+are added in cell order over the blocks from the batch's first occupied
+cell to its last; the others are skipped, and a block where a column has
+no points adds exact zeros to it.  So a dataset's sums depend only on its
+own points and weights and on the CPU's BLAS kernel, not on the other
+datasets of the batch, their count, ``j_max``, the table's range or the
+BLAS thread count.
 """
 from __future__ import annotations
 
@@ -54,6 +65,10 @@ from .exceptions import ExtrapolationError
 TAB_STEP = 0.002          # kernel tabulation grid step
 _CELL_SUB = 5             # tabulation steps per spline cell
 _TERMS = 6                # coefficients of a quintic spline row
+_SQUARE = 2 * _TERMS - 1  # coefficients of its square
+_ROWS = 32                # kernel rows per contraction block
+_DEPTH = 256              # cell coefficients per contraction block
+_COLUMNS = 16             # moment columns per contraction
 _FINE_SUB = 2             # Numerov substeps per tabulation step
 _TURNING_MARGIN = 4.0     # grid range beyond the classical turning point
 _X_LIMIT = 26.0           # widest table range at which chi stays finite
@@ -133,6 +148,7 @@ class _Tables:
         self.x_cell = self.x_half[::_CELL_SUB].copy()    # x_max is whole: nh is a multiple of 5
         self.dx = np.diff(self.x_cell)
         self.bands = {}
+        self.stacks = {}
 
     def kernel_derivatives(self, n, m):
         """Kernel f_nm on ``x_half``, its slope and curvature on ``x_cell``, all over the anchor.
@@ -192,6 +208,40 @@ class _Tables:
             band = self.bands[d] = grown
         return band[:rows]
 
+    def blocks(self, d, rows, cells):
+        """Band d's rows k < ``rows`` on the cells c < ``cells`` as contraction blocks.
+
+        Returns ``(quintics, squares)``, each shaped ``(depth blocks, row blocks, 32,
+        256)``.  Row k sits at row ``k % 32`` of row block ``k // 32``; cell c's
+        coefficient of ``dt^p`` sits at depth ``c * terms + p``, with 6 terms for the
+        quintic and 11 for its square, whose coefficients ``sum_(k+l=p) a_k a_l``
+        come from the 21 distinct products.  Padding is zero.  The blocks are kept
+        and rebuilt larger when asked for more rows or cells; the cells grow in
+        steps of 256, so a run's samples, which stay far inside a table sized
+        for its largest index, reach few of them.
+        """
+        held = self.stacks.get(d, (0, 0))
+        if held[0] < rows or held[1] < cells:
+            rows = max(rows, held[0])
+            cells = min(max(-(-cells // _DEPTH) * _DEPTH, held[1]), self.dx.size)
+            band = self.band(d, rows)[:, ::-1, :cells]     # a[:, k] multiplies dt^k
+            count = -(-rows // _ROWS)
+            stacks = [np.zeros((-(-cells * terms // _DEPTH), count, _ROWS, _DEPTH))
+                      for terms in (_TERMS, _SQUARE)]
+            for b in range(count):
+                a = band[b * _ROWS:(b + 1) * _ROWS]
+                square = np.zeros((len(a), _SQUARE, cells))
+                for k in range(_TERMS):
+                    square[:, 2 * k] += a[:, k] * a[:, k]
+                    for l in range(k + 1, _TERMS):
+                        square[:, k + l] += 2.0 * (a[:, k] * a[:, l])
+                for stack, c in zip(stacks, (a, square)):
+                    flat = np.zeros((len(a), stack.shape[0] * _DEPTH))
+                    flat[:, :c[0].size] = c.transpose(0, 2, 1).reshape(len(a), -1)
+                    stack[:, b, :len(a)] = flat.reshape(len(a), -1, _DEPTH).transpose(1, 0, 2)
+            held = self.stacks[d] = (rows, cells, *stacks)
+        return held[2:]
+
 
 _TABLES: _Tables | None = None
 
@@ -250,57 +300,67 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
     return out.reshape(xa.shape)[()]
 
 
-def pattern_sums(n, d, j_max, x, weights=None):
+def pattern_sums(n, d, j_max, datasets):
     """Sums ``sum_s w_s f(x_s)`` and ``sum_s (w_s f(x_s))^2`` of each kernel ``f_{n+j, n+d+j}``.
 
-    ``j`` runs over 0..j_max, one ray.  ``weights`` holds one row of per-point
-    weights ``w`` per sum wanted (default: one row of ones); ``s1`` and ``s2``
-    are shaped ``(j_max + 1, rows)``.
+    ``j`` runs over 0..j_max, one ray.  ``datasets`` is a sequence of pairs
+    ``(x, weights)``: points of any shape and one row of per-point weights ``w``
+    per sum wanted, or ``None`` for one row of ones.  Each weight row is one
+    column of ``s1`` and ``s2``, which are shaped ``(j_max + 1, columns)``.
     A kernel is a quintic in ``dt = |x| - x_i`` on each cell, so its sums are its
-    coefficients ``a_k`` dotted with the occupied cells' moments ``S_k = sum w dt^k``
-    and ``sum w^2 dt^p``, the latter as ``sum_k a_k (a_k S_2k + 2 sum_(l>k) a_l S_(k+l))``.
-    Every kernel of the ray has the parity of ``d``: for odd ``d`` the first sums
-    take ``-w`` at ``x < 0``.  Products are elementwise on ``(kernels, cells)``
-    planes and each row is summed on its own, so its bits do not depend on ``j_max``.
+    coefficients ``a_k`` dotted with the cells' moments ``S_k = sum w dt^k``, and
+    its square's coefficients dotted with ``sum w^2 dt^p``.  Every kernel of the
+    ray has the parity of ``d``: for odd ``d`` the first sums take ``-w`` at
+    ``x < 0``.  The moments of 16 columns at a time are contracted with the
+    ray's row blocks in fixed-shape products, added in cell order from the
+    first occupied block to the last, so a column's bits depend on its own
+    points and weights only (see the module docstring).
     """
     if n < 0 or d < 0 or j_max < 0:
         raise ValueError("ray indices n, d and j_max must be nonnegative")
-    xa = np.asarray(x, dtype=float)
-    t, idx, dt, negative = _locate(n + d + j_max, xa)
-    w = np.ones((1, xa.size)) if weights is None else np.reshape(weights, (-1, xa.size))
-    counts = np.bincount(idx, minlength=t.x_cell.size - 1)
-    cells = np.flatnonzero(counts)
-    at = np.cumsum(counts > 0)[idx] - 1         # each point's rank among the occupied cells
-    powers = np.empty((2 * _TERMS - 1, xa.size))
-    powers[0] = 1.0
-    for p in range(1, 2 * _TERMS - 1):
-        np.multiply(powers[p - 1], dt, out=powers[p])
-
-    def moments(v, order):
-        """``sum v dt^p`` over each occupied cell, ``p < order``; ``v = None`` is unit weights."""
-        return [np.bincount(at, powers[p] if v is None else v * powers[p], minlength=cells.size)
-                for p in range(order)]
-
-    # the ray's rows in one gather at the occupied cells, as contiguous planes; a[k] * dt^k
-    a = np.take(t.band(d, n + j_max + 1)[n:], cells, axis=2).transpose(1, 0, 2).copy()[::-1]
-    s1 = np.empty((j_max + 1, len(w)))
-    s2 = np.empty((j_max + 1, len(w)))
-    for k, wk in enumerate(w):
-        sq = moments(None if weights is None else wk * wk, 2 * _TERMS - 1)
-        if d % 2:
-            s = moments(np.where(negative, -wk, wk), _TERMS)
-        else:
-            s = sq if weights is None else moments(wk, _TERMS)
-        total = a[0] * s[0]
-        for ak, sk in zip(a[1:], s[1:]):
-            total += ak * sk
-        s1[:, k] = np.sum(total, axis=1)
-        total = 0.0
-        for i in range(_TERMS):
-            part = a[i] * sq[2 * i]
-            for l in range(i + 1, _TERMS):
-                part += a[l] * (2.0 * sq[i + l])
-            part *= a[i]
-            total += part
-        s2[:, k] = np.sum(total, axis=1)
+    top = n + d + j_max
+    columns = []    # (cells, offsets, first-sum weights, second-sum weights) per column
+    for x, weights in datasets:         # every dataset located first: the table is then final
+        xa = np.asarray(x, dtype=float)
+        _, idx, dt, negative = _locate(top, xa)
+        for w in [None] if weights is None else np.reshape(weights, (-1, xa.size)):
+            v = w
+            if d % 2:
+                v = np.where(negative, -1.0, 1.0) if w is None else np.where(negative, -w, w)
+            columns.append((idx, dt, v, None if w is None else w * w))
+    reach = max((int(c[0].max(initial=-1)) + 1 for c in columns), default=0)
+    first, second = tables_for(top).blocks(d, n + j_max + 1, reach)
+    lo, skip = divmod(n, _ROWS)
+    rows = slice(lo, (n + j_max) // _ROWS + 1)
+    s1 = np.zeros((j_max + 1, len(columns)))
+    s2 = np.zeros((j_max + 1, len(columns)))
+    for start in range(0, len(columns), _COLUMNS):
+        group = columns[start:start + _COLUMNS]
+        m1, m2 = (np.zeros((stack.shape[0] * _DEPTH, _COLUMNS)) for stack in (first, second))
+        for k, (idx, dt, v, w2) in enumerate(group):
+            # sum v dt^p and sum w^2 dt^p over each cell c, at depth c * terms + p
+            cells = int(idx.max(initial=-1)) + 1
+            s = m1[:cells * _TERMS, k].reshape(cells, _TERMS)
+            sq = m2[:cells * _SQUARE, k].reshape(cells, _SQUARE)
+            power = np.ones(dt.size)
+            for p in range(_SQUARE):
+                if p:
+                    power = power * dt
+                sq[:, p] = np.bincount(idx, power if w2 is None else w2 * power, minlength=cells)
+                if p < _TERMS:
+                    s[:, p] = sq[:, p] if v is None else np.bincount(idx, v * power,
+                                                                      minlength=cells)
+        occupied = [c[0] for c in group if c[0].size]
+        if not occupied:
+            continue
+        low = min(int(idx.min()) for idx in occupied)
+        high = max(int(idx.max()) for idx in occupied) + 1
+        for m, stack, terms, out in ((m1, first, _TERMS, s1), (m2, second, _SQUARE, s2)):
+            depth = slice(low * terms // _DEPTH, -(-high * terms // _DEPTH))
+            parts = np.matmul(stack[depth, rows], m.reshape(-1, _DEPTH, _COLUMNS)[depth, None])
+            total = parts[0]
+            for part in parts[1:]:
+                total += part
+            out[:, start:start + len(group)] = \
+                total.reshape(-1, _COLUMNS)[skip:skip + j_max + 1, :len(group)]
     return s1, s2

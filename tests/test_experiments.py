@@ -6,6 +6,8 @@ import importlib.util
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -520,6 +522,19 @@ class TestScanTables:
         _, body = trials.read_bytes().split(b"\n", 1)
         assert body == "".join(line for cell in cells for line in rows[cell]).encode()
 
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_batch_size_leaves_results_unchanged(self, d, tmp_path, monkeypatch):
+        """A share's cells of one efficiency are estimated in batches of at most
+        ``_BATCH_SAMPLES`` samples; batches of one, two or every trial give the same
+        full-precision scans."""
+        config = small_fig1(trials=5, target_d=d, jm_list=(1, 2, 5, 30))
+        scans = []
+        for size in (1, 2, 5):
+            monkeypatch.setattr(experiments, "_BATCH_SAMPLES", size * config.n_samples)
+            _, _, table = experiments._scan_cells(config, tmp_path / "run.csv", convergence_scan)
+            scans.append([(r.trace, r.verdict) for _, _, results in table for r in results])
+        assert scans[0] == scans[1] == scans[2]
+
     @pytest.mark.parametrize("figure,built", [("fig1", [102]), ("direct", [])])
     def test_run_sizes_the_kernel_table_once(self, figure, built, tmp_path, monkeypatch):
         """A homodyne run builds one table, for its largest kernel index, before any cell;
@@ -777,6 +792,29 @@ class TestWorkers:
             run_fig1(small_fig1(), out=tmp_path / "fig1.csv")
         assert_no_children()
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_failing_cell_raises_at_every_process_count(self, cpus, tmp_path,
+                                                              monkeypatch):
+        """Cells (0, 1) and (1, 0) of a 2x2 run fail: every process count raises the error
+        of (0, 1), the first in cell order.  On two processes (1, 0) is the parent's and
+        (0, 1) the child's, which the parent waits for.  On three, (1, 0) hangs in the
+        second child, which holds no cell before (0, 1) and is killed, not waited for."""
+        parent, source = os.getpid(), experiments._measurement_source
+
+        def failing_source(config, damped, rng):
+            cell = rng.bit_generator.seed_seq.entropy[1:]
+            if cell == (1, 0) and os.getpid() != parent:
+                time.sleep(600)
+            if cell in ((0, 1), (1, 0)):
+                raise ValueError(f"cell {cell}")
+            return source(config, damped, rng)
+
+        monkeypatch.setattr(experiments, "_measurement_source", failing_source)
+        monkeypatch.setattr(experiments, "_cpus", lambda: cpus)
+        with deadline(60), pytest.raises(ValueError, match=r"^cell \(0, 1\)$"):
+            run_fig1(small_fig1(), out=tmp_path / "fig1.csv")
+        assert_no_children()
+
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("kind", ["local class", "two-part init"])
     def test_unsendable_exception_is_raised_as_on_one_cpu(self, kind, cpus, tmp_path,
@@ -863,6 +901,25 @@ class TestWorkers:
 
         monkeypatch.setattr(oscillator._Tables, "kernel_derivatives", no_kernels)
         assert [p.read_bytes() for p in run_fig1(config, out=tmp_path / "second.csv")] == first
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2"])
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count(figure, tmp_path):
+    """Fresh ``python -m losscomp`` runs at one and at two BLAS threads write the same
+    bytes.  Nine significant digits hide last-bit changes, so
+    ``tests/test_homodyne.py`` also compares full ray bytes across thread counts."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(serialize_config(small_fig1() if figure == "fig1" else small_fig2()))
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    tables = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}.csv"
+        subprocess.run([sys.executable, "-m", "losscomp", figure, "--config", str(conf),
+                        "--out", str(out)], env=env, capture_output=True, check=True)
+        tables.append((out.read_bytes(), experiments._trials_path(out).read_bytes()))
+    assert tables[0] == tables[1]
 
 
 # sha256 prefixes of the default tables at master seed 7 (``losscomp <figure> --seed 7``)

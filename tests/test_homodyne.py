@@ -1,6 +1,10 @@
 """Homodyne statistics: pdf, samplers, pattern kernels, and estimators."""
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +33,15 @@ from losscomp.fock_core import DensityMatrix
 
 def rng_from(*key):
     return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def blas_threads_run(argv, threads):
+    """Standard output of ``argv`` run in a fresh process on this copy of losscomp, with
+    OpenBLAS and OpenMP limited to ``threads`` threads."""
+    src = str(Path(oscillator.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
 
 
 def element(data, n, d):
@@ -687,6 +700,49 @@ def kernel_sum_cases(draw):
     return n, d, j_max, x, phi
 
 
+def plane_product_sums(n, d, j_max, x, weights=None):
+    """Reference kernel sums: elementwise plane products at the occupied cells.
+
+    The ray's rows are gathered at the occupied cells as ``(6, rows, cells)``
+    planes ``a_k`` (``a_k`` multiplies ``dt^k``) and dotted with the cells'
+    moments: ``s1 = sum_k a_k S_k`` over ``S_k = sum v dt^k`` (``v = w``, negated at
+    ``x < 0`` for odd d) and ``s2 = sum_k a_k (a_k T_2k + 2 sum_(l>k) a_l T_(k+l))``
+    over ``T_p = sum w^2 dt^p``, each row summed over the cells on its own.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    t, idx, dt, negative = oscillator._locate(n + d + j_max, x)
+    w = np.ones((1, x.size)) if weights is None else np.reshape(weights, (-1, x.size))
+    counts = np.bincount(idx, minlength=t.x_cell.size - 1)
+    cells = np.flatnonzero(counts)
+    at = np.cumsum(counts > 0)[idx] - 1
+
+    powers = [np.ones(x.size)]
+    for _ in range(10):
+        powers.append(powers[-1] * dt)
+
+    def moments(v, order):
+        return [np.bincount(at, v * powers[p], minlength=cells.size) for p in range(order)]
+
+    a = np.take(t.band(d, n + j_max + 1)[n:], cells, axis=2).transpose(1, 0, 2)[::-1]
+    s1 = np.empty((j_max + 1, len(w)))
+    s2 = np.empty((j_max + 1, len(w)))
+    for k, wk in enumerate(w):
+        s = moments(np.where(negative, -wk, wk) if d % 2 else wk, 6)
+        sq = moments(wk * wk, 11)
+        total = a[0] * s[0]
+        for ak, sk in zip(a[1:], s[1:]):
+            total += ak * sk
+        s1[:, k] = np.sum(total, axis=1)
+        total = 0.0
+        for i in range(6):
+            part = a[i] * sq[2 * i]
+            for l in range(i + 1, 6):
+                part += a[l] * (2.0 * sq[i + l])
+            total += part * a[i]
+        s2[:, k] = np.sum(total, axis=1)
+    return s1, s2
+
+
 class TestPatternSums:
     @settings(derandomize=True, deadline=None)
     @given(case=kernel_sum_cases(), phased=st.booleans())
@@ -697,31 +753,69 @@ class TestPatternSums:
         x, phi = np.append(x, [x_max, -x_max]), np.append(phi, [0.4, 2.9])
         e = np.arange(1, 4)[:, None] if phased else np.zeros((1, 1))
         weights = np.where(e % 2, np.sin(e * phi), np.cos(e * phi))
-        s1, s2 = oscillator.pattern_sums(n, d, j_max, x, weights if phased else None)
+        s1, s2 = oscillator.pattern_sums(n, d, j_max, [(x, weights if phased else None)])
         rows = np.arange(n, n + j_max + 1)
         terms = kernel_rows(rows, rows + d, x)[:, None, :] * weights
         assert s1.shape == s2.shape == (j_max + 1, weights.shape[0])
         assert np.all(np.abs(s1 - np.sum(terms, axis=-1)) <= 1e-12 * np.sum(np.abs(terms), axis=-1))
         assert np.all(np.abs(s2 - np.sum(terms**2, axis=-1)) <= 1e-12 * np.sum(terms**2, axis=-1))
 
+    @pytest.mark.parametrize("j_max", [0, 20, 100])
+    @pytest.mark.parametrize("phased", [False, True], ids=["unit", "phased"])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_sums_equal_the_plane_product_reference(self, d, phased, j_max):
+        """The block contraction against the elementwise plane products it replaced.
+
+        The tolerance was fixed before the first run: ``s2`` within 1e-13 of the
+        reference's own value, ``s1`` within 1e-13 of ``sqrt(N s2)``, which bounds
+        ``sum |w f|``.  ``j_max = 0`` is one row of a 32-row block.
+        """
+        data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 30 + d))
+        weights = np.array([np.cos(d * data.phi), np.sin(d * data.phi)]) if phased else None
+        s1, s2 = oscillator.pattern_sums(1, d, j_max, [(data.x, weights)])
+        r1, r2 = plane_product_sums(1, d, j_max, data.x, weights)
+        assert s1.shape == s2.shape == r1.shape == (j_max + 1, 2 if phased else 1)
+        assert np.all(np.abs(s2 - r2) <= 1e-13 * r2)
+        assert np.all(np.abs(s1 - r1) <= 1e-13 * np.sqrt(data.x.size * r2))
+
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_default_weights_equal_a_row_of_ones(self, d):
         """No weights gives the bytes of one explicit row of ones, for either parity."""
         x = np.append(rng_from(5, d).normal(0.0, 1.5, 4000), [0.0, -0.0, 2.0, -2.0])
-        s1, s2 = oscillator.pattern_sums(3, d, 6, x)
-        t1, t2 = oscillator.pattern_sums(3, d, 6, x, np.ones((1, x.size)))
+        s1, s2 = oscillator.pattern_sums(3, d, 6, [(x, None)])
+        t1, t2 = oscillator.pattern_sums(3, d, 6, [(x, np.ones((1, x.size)))])
         assert s1.tobytes() == t1.tobytes() and s2.tobytes() == t2.tobytes()
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_a_columns_sums_do_not_depend_on_its_batch(self, d):
+        """Each dataset's columns have the bytes of that dataset alone, at any position,
+        beside datasets of other extents, and past the first 16 columns."""
+        rng = rng_from(5, 10 + d)
+        xs = [rng.normal(0.0, scale, size) for scale, size in
+              [(0.5, 800), (1.0, 3000), (3.0, 2000), (0.2, 50), (1.5, 5000), (2.5, 100),
+               (0.8, 1200), (1.2, 900), (4.0, 3000)]]
+        batch = [(x, np.array([np.cos(x), np.sin(x)])) for x in xs]     # 18 columns
+        s1, s2 = oscillator.pattern_sums(2, d, 40, batch)
+        assert s1.shape == (41, 18)
+        for k, dataset in enumerate(batch):
+            t1, t2 = oscillator.pattern_sums(2, d, 40, [dataset])
+            assert s1[:, 2 * k:2 * k + 2].tobytes() == t1.tobytes()
+            assert s2[:, 2 * k:2 * k + 2].tobytes() == t2.tobytes()
+        moved1, moved2 = oscillator.pattern_sums(2, d, 40, batch[5:] + batch[:5])
+        assert moved1[:, 8:].tobytes() == s1[:, :10].tobytes()
+        assert moved2[:, 8:].tobytes() == s2[:, :10].tobytes()
 
     def test_shapes_follow_the_indices(self):
         x = np.array([[0.3, -1.2], [2.5, -0.0]])
-        s1, s2 = oscillator.pattern_sums(2, 3, 0, x)
+        s1, s2 = oscillator.pattern_sums(2, 3, 0, [(x, None)])
         assert s1.shape == s2.shape == (1, 1)
         assert s1[0, 0] == pytest.approx(np.sum(evaluate_pattern(2, 5, x)), rel=1e-12)
-        s1, s2 = oscillator.pattern_sums(0, 1, 4, x, np.ones((3, 4)))
-        assert s1.shape == s2.shape == (5, 3)
+        s1, s2 = oscillator.pattern_sums(0, 1, 4, [(x, np.ones((3, 4))), (x[0], None)])
+        assert s1.shape == s2.shape == (5, 4)
+        assert oscillator.pattern_sums(0, 1, 4, [])[0].shape == (5, 0)
         for bad in [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]:
             with pytest.raises(ValueError):
-                oscillator.pattern_sums(*bad, x)
+                oscillator.pattern_sums(*bad, [(x, None)])
 
 
 class TestEstimateElement:
@@ -801,6 +895,40 @@ class TestEstimateElement:
             one = estimate_element(data, 1 + j, d)
             assert one.estimate.tobytes() == ray.estimate[j:j + 1].tobytes()
             assert one.stderr.tobytes() == ray.stderr[j:j + 1].tobytes()
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_batched_rays_equal_rays_one_at_a_time(self, d):
+        """``estimate_rays`` gives each dataset the bytes ``estimate_element`` gives it alone."""
+        rho = apply_loss(make_coherent(0.8 + 0.4j, 32), 0.6)
+        datasets = [sample_quadratures(rho, size, rng_from(17, 40, k))
+                    for k, size in enumerate([3000, 500, 8000, 2, 1200, 3000, 700, 4000, 900])]
+        rays = homodyne.estimate_rays(datasets, 1, d, j_max=20)
+        for data, ray in zip(datasets, rays):
+            one = estimate_element(data, 1, d, j_max=20)
+            assert (ray.n, ray.d) == (1, d)
+            assert ray.estimate.tobytes() == one.estimate.tobytes()
+            assert ray.stderr.tobytes() == one.stderr.tobytes()
+        assert homodyne.estimate_rays([], 1, d, j_max=20) == []
+        with pytest.raises(ValueError, match="need at least two samples"):
+            homodyne.estimate_rays([datasets[0], QuadratureData([0.1], [0.2])], 1, d)
+
+    def test_ray_bytes_do_not_depend_on_the_blas_thread_count(self):
+        """Fresh processes at one and at two BLAS threads estimate the same ray bytes for a
+        fig2-size batch: ten datasets of 8,000 samples, j_max = 100, a unit-weight ray
+        and a phased one.  Every block product stays under OpenBLAS's one-thread limit;
+        one plain product over the occupied cells does not, and fails this test."""
+        code = ("import hashlib, numpy as np\n"
+                "from losscomp import apply_loss, homodyne, make_coherent, make_thermal\n"
+                "digest = hashlib.sha256()\n"
+                "for state, d in ((make_thermal(2.0, 64), 0), (make_coherent(1 + 0.5j, 64), 1)):\n"
+                "    rho = apply_loss(state, 0.5)\n"
+                "    data = [homodyne.sample_quadratures(rho, 8000, np.random.default_rng(k))\n"
+                "            for k in range(10)]\n"
+                "    for ray in homodyne.estimate_rays(data, 2, d, 100):\n"
+                "        digest.update(ray.estimate.tobytes() + ray.stderr.tobytes())\n"
+                "print(digest.hexdigest())\n")
+        assert blas_threads_run([sys.executable, "-c", code], "1") == \
+            blas_threads_run([sys.executable, "-c", code], "2")
 
     @staticmethod
     def documented_reductions(data, n, d, rows):
@@ -882,7 +1010,7 @@ class TestEstimateElement:
         """sha256 prefix of the estimate and stderr bytes of the rays d = 0..3, j_max = 30.
 
         Covers odd rays (the sign fold) and phased weights, which no default
-        table exercises.
+        table exercises.  The bits come from the CPU's BLAS ``gemm`` kernel.
         """
         data = sample_quadratures(make_coherent(0.8 + 0.4j, 32), 3000, rng_from(17, 26))
         digest = hashlib.sha256()
@@ -890,7 +1018,7 @@ class TestEstimateElement:
             ray = estimate_element(data, 1, d, j_max=30)
             digest.update(ray.estimate.tobytes())
             digest.update(ray.stderr.tobytes())
-        assert digest.hexdigest()[:12] == "1bd3d2bd7427"
+        assert digest.hexdigest()[:12] == "e1153b039bd8"
 
     def test_table_reaches_past_the_samples(self, monkeypatch):
         monkeypatch.setattr(oscillator, "_TABLES", None)
