@@ -7,14 +7,19 @@ any execution order gives identical output.  A homodyne run therefore
 shares its cells among the process and forked children, one process per
 CPU it may run on (``taskset -c 0`` gives a one-CPU, serial run); a
 direct-detection run, whose cells take microseconds, stays in-process.
-Each process scans its cells of one efficiency as one batch: one kernel
-pass estimates every trial's ray, and a ray's bytes do not depend on the
-batch it is in.  The bytes are the same whatever the process count, and
-so is the exception of a failing run: that of the first failing cell in
-cell order.  A child whose cell raises sends nothing, and the parent
-scans that child's cells itself.  Tables carry a 12-hex-digit hash of
-the canonical config serialization in every row; reruns with the same
-config are byte-identical.
+The unit of work is one efficiency's trials (a run with fewer
+efficiencies than processes splits each into contiguous trial blocks),
+and units are dealt to the processes in turn.  Each process damps the
+signal for its own units, after the fork: a Gaussian signal's homodyne
+cells are drawn from its damped quadrature law, and only other states
+and photocounting damp the matrix.  It scans each unit as one batch:
+one kernel pass estimates every trial's ray, and a ray's bytes do not
+depend on the batch it is in.  The bytes are the same whatever the
+process count, and so is the exception of a failing run: that of the
+first failing cell in cell order.  A child whose cell raises sends
+nothing, and the parent scans that child's units itself.  Tables carry
+a 12-hex-digit hash of the canonical config serialization in every row;
+reruns with the same config are byte-identical.
 
 Outputs per run: a mean table (one row per (eta, truncation index),
 averaged over trials) and a sibling ``*_trials.csv`` with the per-trial
@@ -23,10 +28,8 @@ rows that the averages came from.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import numbers
-import operator
 import os
 import pickle
 import signal
@@ -39,8 +42,8 @@ import numpy as np
 from . import oscillator
 from .compensation import convergence_scan, error_vs_eta, truncation_indices
 from .direct_detection import sample_counts
-from .fock_core import StateSpec
-from .homodyne import estimate_rays, sample_quadratures
+from .fock_core import GaussianQuadratureLaw, StateSpec
+from .homodyne import _sample_law, estimate_rays, sample_quadratures
 from .loss_channel import _DIM_LIMIT, _damped_law, apply_loss, inverse_coefficient
 
 DEFAULT_MASTER_SEED = 235711
@@ -276,8 +279,11 @@ def _trial_rng(config, eta_index, trial):
 
 
 def _measurement_source(config, damped, rng):
+    """One cell's dataset, drawn from the damped state or a Gaussian signal's damped law."""
     if config.detection == "direct":
         return sample_counts(damped, config.n_samples, rng)
+    if isinstance(damped, GaussianQuadratureLaw):
+        return _sample_law(damped, config.n_samples, rng)
     return sample_quadratures(damped, config.n_samples, rng)
 
 
@@ -300,67 +306,88 @@ def _cpus():
 
 
 def _cells(run, eta_index, trials):
-    """Results of the cells ``(eta_index, trial)``, in order, in batches of trials.
+    """Results of the cells ``(eta_index, trial)`` of one unit of work, in order.
 
-    Each trial draws its own dataset; a homodyne run estimates the rays of a
-    batch, at most ``_BATCH_SAMPLES`` samples, in one kernel pass, and each
-    cell's scan reads its own ray.
+    The unit damps the signal once: a homodyne run of a Gaussian signal takes
+    its damped quadrature law, any other run the damped matrix.  Each trial
+    draws its own dataset; a homodyne run estimates the rays of a batch, at
+    most ``_BATCH_SAMPLES`` samples, in one kernel pass, and each cell's scan
+    reads its own ray.  A batch that raises is scanned again one cell at a
+    time, so the error raised is that of the unit's first failing cell,
+    whatever cells share its batch.
     """
-    config, damped, grids, scan = run
+    config, signal, grids, scan = run
     n, d, grid = config.target_n, config.target_d, grids[eta_index]
+    eta = config.eta_list[eta_index]
+    if config.detection == "homodyne" and signal.quadrature_law is not None:
+        damped = _damped_law(signal.quadrature_law, eta)
+    else:
+        damped = apply_loss(signal, eta)
+
+    def scanned(batch):
+        sources = [_measurement_source(config, damped, _trial_rng(config, eta_index, t))
+                   for t in batch]
+        if config.detection == "homodyne":
+            sources = estimate_rays(sources, n, d, grid[-1])
+        return [scan(source, n, d, eta, grid) for source in sources]
+
     size = max(1, _BATCH_SAMPLES // config.n_samples)
     results = []
     for lo in range(0, len(trials), size):
-        sources = [_measurement_source(config, damped[eta_index], _trial_rng(config, eta_index, t))
-                   for t in trials[lo:lo + size]]
-        if config.detection == "homodyne":
-            sources = estimate_rays(sources, n, d, grid[-1])
-        results += [scan(source, n, d, config.eta_list[eta_index], grid) for source in sources]
+        batch = trials[lo:lo + size]
+        try:
+            results += scanned(batch)
+        except Exception:
+            for trial in batch:
+                results += scanned([trial])
     return results
 
 
-def _scan_share(run, cells):
-    """Results of ``cells`` (eta-major), one batch per efficiency, up to the first failing cell.
+def _scan_share(run, units):
+    """The results of ``units``, one list per unit, up to the first failing unit.
 
-    Returns the results and the first failing cell's exception (the cell at
-    ``len(results)``), or None.  A batch that raises is scanned again one
-    cell at a time, so which cell fails, and how, does not depend on the
-    cells that share its batch.
+    Returns the results and the first failing unit's exception (the unit at
+    ``len(results)``), or None.
     """
     results = []
-    for eta_index, group in itertools.groupby(cells, key=operator.itemgetter(0)):
-        trials = [trial for _, trial in group]
+    for eta_index, trials in units:
         try:
-            results += _cells(run, eta_index, trials)
-        except Exception:
-            for trial in trials:
-                try:
-                    results += _cells(run, eta_index, [trial])
-                except Exception as exc:
-                    return results, exc
+            results.append(_cells(run, eta_index, trials))
+        except Exception as exc:
+            return results, exc
     return results, None
 
 
-def _map_cells(run, cells, serial):
-    """The results of ``cells``, in order, shared among ``W`` processes.
+def _map_cells(run, serial):
+    """The results of every (eta, trial) cell, in cell order, shared among ``W`` processes.
 
-    ``W`` is one per CPU the process may run on, at most one per cell, and 1
-    when ``serial`` is set, where ``fork`` does not exist, or while other
-    threads run, whose held locks a forked child would inherit.  The parent
-    forks ``W - 1`` children, which inherit ``run`` and every table built so
-    far; child ``k`` scans ``cells[k::W]`` and pickles its results back
-    through a pipe, the parent scans ``cells[0::W]`` itself, so ``W = 1`` is
-    the serial loop.  A child whose cell raises exits 1 and sends nothing,
-    and the parent scans that child's cells itself, so a cell that fails only
-    in a child costs time, not the run.  The exception raised is that of the
-    first failing cell in cell order, as at ``W = 1``: once the parent knows
-    a failing cell, it waits only for the children holding an earlier cell
-    and kills the rest at once.  A child killed by a signal raises
-    ``ChildProcessError`` naming it.  Every child is killed and reaped before
-    the call returns or raises.
+    ``W`` is one per CPU the process may run on, and 1 when ``serial`` is
+    set, where ``fork`` does not exist, or while other threads run, whose
+    held locks a forked child would inherit.  The unit of work is one
+    efficiency's trials; a run with fewer efficiencies ``E`` than processes
+    splits each efficiency's trials into ``ceil(W / E)`` contiguous blocks,
+    and ``W`` is at most the number of units.  The parent forks ``W - 1``
+    children, which inherit ``run`` and the kernel table built so far.  Unit
+    ``k`` is process ``k mod W``'s: child ``k`` scans ``units[k::W]`` and
+    pickles its results back through a pipe, the parent scans
+    ``units[0::W]`` itself, so ``W = 1`` is the serial loop.  A child whose
+    cell raises exits 1 and sends nothing, and the parent scans that child's
+    units itself, so a cell that fails only in a child costs time, not the
+    run.  Units are contiguous in cell order, so the first failing cell lies
+    in the first failing unit, and the exception raised is that cell's, as
+    at ``W = 1``: once the parent knows a failing unit, it waits only for
+    the children holding an earlier unit and kills the rest at once.  A
+    child killed by a signal raises ``ChildProcessError`` naming it.  Every
+    child is killed and reaped before the call returns or raises.
     """
+    config, _, grids, _ = run
     workers = (1 if serial or not hasattr(os, "fork") or threading.active_count() > 1
-               else min(_cpus(), len(cells)))
+               else _cpus())
+    trials = config.trials
+    blocks = min(-(-workers // len(grids)), trials)
+    units = [(eta_index, range(trials * k // blocks, trials * (k + 1) // blocks))
+             for eta_index in range(len(grids)) for k in range(blocks)]
+    workers = min(workers, len(units))
     children = {}  # pid -> read end of its pipe, in share order
     try:
         for share in range(1, workers):
@@ -369,7 +396,7 @@ def _map_cells(run, cells, serial):
             if pid == 0:
                 try:
                     os.close(read)  # so a write to a dead parent fails instead of blocking
-                    results, failure = _scan_share(run, cells[share::workers])
+                    results, failure = _scan_share(run, units[share::workers])
                     if failure is None:
                         with open(write, "wb") as pipe:
                             pickle.dump(results, pipe)
@@ -380,11 +407,11 @@ def _map_cells(run, cells, serial):
             # closed before the next fork, the child's write end is the only one left,
             # so its death reads as EOF
             os.close(write)
-        results = [None] * len(cells)
-        mine, failure = _scan_share(run, cells[0::workers])
-        first = len(cells) if failure is None else len(mine) * workers  # first failing cell
+        results = [None] * len(units)
+        mine, failure = _scan_share(run, units[0::workers])
+        first = len(units) if failure is None else len(mine) * workers  # first failing unit
         for share, pid in enumerate(list(children), start=1):
-            if share >= first:      # this child and the later ones hold no earlier cell
+            if share >= first:      # this child and the later ones hold no earlier unit
                 break
             with children[pid] as pipe:
                 data = pipe.read()
@@ -395,7 +422,7 @@ def _map_cells(run, cells, serial):
                                         f"{signal.Signals(-code).name} before sending its "
                                         "cells' results")
             part, exc = (pickle.loads(data), None) if code == 0 else \
-                _scan_share(run, cells[share:first:workers])
+                _scan_share(run, units[share:first:workers])
             if exc is not None:
                 first, failure = share + len(part) * workers, exc
             elif failure is None:
@@ -403,7 +430,7 @@ def _map_cells(run, cells, serial):
         if failure is not None:
             raise failure
         results[0::workers] = mine
-        return results
+        return [result for unit in results for result in unit]
     finally:
         for pid, pipe in children.items():
             pipe.close()
@@ -414,17 +441,17 @@ def _map_cells(run, cells, serial):
 def _scan_cells(config, out, scan):
     """The (eta, trial) cell loop behind every figure table.
 
-    Validates ``config``, checks the output directory, sizes the kernel table
-    for the largest kernel index a homodyne run needs and builds the kernel
-    rows of its ray, and damps the signal once per efficiency.  Then each
-    cell draws a fresh dataset from its own RNG stream; a homodyne cell's
-    ray is estimated in one batch with the other cells of its efficiency in
-    the same process.  ``scan(source, target_n, target_d, eta, jm_grid)``
-    reads each cell's ray or counts.  Homodyne cells are shared, interleaved,
-    among this process and forked children, one process per CPU in its
-    affinity; the children inherit the table, its rows, the contraction
-    blocks built so far and the damped states.  Direct-detection cells run
-    in-process.  Results come back in cell order, so the output does not
+    Validates ``config``, checks the output directory, and sizes the kernel
+    table for the largest kernel index a homodyne run needs and builds the
+    kernel rows of its ray: built before any fork, they are built once, not
+    once per process.  Then the cells run by units of work, one efficiency's
+    trials each (:func:`_map_cells`): homodyne units are dealt in turn to
+    this process and forked children, one process per CPU in its affinity,
+    and direct-detection units run in-process.  Each unit damps the signal
+    in the process that owns it, and each cell draws a fresh dataset from
+    its own RNG stream; a homodyne unit's rays are estimated in one batch.
+    ``scan(source, target_n, target_d, eta, jm_grid)`` reads each cell's ray
+    or counts.  Results come back in cell order, so the output does not
     depend on the process count.
     Returns the output path, the signal and, per efficiency, ``(eta, jm_grid,
     [result per trial])``.
@@ -433,17 +460,11 @@ def _scan_cells(config, out, scan):
     out_path = Path(out) if out is not None else Path(config.output_path)
     if not out_path.parent.is_dir():
         raise FileNotFoundError(f"output directory {out_path.parent} does not exist")
-    n, d = config.target_n, config.target_d
-    # one kernel table, sized for every cell's ray, and the ray's rows: built here,
-    # they are built once, not once per forked child
     if config.detection == "homodyne":
         j_top = max(max(grid) for grid in grids)
-        oscillator.tables_for(n + d + j_top).band(d, n + j_top + 1)
-    damped = [apply_loss(signal, eta) for eta in config.eta_list]
-    cells = [(eta_index, trial) for eta_index in range(len(grids))
-             for trial in range(config.trials)]
-    results = _map_cells((config, damped, grids, scan), cells,
-                         serial=config.detection == "direct")
+        oscillator.tables_for(config.target_n + config.target_d + j_top).band(
+            config.target_d, config.target_n + j_top + 1)
+    results = _map_cells((config, signal, grids, scan), serial=config.detection == "direct")
     trials = config.trials
     table = [(eta, jm_grid, results[k * trials:(k + 1) * trials])
              for k, (eta, jm_grid) in enumerate(zip(config.eta_list, grids))]

@@ -14,8 +14,12 @@ each kernel's sums over the samples of several datasets from one
 ``oscillator.pattern_sums`` pass and never evaluates a kernel at a
 sample.  A dataset's ray has the same bytes alone or in any batch, at
 any BLAS thread count; its last bits come from the CPU's BLAS kernel.
-The Gaussian sampler adds the phase mean only for a nonzero amplitude;
-for a thermal law it is +-0, so skipping it keeps every draw's bits.
+A state with an exact Gaussian quadrature law is sampled from the law
+alone, by one law sampler that ``sample_quadratures`` calls for such a
+state and that takes a law without its matrix: a scan hands it the
+damped law of a Gaussian signal and never damps the matrix, with the
+same draws.  It adds the phase mean only for a nonzero amplitude; for a
+thermal law it is +-0, so skipping it keeps every draw's bits.
 
 Other states are sampled from tables on an x grid: a phase-invariant
 state's cumulative density for inverse-CDF draws, and for any other state
@@ -292,14 +296,18 @@ def sample_quadratures(rho: DensityMatrix, n: int, rng: np.random.Generator) -> 
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    law = rho.quadrature_law
-    if law is not None:
-        phi = rng.uniform(0.0, np.pi, n)
-        x = np.sqrt(law.variance) * rng.standard_normal(n)
-        if law.mean_amplitude:
-            x = np.real(law.mean_amplitude * np.exp(1j * phi)) + x
-    else:
-        x, phi = _tables_for(rho).draw(n, rng)
+    if rho.quadrature_law is not None:
+        return _sample_law(rho.quadrature_law, n, rng)
+    x, phi = _tables_for(rho).draw(n, rng)
+    return QuadratureData(x=x, phi=phi)
+
+
+def _sample_law(law, n, rng):
+    """``n`` homodyne samples of the Gaussian quadrature law ``law``: uniform phases, normal x."""
+    phi = rng.uniform(0.0, np.pi, n)
+    x = np.sqrt(law.variance) * rng.standard_normal(n)
+    if law.mean_amplitude:
+        x = np.real(law.mean_amplitude * np.exp(1j * phi)) + x
     return QuadratureData(x=x, phi=phi)
 
 

@@ -335,7 +335,7 @@ class TestValidation:
         def sample(*args):
             raise AssertionError("damped or sampled before the config was rejected")
 
-        for name in ("apply_loss", "sample_quadratures", "sample_counts"):
+        for name in ("apply_loss", "_sample_law", "sample_quadratures", "sample_counts"):
             monkeypatch.setattr(experiments, name, sample)
         conf, out = tmp_path / "run.conf", tmp_path / "fig1.csv"
         conf.write_text(text)
@@ -350,7 +350,7 @@ class TestValidation:
         def sample(*args):
             raise AssertionError("damped or sampled before the output was checked")
 
-        for name in ("apply_loss", "sample_quadratures", "sample_counts"):
+        for name in ("apply_loss", "_sample_law", "sample_quadratures", "sample_counts"):
             monkeypatch.setattr(experiments, name, sample)
         out = tmp_path / "missing" / "f.csv"
         assert cli.main([figure, "--out", str(out)]) == 2
@@ -593,17 +593,37 @@ class TestFig2Table:
         assert a.read_bytes() == b.read_bytes()
 
     def test_damps_once_per_efficiency(self, tmp_path, monkeypatch):
-        apply_loss, calls = experiments.apply_loss, []
+        """``apply_loss`` runs once per unit of work, in the process that owns it: for a
+        number state's homodyne cells (three efficiencies on two processes, so each unit is
+        one efficiency's trials) and for photocounting, which stays in-process.  A Gaussian
+        signal's homodyne cells draw from its damped law, so the fig1 and fig2 defaults
+        never damp a matrix."""
+        log, apply_loss = tmp_path / "damped", experiments.apply_loss
 
-        def counting_apply_loss(rho, eta):
-            calls.append(eta)
+        def logging_apply_loss(rho, eta):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{eta} {os.getpid()}\n")
             return apply_loss(rho, eta)
 
-        monkeypatch.setattr(experiments, "apply_loss", counting_apply_loss)
-        config = replace(default_config("fig2"), eta_list=(0.7, 0.5, 0.45),
-                         n_samples=500, trials=3, jm_list=(5,))
-        run_fig2(config, out=tmp_path / "f2.csv")
-        assert calls == [0.7, 0.5, 0.45]
+        def damped(config, run):
+            log.write_text("")
+            run(config, out=tmp_path / "run.csv")
+            return [(float(eta), int(pid)) for eta, pid in map(str.split,
+                                                                log.read_text().splitlines())]
+
+        monkeypatch.setattr(experiments, "apply_loss", logging_apply_loss)
+        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+        parent = os.getpid()
+        fock = replace(default_config("fig2"), state_kind="fock", state_m=2,
+                       eta_list=(0.7, 0.5, 0.45), n_samples=500, trials=3, jm_list=(5,))
+        calls = damped(fock, run_fig2)
+        owners = dict(calls)
+        assert len(calls) == len(owners) == 3
+        assert owners[0.7] == owners[0.45] == parent != owners[0.5]
+        direct = replace(default_config("direct"), n_samples=500, trials=3)
+        assert damped(direct, run_direct_contrast) == [(0.45, parent), (0.42, parent)]
+        assert damped(default_config("fig1"), run_fig1) == []
+        assert damped(default_config("fig2"), run_fig2) == []
 
 
 @contextlib.contextmanager
@@ -705,25 +725,41 @@ class TestWorkers:
     @needs_two_cpus
     @pytest.mark.parametrize("figure", ["fig1", "direct"])
     def test_homodyne_cells_run_on_workers(self, figure, tmp_path, monkeypatch):
-        """Homodyne cells are dealt in turn to this process and one forked child per
-        further CPU (on two CPUs their pids alternate) unless the process has one CPU;
-        photocounting cells always draw in-process.  No child or thread outlives the run."""
+        """Homodyne units, one efficiency's trials each, are dealt in turn to this process
+        and one forked child per further CPU unless the process has one CPU: on two CPUs
+        eta 0.6's cells are the parent's and eta 0.5's the child's.  Photocounting cells
+        always draw in-process.  No child or thread outlives the run."""
         config = replace(default_config(figure), eta_list=(0.6, 0.5) if figure == "fig1"
                          else (0.45, 0.42), n_samples=500, trials=2, jm_list=(1, 2, 5))
         parent = os.getpid()
         with one_cpu():
             assert self.cell_pids(config, tmp_path, monkeypatch) == [parent] * 4
         threads = threading.active_count()
+        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
         pids = self.cell_pids(config, tmp_path, monkeypatch)
         if figure == "direct":
             assert pids == [parent] * 4
         else:
-            workers = min(len(os.sched_getaffinity(0)), 4)
-            assert [set(pids[k::workers]) for k in range(workers)] == \
-                [{parent}, *({pid} for pid in pids[1:workers])]
-            assert len(set(pids)) == workers
+            assert pids[:2] == [parent] * 2 and pids[2] == pids[3] != parent
         assert_no_children()
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_one_efficiency_is_split_among_the_processes(self, cpus, tmp_path, monkeypatch):
+        """A run with fewer efficiencies than processes splits each efficiency's trials into
+        contiguous blocks, one unit each, so one efficiency runs on every process; it writes
+        the one-CPU bytes."""
+        config = small_fig1(eta_list=(0.5,), trials=5, n_samples=500)
+        monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+        serial = [p.read_bytes() for p in run_fig1(config, out=tmp_path / "serial.csv")]
+        monkeypatch.setattr(experiments, "_cpus", lambda: cpus)
+        pids = self.cell_pids(config, tmp_path, monkeypatch)
+        # one contiguous block of trials per process, the parent's first
+        assert pids[0] == os.getpid() and len(set(pids)) == cpus
+        assert sum(a != b for a, b in zip(pids, pids[1:])) == cpus - 1
+        shared = [p.read_bytes() for p in run_fig1(config, out=tmp_path / "shared.csv")]
+        assert shared == serial
+        assert_no_children()
 
     def test_three_processes_deal_cells_in_turn(self, tmp_path, monkeypatch):
         """A 4-cell run on three processes: the parent draws cells 0 and 3, two children
@@ -795,17 +831,19 @@ class TestWorkers:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_first_failing_cell_raises_at_every_process_count(self, cpus, tmp_path,
                                                               monkeypatch):
-        """Cells (0, 1) and (1, 0) of a 2x2 run fail: every process count raises the error
-        of (0, 1), the first in cell order.  On two processes (1, 0) is the parent's and
-        (0, 1) the child's, which the parent waits for.  On three, (1, 0) hangs in the
-        second child, which holds no cell before (0, 1) and is killed, not waited for."""
+        """Cells (0, 1), (1, 0) and (1, 1) of a 2x2 run fail: every process count raises the
+        error of (0, 1), the first in cell order.  On two processes (0, 1) is in the parent's
+        unit and (1, 0) hangs in the child's, which holds no earlier cell and is killed, not
+        waited for.  On three, each efficiency is split into one-trial units: the parent's
+        own (1, 1) fails, but (0, 1) is the first child's, which the parent waits for, and
+        (1, 0) hangs in the second child, which holds no cell before (0, 1) and is killed."""
         parent, source = os.getpid(), experiments._measurement_source
 
         def failing_source(config, damped, rng):
             cell = rng.bit_generator.seed_seq.entropy[1:]
             if cell == (1, 0) and os.getpid() != parent:
                 time.sleep(600)
-            if cell in ((0, 1), (1, 0)):
+            if cell in ((0, 1), (1, 0), (1, 1)):
                 raise ValueError(f"cell {cell}")
             return source(config, damped, rng)
 

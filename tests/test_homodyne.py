@@ -29,6 +29,7 @@ from losscomp import (
 from losscomp import homodyne, oscillator
 from losscomp.exceptions import ExtrapolationError, NumericalSanityError
 from losscomp.fock_core import DensityMatrix
+from losscomp.loss_channel import _damped_law
 
 
 def rng_from(*key):
@@ -283,6 +284,21 @@ class TestSampleQuadratures:
         assert max(calls) == 1000 and len(calls) > 3
         assert chunked.x.tobytes() == whole.x.tobytes()
         assert chunked.phi.tobytes() == whole.phi.tobytes()
+
+    @pytest.mark.parametrize("eta", [0.4, 0.5, 0.9])
+    @pytest.mark.parametrize("state", [lambda: make_thermal(2.0, 64),
+                                       lambda: make_coherent(1.0 + 0.5j, 64)],
+                             ids=["thermal", "coherent"])
+    def test_damped_law_draws_the_damped_matrix_bytes(self, state, eta):
+        """A scan draws a Gaussian signal's cells from its damped law, never damping the
+        matrix: the law sampler gives the bytes ``sample_quadratures`` gives on the
+        damped state."""
+        signal = state()
+        law = homodyne._sample_law(_damped_law(signal.quadrature_law, eta), 8000,
+                                   rng_from(17, 31))
+        matrix = sample_quadratures(apply_loss(signal, eta), 8000, rng_from(17, 31))
+        assert law.x.tobytes() == matrix.x.tobytes()
+        assert law.phi.tobytes() == matrix.phi.tobytes()
 
     def test_needs_at_least_one_sample(self):
         with pytest.raises(ValueError):
