@@ -153,8 +153,10 @@ def _ac6_saturation():
 
 
 def _ac7_unbiasedness():
-    t = oscillator.tables_for(10)
-    weighted = t.psi[:11] ** 2 * (2.0 * t.simpson)   # even integrands: twice the half line
+    t = oscillator.tables_for(10, 8.0)     # past index 10's turning point by 4
+    simpson = np.where(np.arange(t.x_half.size) % 2, 4.0, 2.0)     # the node count is odd
+    simpson[[0, -1]] = 1.0
+    weighted = t.psi[:11] ** 2 * (2.0 * oscillator.TAB_STEP / 3.0) * simpson  # twice the half line
     worst = 0.0
     for n in range(11):
         f = t.kernel_derivatives(n, n)[0]

@@ -43,7 +43,7 @@ from . import oscillator
 from .compensation import convergence_scan, error_vs_eta, truncation_indices
 from .direct_detection import sample_counts
 from .fock_core import GaussianQuadratureLaw, StateSpec
-from .homodyne import _sample_law, estimate_rays, sample_quadratures
+from .homodyne import _grid_for, _sample_law, estimate_rays, sample_quadratures
 from .loss_channel import _DIM_LIMIT, _damped_law, apply_loss, inverse_coefficient
 
 DEFAULT_MASTER_SEED = 235711
@@ -172,13 +172,16 @@ _KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a re
 
 
 def _check_sample_extent(config, signal):
-    """Reject a homodyne run whose samples may land past the kernel table's ``|x|`` limit.
+    """A homodyne run's sample reach: an ``|x|`` its samples stay inside, at most 26.
 
     A Gaussian-law state's samples at efficiency eta are normal with the damped
     law's variance and a mean no farther from 0 than the damped amplitude's
-    modulus, so their expected count past the limit over all cells has a
-    closed form.  A number state's mass past the limit is negligible while its
-    index fits the table (1.8e-67 at the largest index, 483).
+    modulus; the reach is the smallest whole ``|x|`` past which their expected
+    count over all cells, an erfc sum, is at most ``_PAST_LIMIT_BOUND``.  A run
+    whose reach would pass the kernel table's limit is rejected.  Other states
+    are drawn on a grid whose half-width for the signal bounds that of every
+    damped state; the reach is that, capped at the limit, past which a number
+    state's mass is negligible while its index fits the table (1.8e-67 at 483).
     """
     limit = oscillator._X_LIMIT
     if signal.quadrature_law is None:
@@ -186,17 +189,22 @@ def _check_sample_extent(config, signal):
             raise ValueError(f"fock state m = {config.state_m}: its samples may pass the kernel "
                              f"table's limit |x| = {limit:g}, which fits indices up to "
                              f"{oscillator._INDEX_LIMIT}")
-        return
-    expected = 0.0
-    for eta in config.eta_list:
-        law = _damped_law(signal.quadrature_law, eta)
-        mean, scale = abs(law.mean_amplitude), math.sqrt(2.0 * law.variance)
-        expected += math.erfc((limit - mean) / scale) + math.erfc((limit + mean) / scale)
-    expected *= 0.5 * config.n_samples * config.trials
-    if not expected <= _PAST_LIMIT_BOUND:
-        raise ValueError(f"{config.state_kind} state: {expected:.3g} samples expected past the "
-                         f"kernel table's limit |x| = {limit:g}, above the bound "
-                         f"{_PAST_LIMIT_BOUND:g}")
+        return min(float(_grid_for(signal)[-1]), limit)
+    laws = [_damped_law(signal.quadrature_law, eta) for eta in config.eta_list]
+
+    def expected(x):
+        total = 0.0
+        for law in laws:
+            mean, scale = abs(law.mean_amplitude), math.sqrt(2.0 * law.variance)
+            total += math.erfc((x - mean) / scale) + math.erfc((x + mean) / scale)
+        return total * 0.5 * config.n_samples * config.trials
+
+    for reach in range(1, int(limit) + 1):
+        if expected(reach) <= _PAST_LIMIT_BOUND:
+            return float(reach)
+    raise ValueError(f"{config.state_kind} state: {expected(limit):.3g} samples expected past "
+                     f"the kernel table's limit |x| = {limit:g}, above the bound "
+                     f"{_PAST_LIMIT_BOUND:g}")
 
 
 def _format_value(value, sign=""):
@@ -442,10 +450,11 @@ def _scan_cells(config, out, scan):
     """The (eta, trial) cell loop behind every figure table.
 
     Validates ``config``, checks the output directory, and sizes the kernel
-    table for the largest kernel index a homodyne run needs and builds the
-    kernel rows of its ray: built before any fork, they are built once, not
-    once per process.  Then the cells run by units of work, one efficiency's
-    trials each (:func:`_map_cells`): homodyne units are dealt in turn to
+    table for the largest kernel index a homodyne run needs and for its sample
+    reach (:func:`_check_sample_extent`), then builds its ray's kernel rows and
+    their contraction blocks over the whole table: built before any fork, they
+    are built once, not once per process.  Then the cells run by units of work,
+    one efficiency's trials each (:func:`_map_cells`): homodyne units are dealt in turn to
     this process and forked children, one process per CPU in its affinity,
     and direct-detection units run in-process.  Each unit damps the signal
     in the process that owns it, and each cell draws a fresh dataset from
@@ -462,8 +471,9 @@ def _scan_cells(config, out, scan):
         raise FileNotFoundError(f"output directory {out_path.parent} does not exist")
     if config.detection == "homodyne":
         j_top = max(max(grid) for grid in grids)
-        oscillator.tables_for(config.target_n + config.target_d + j_top).band(
-            config.target_d, config.target_n + j_top + 1)
+        t = oscillator.tables_for(config.target_n + config.target_d + j_top,
+                                  _check_sample_extent(config, signal))
+        t.blocks(config.target_d, config.target_n + j_top + 1, t.dx.size)
     results = _map_cells((config, signal, grids, scan), serial=config.detection == "direct")
     trials = config.trials
     table = [(eta, jm_grid, results[k * trials:(k + 1) * trials])

@@ -11,15 +11,16 @@ The tomography kernel for the element ``<n|rho|m>`` is
 with ``chi_m`` the irregular (non-normalizable) second solution of the
 same equation, fixed uniquely by giving it the parity opposite to
 ``psi_m``.  ``chi_m`` is integrated outward from the origin with a
-Numerov scheme; the kernel normalization is then pinned per pair by the
-unbiasedness anchor ``integral psi_n psi_m f_nm dx = 1``.
+Numerov scheme.  Each kernel is scaled by the unbiasedness anchor
+``integral psi_n psi_m f_nm dx = 1``, whose value is ``W_m / 2``, half the
+Wronskian ``psi_m chi_m' - psi_m' chi_m`` of the pair, read at x = 0.
 
 One table is cached at module level and rebuilt larger on demand.  Its
-range extends past the points it is asked for and past the classical
-turning point of the largest index, which the normalization integrals
-need, up to ``|x| = 26``, past which ``chi_0`` overflows.  Each
-normalization integral stops at the range its own index needs, so a
-kernel has the same bits in every table that holds it.
+range follows the points it is asked for, not the index: the smallest whole
+``|x| >= 1`` that holds them, up to ``|x| = 26``, past which ``chi_0``
+overflows.  A kernel's values come from the start values at the origin and
+the steps out to each node, and its anchor from the origin, so a kernel has
+the same bits in every table that holds it.
 
 The table holds ``psi``, ``chi`` and ``chi'`` on the half line ``x >= 0``
 at the tabulation step and the splines built from them.  A spline lives on
@@ -70,14 +71,8 @@ _ROWS = 32                # kernel rows per contraction block
 _DEPTH = 256              # cell coefficients per contraction block
 _COLUMNS = 16             # moment columns per contraction
 _FINE_SUB = 2             # Numerov substeps per tabulation step
-_TURNING_MARGIN = 4.0     # grid range beyond the classical turning point
 _X_LIMIT = 26.0           # widest table range at which chi stays finite
-_INDEX_LIMIT = int((_X_LIMIT - _TURNING_MARGIN) ** 2 - 0.5)  # 483, the largest index it fits
-
-
-def _index_reach(index):
-    """Table range an index needs: past its classical turning point by the margin, whole."""
-    return float(np.ceil(np.sqrt(index + 0.5) + _TURNING_MARGIN))
+_INDEX_LIMIT = 483        # number states up to it sample inside |x| = 26 (_check_sample_extent)
 
 
 def _psi_half(nmax, x):
@@ -136,15 +131,12 @@ def _chi_half(mmax, x):
 class _Tables:
     def __init__(self, max_index, reach):
         self.max_index = max_index
-        self.x_max = max(_index_reach(max_index), float(np.ceil(reach)))
+        self.x_max = max(1.0, float(np.ceil(reach)))
         nh = int(round(self.x_max / TAB_STEP))
         fine = np.arange(_FINE_SUB * nh + 2) * (TAB_STEP / _FINE_SUB)
         self.chi, self.dchi = _chi_half(max_index, fine)
         self.x_half = np.arange(nh + 1) * TAB_STEP
         self.psi = _psi_half(max_index + 1, self.x_half)
-        self.simpson = np.ones(nh + 1)      # composite Simpson weights; nh is even
-        self.simpson[1:-1:2], self.simpson[2:-1:2] = 4.0, 2.0
-        self.simpson *= TAB_STEP / 3.0
         self.x_cell = self.x_half[::_CELL_SUB].copy()    # x_max is whole: nh is a multiple of 5
         self.dx = np.diff(self.x_cell)
         self.bands = {}
@@ -159,18 +151,15 @@ class _Tables:
         ``f'' = 16x psi_n chi_m + (Q_n + Q_m) f + 2(Q_n psi_n chi_m' + Q_m psi_n' chi_m)``.
         ``psi_n' = sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}``, with ``psi_0``
         standing in for ``psi_{-1}``, which its zero coefficient cancels.
-        The value is needed on every node, for the anchor; the spline reads
-        the derivatives at cell ends only.  The anchor integrates over the
-        range index ``m`` needs, not the table's, so a kernel's bits do not
-        depend on the table it is built in.
+        The spline reads the derivatives at cell ends only.  The anchor is ``W_m / 2``,
+        taken at the x = 0 node, so a kernel's bits do not depend on the table's range.
         """
         dpsi = np.sqrt(n) * self.psi[max(n - 1, 0)] - np.sqrt(n + 1.0) * self.psi[n + 1]
         psi, chi, dchi = self.psi[n], self.chi[m], self.dchi[m]
         f = dpsi * chi + psi * dchi
-        end = int(round(_index_reach(m) / TAB_STEP))    # even, like the table's node count
-        weights = self.simpson[:end + 1].copy()
-        weights[-1] = TAB_STEP / 3.0
-        anchor = 2.0 * float(np.sum((psi * self.psi[m] * f)[:end + 1] * weights))
+        origin = self.psi[:, 0]
+        dpsi_m = np.sqrt(m) * origin[max(m - 1, 0)] - np.sqrt(m + 1.0) * origin[m + 1]
+        anchor = 0.5 * float(origin[m] * dchi[0] - dpsi_m * chi[0])
         dpsi, psi, chi, dchi, fc = (a[::_CELL_SUB] for a in (dpsi, psi, chi, dchi, f))
         product = psi * chi
         x2 = 4.0 * self.x_cell**2
@@ -217,8 +206,7 @@ class _Tables:
         quintic and 11 for its square, whose coefficients ``sum_(k+l=p) a_k a_l``
         come from the 21 distinct products.  Padding is zero.  The blocks are kept
         and rebuilt larger when asked for more rows or cells; the cells grow in
-        steps of 256, so a run's samples, which stay far inside a table sized
-        for its largest index, reach few of them.
+        steps of 256, up to the table's.
         """
         held = self.stacks.get(d, (0, 0))
         if held[0] < rows or held[1] < cells:

@@ -457,9 +457,8 @@ class TestScanTables:
         assert keep == strip(read_rows(two))
 
     def test_wide_state_runs_to_completion(self, tmp_path, monkeypatch):
-        """Samples of a bright state land past the range an index-sized
+        """Samples of a bright state land far past |x| = 10; the table must
 
-        kernel table covers (|x| = 10 below index 32); the table must
         follow the samples instead of failing after they are drawn.
         """
         monkeypatch.setattr(oscillator, "_TABLES", None)
@@ -624,6 +623,34 @@ class TestFig2Table:
         assert damped(direct, run_direct_contrast) == [(0.45, parent), (0.42, parent)]
         assert damped(default_config("fig1"), run_fig1) == []
         assert damped(default_config("fig2"), run_fig2) == []
+
+    def test_builds_the_kernel_table_once_before_the_fork(self, tmp_path, monkeypatch):
+        """A two-process homodyne run sizes the kernel table from its signal and builds it
+        once, in the parent, before the fork: no child's samples pass its range, so no
+        child builds another."""
+        log, source = tmp_path / "log", experiments._measurement_source
+
+        class Logging(oscillator._Tables):
+            def __init__(self, *args):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"table {os.getpid()}\n")
+                super().__init__(*args)
+
+        def logging_source(config, damped, rng):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"cell {os.getpid()}\n")
+            return source(config, damped, rng)
+
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        monkeypatch.setattr(oscillator, "_Tables", Logging)
+        monkeypatch.setattr(experiments, "_measurement_source", logging_source)
+        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+        run_fig1(replace(default_config("fig1"), n_samples=2000, trials=2),
+                 out=tmp_path / "fig1.csv")
+        events = [line.split() for line in log.read_text().splitlines()]
+        builds = [event for event in events if event[0] == "table"]
+        assert builds == events[:1] == [["table", str(os.getpid())]]
+        assert len({pid for kind, pid in events if kind == "cell"}) == 2
 
 
 @contextlib.contextmanager
@@ -962,7 +989,7 @@ def test_csv_bytes_do_not_depend_on_the_blas_thread_count(figure, tmp_path):
 
 # sha256 prefixes of the default tables at master seed 7 (``losscomp <figure> --seed 7``)
 SEED_7_TABLES = {
-    "fig1": ("db8f2bc04015", "276d0f4b3135"),
+    "fig1": ("94db9c58289a", "0604dca98fea"),
     "fig2": ("3e8e09e2b37f", "056feecff26f"),
     "direct": ("5b7ec749045f", "867077f75467"),
 }
@@ -986,7 +1013,7 @@ def test_coherent_fig1_tables_at_seed_7_keep_their_bytes(tmp_path):
                      master_seed=7, trials=2)
     paths = run_fig1(config, out=tmp_path / "fig1.csv")
     got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:12] for p in paths)
-    assert got == ("55b415526175", "f54b806fd1f6")
+    assert got == ("100b53d8d6a3", "a22e1f2855a0")
 
 
 def test_nongauss_table_at_seed_7_keeps_its_bytes(tmp_path):
@@ -1004,8 +1031,8 @@ def test_nongauss_table_at_seed_7_keeps_its_bytes(tmp_path):
     header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
     fock3 = header + "".join(row for row in rows if row.startswith("fock3,"))
     assert len(rows) == 400 and fock3.count("\n") == 201
-    assert hashlib.sha256(fock3.encode()).hexdigest()[:12] == "3cbb911e2dab"
-    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "14c584b9d867"
+    assert hashlib.sha256(fock3.encode()).hexdigest()[:12] == "62340e59de9a"
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "d0e1ade06370"
 
 
 class TestCli:

@@ -55,6 +55,18 @@ def cell_width():
     return oscillator._CELL_SUB * oscillator.TAB_STEP
 
 
+def index_reach(m):
+    """Index m's classical turning point plus 4, whole: the range its kernels need."""
+    return float(np.ceil(np.sqrt(m + 0.5) + 4.0))
+
+
+def index_table(m):
+    """The shared table, holding index m and its reach, with the counts of its ``x_half``
+    and ``x_cell`` nodes inside that reach; the table may run farther, after other calls."""
+    nodes = int(round(index_reach(m) / oscillator.TAB_STEP)) + 1
+    return oscillator.tables_for(m, index_reach(m)), nodes, (nodes - 1) // oscillator._CELL_SUB + 1
+
+
 def six_gather_pattern(t, coefficients, parities, x):
     """Kernel rows from ``(6, cells)`` half-line quintic coefficients, one gather per coefficient.
 
@@ -531,18 +543,19 @@ class TestPatternFunction:
         """Each row matches the tabulated value, ODE slope and ODE curvature at both cell ends.
 
         Between the ends the rows agree with scipy's quintic Hermite
-        interpolant of the same node data.
+        interpolant of the same node data.  Both are checked inside index m's reach.
         """
-        t = oscillator.tables_for(m)
+        t, nodes, cells = index_table(m)
         f, slope, curvature = t.kernel_derivatives(n, m)
-        jet = [f[::oscillator._CELL_SUB], slope, curvature]
-        c = band_row(t, n, m)
-        for end, h in ((slice(None, -1), 0.0), (slice(1, None), t.dx)):
+        jet = [f[:nodes:oscillator._CELL_SUB], slope[:cells], curvature[:cells]]
+        c = band_row(t, n, m)[:, :cells - 1]
+        for end, h in ((slice(None, -1), 0.0), (slice(1, None), t.dx[:cells - 1])):
             for got, want in zip(row_derivatives(c, h), jet):
                 assert np.max(np.abs(got - want[end])) <= 1e-9 * np.max(np.abs(want))
-        hermite = BPoly.from_derivatives(t.x_cell, np.column_stack(jet))
-        nodes = t.x_half[[0, 1, t.x_half.size // 2, -2, -1]]
-        x = np.concatenate([nodes, -nodes, rng_from(17, 21).uniform(-t.x_max, t.x_max, 2000)])
+        hermite = BPoly.from_derivatives(t.x_cell[:cells], np.column_stack(jet))
+        ends = t.x_half[[0, 1, nodes // 2, nodes - 2, nodes - 1]]
+        reach = index_reach(m)
+        x = np.concatenate([ends, -ends, rng_from(17, 21).uniform(-reach, reach, 2000)])
         want = np.where(x < 0, (-1.0) ** (n + m), 1.0) * hermite(np.abs(x))
         assert np.max(np.abs(evaluate_pattern(n, m, x) - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -552,11 +565,13 @@ class TestPatternFunction:
 
         at the interior cell nodes, the only nodes the slope is computed on.
         """
-        t = oscillator.tables_for(m)
+        t, nodes, cells = index_table(m)
         f, slope, _ = t.kernel_derivatives(n, m)
+        assert slope.shape == t.x_cell.shape
+        f, slope = f[:nodes], slope[:cells]
         stencil = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * oscillator.TAB_STEP)
         at_cells = stencil[oscillator._CELL_SUB - 2::oscillator._CELL_SUB]
-        assert slope.shape == t.x_cell.shape and at_cells.shape == slope[1:-1].shape
+        assert at_cells.shape == slope[1:-1].shape
         assert np.max(np.abs(at_cells - slope[1:-1])) <= 1e-5 * np.max(np.abs(slope))
 
     @pytest.mark.parametrize("n,m", [(0, 0), (0, 1), (2, 5), (7, 7), (13, 40), (100, 102)])
@@ -565,23 +580,25 @@ class TestPatternFunction:
 
         against a 5-point stencil of f at the interior cell nodes.
         """
-        t = oscillator.tables_for(m)
+        t, nodes, cells = index_table(m)
         f, _, curvature = t.kernel_derivatives(n, m)
+        assert curvature.shape == t.x_cell.shape
+        f, curvature = f[:nodes], curvature[:cells]
         stencil = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (
             12.0 * oscillator.TAB_STEP**2)
         at_cells = stencil[oscillator._CELL_SUB - 2::oscillator._CELL_SUB]
-        assert curvature.shape == t.x_cell.shape and at_cells.shape == curvature[1:-1].shape
+        assert at_cells.shape == curvature[1:-1].shape
         assert np.max(np.abs(at_cells - curvature[1:-1])) <= 1e-5 * np.max(np.abs(curvature))
 
     @pytest.mark.parametrize("n,m", [(0, 0), (2, 2), (5, 9), (13, 40), (20, 31), (50, 50),
                                      (70, 71), (100, 100), (100, 102), (0, 102)])
     def test_spline_holds_the_nodes_it_skips(self, n, m):
         """At the tabulated nodes inside each cell, which the rows do not store,
-        the kernel is within 1e-7 of its peak."""
-        t = oscillator.tables_for(102)
-        f = t.kernel_derivatives(n, m)[0]
-        inside = np.arange(t.x_half.size) % oscillator._CELL_SUB != 0
-        x = t.x_half[inside]
+        the kernel is within 1e-7 of its peak, inside index 102's reach."""
+        t, nodes, _ = index_table(102)
+        f = t.kernel_derivatives(n, m)[0][:nodes]
+        inside = np.arange(nodes) % oscillator._CELL_SUB != 0
+        x = t.x_half[:nodes][inside]
         assert np.max(np.abs(evaluate_pattern(n, m, x) - f[inside])) <= 1e-7 * np.max(np.abs(f))
 
     def test_requires_ordered_indices(self):
@@ -609,17 +626,28 @@ class TestPatternFunction:
     def test_number_state_anchors_through_index_20(self):
         """``integral psi_k^2 f_nn = delta_nk`` for every n, k <= 20, at AC-7's tolerance.
 
-        The integrands are even, so each integral is twice its half-line value.
+        The integrands are even, so each integral is twice its half-line value, here over
+        index 20's reach.
         """
-        t = oscillator.tables_for(20)
-        psi2 = t.psi[:21] ** 2
-        overlap = np.array([2.0 * simpson(psi2 * t.kernel_derivatives(n, n)[0],
+        t, nodes, _ = index_table(20)
+        psi2 = t.psi[:21, :nodes] ** 2
+        overlap = np.array([2.0 * simpson(psi2 * t.kernel_derivatives(n, n)[0][:nodes],
                                           dx=oscillator.TAB_STEP)
                             for n in range(21)])
         assert np.max(np.abs(overlap - np.eye(21))) < 1e-6
 
+    @pytest.mark.parametrize("n,m", [(0, 0), (2, 2), (3, 8), (10, 10), (50, 51), (100, 102)])
+    def test_wronskian_anchor_equals_the_simpson_integral(self, n, m):
+        """The kernel's scale ``W_m / 2`` equals, to 1e-9 relative, the unbiasedness integral
+        ``2 integral_0^R psi_n psi_m (psi_n chi_m)' dx`` by Simpson's rule over the range
+        index m needs, ``R = ceil(sqrt(m + 1/2) + 4)``: the scaled kernel integrates to 1."""
+        t, nodes, _ = index_table(m)         # an odd node count
+        f = t.kernel_derivatives(n, m)[0][:nodes]
+        overlap = 2.0 * simpson(t.psi[n, :nodes] * t.psi[m, :nodes] * f, dx=oscillator.TAB_STEP)
+        assert abs(overlap - 1.0) <= 1e-9
+
     def test_table_keeps_only_its_grid(self):
-        t = oscillator.tables_for(12)
+        t = oscillator.tables_for(12, index_reach(12))
         for name in ("x_half", "psi", "chi", "dchi"):
             a = getattr(t, name)
             assert a.shape[-1] == t.x_half.size, name
@@ -1034,7 +1062,7 @@ class TestEstimateElement:
             ray = estimate_element(data, 1, d, j_max=30)
             digest.update(ray.estimate.tobytes())
             digest.update(ray.stderr.tobytes())
-        assert digest.hexdigest()[:12] == "e1153b039bd8"
+        assert digest.hexdigest()[:12] == "1f0ca85a0d69"
 
     def test_table_reaches_past_the_samples(self, monkeypatch):
         monkeypatch.setattr(oscillator, "_TABLES", None)
