@@ -22,14 +22,15 @@ overflows.  A kernel's values come from the start values at the origin and
 the steps out to each node, and its anchor from the origin, so a kernel has
 the same bits in every table that holds it.
 
-The table holds ``psi``, ``chi`` and ``chi'`` on the half line ``x >= 0``
-at the tabulation step and the splines built from them.  A spline lives on
-cells ``_CELL_SUB`` steps wide, between every fifth tabulation node.  On
-each cell a kernel is the quintic Hermite interpolant of its tabulated
-value, slope and curvature at both ends; slope and curvature follow from
-the ODE, so no spline system is solved.  The kernels ``f_{k,k+d}`` of one
-offset ``d`` are cached as one ``(rows, 6, cells)`` band: row k holds six
-Horner coefficients per cell, each a contiguous plane.
+The table holds ``psi``, ``chi`` and ``chi'`` on one grid, the spline's cell
+nodes ``_CELL`` apart on the half line ``x >= 0`` (no separate tabulation
+step), and the splines built from them.  Numerov takes ``_FINE_SUB`` (10)
+steps per cell and keeps the cell nodes only.  On each cell a kernel is the
+quintic Hermite interpolant of its value, slope and curvature at both ends;
+slope and curvature follow from the ODE, so no spline system is solved.
+The kernels ``f_{k,k+d}`` of one offset ``d`` are cached as one
+``(rows, 6, cells)`` band: row k holds six Horner coefficients per cell,
+each a contiguous plane.
 
 Kernels leave the table two ways, which share one locate step (``|x|``
 to its cell and offset).  ``evaluate_pattern`` gives the values of one
@@ -63,14 +64,13 @@ import numpy as np
 
 from .exceptions import ExtrapolationError
 
-TAB_STEP = 0.002          # kernel tabulation grid step
-_CELL_SUB = 5             # tabulation steps per spline cell
+_CELL = 0.01              # spline cell width
 _TERMS = 6                # coefficients of a quintic spline row
 _SQUARE = 2 * _TERMS - 1  # coefficients of its square
 _ROWS = 32                # kernel rows per contraction block
 _DEPTH = 256              # cell coefficients per contraction block
 _COLUMNS = 16             # moment columns per contraction
-_FINE_SUB = 2             # Numerov substeps per tabulation step
+_FINE_SUB = 10            # Numerov steps per spline cell
 _X_LIMIT = 26.0           # widest table range at which chi stays finite
 _INDEX_LIMIT = 483        # number states up to it sample inside |x| = 26 (_check_sample_extent)
 
@@ -96,7 +96,8 @@ def _chi_half(mmax, x):
 
     Start values at the origin select the solution of parity opposite to
     psi_m, which excludes any admixture of the regular solution.
-    Returns contiguous chi and chi' at every ``_FINE_SUB``-th node of ``x`` but the last.
+    Returns contiguous chi and chi' at every ``_FINE_SUB``-th node of ``x``, the cell
+    nodes; the last node of ``x`` serves the central difference at the outermost one.
     """
     ms = np.arange(mmax + 1)
     E = 4.0 * ms + 2.0
@@ -132,18 +133,16 @@ class _Tables:
     def __init__(self, max_index, reach):
         self.max_index = max_index
         self.x_max = max(1.0, float(np.ceil(reach)))
-        nh = int(round(self.x_max / TAB_STEP))
-        fine = np.arange(_FINE_SUB * nh + 2) * (TAB_STEP / _FINE_SUB)
+        fine = np.arange(_FINE_SUB * int(round(self.x_max / _CELL)) + 2) * (_CELL / _FINE_SUB)
         self.chi, self.dchi = _chi_half(max_index, fine)
-        self.x_half = np.arange(nh + 1) * TAB_STEP
-        self.psi = _psi_half(max_index + 1, self.x_half)
-        self.x_cell = self.x_half[::_CELL_SUB].copy()    # x_max is whole: nh is a multiple of 5
+        self.x_cell = fine[:-1:_FINE_SUB].copy()
+        self.psi = _psi_half(max_index + 1, self.x_cell)
         self.dx = np.diff(self.x_cell)
         self.bands = {}
         self.stacks = {}
 
     def kernel_derivatives(self, n, m):
-        """Kernel f_nm on ``x_half``, its slope and curvature on ``x_cell``, all over the anchor.
+        """Kernel f_nm, its slope and its curvature on ``x_cell``, all over the anchor.
 
         Both derivatives follow from the ODE, ``psi'' = Q psi`` and ``chi'' = Q chi``,
         ``Q_k = 4x^2 - 4k - 2``:
@@ -151,8 +150,8 @@ class _Tables:
         ``f'' = 16x psi_n chi_m + (Q_n + Q_m) f + 2(Q_n psi_n chi_m' + Q_m psi_n' chi_m)``.
         ``psi_n' = sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}``, with ``psi_0``
         standing in for ``psi_{-1}``, which its zero coefficient cancels.
-        The spline reads the derivatives at cell ends only.  The anchor is ``W_m / 2``,
-        taken at the x = 0 node, so a kernel's bits do not depend on the table's range.
+        The anchor is ``W_m / 2``, taken at the x = 0 node, so a kernel's bits do not
+        depend on the table's range.
         """
         dpsi = np.sqrt(n) * self.psi[max(n - 1, 0)] - np.sqrt(n + 1.0) * self.psi[n + 1]
         psi, chi, dchi = self.psi[n], self.chi[m], self.dchi[m]
@@ -160,12 +159,11 @@ class _Tables:
         origin = self.psi[:, 0]
         dpsi_m = np.sqrt(m) * origin[max(m - 1, 0)] - np.sqrt(m + 1.0) * origin[m + 1]
         anchor = 0.5 * float(origin[m] * dchi[0] - dpsi_m * chi[0])
-        dpsi, psi, chi, dchi, fc = (a[::_CELL_SUB] for a in (dpsi, psi, chi, dchi, f))
         product = psi * chi
         x2 = 4.0 * self.x_cell**2
         q_n, q_m = x2 - (4.0 * n + 2.0), x2 - (4.0 * m + 2.0)
         df = (q_n + q_m) * product + 2.0 * dpsi * dchi
-        ddf = (16.0 * self.x_cell * product + (q_n + q_m) * fc
+        ddf = (16.0 * self.x_cell * product + (q_n + q_m) * f
                + 2.0 * (q_n * psi * dchi + q_m * dpsi * chi))
         return f / anchor, df / anchor, ddf / anchor
 
@@ -183,8 +181,7 @@ class _Tables:
             grown[:len(band)] = band
             h = self.dx
             for k in range(len(band), rows):
-                f, dy, ddy = self.kernel_derivatives(k, k + d)
-                y = f[::_CELL_SUB]
+                y, dy, ddy = self.kernel_derivatives(k, k + d)
                 # what the Taylor quadratic at the left end misses at the right end,
                 # in value, slope and curvature, each scaled to units of h^k
                 e0 = y[1:] - (y[:-1] + h * (dy[:-1] + 0.5 * h * ddy[:-1]))
@@ -263,7 +260,7 @@ def _locate(max_index, x):
     xr = x.ravel()
     ax = np.abs(xr)
     t = tables_for(max_index, float(np.max(ax, initial=0.0)))
-    idx = np.minimum((ax / (_CELL_SUB * TAB_STEP)).astype(np.int64), t.x_cell.size - 2)
+    idx = np.minimum((ax / _CELL).astype(np.int64), t.x_cell.size - 2)
     return t, idx, ax - t.x_cell[idx], xr < 0
 
 
@@ -324,7 +321,13 @@ def pattern_sums(n, d, j_max, datasets):
     s2 = np.zeros((j_max + 1, len(columns)))
     for start in range(0, len(columns), _COLUMNS):
         group = columns[start:start + _COLUMNS]
-        m1, m2 = (np.zeros((stack.shape[0] * _DEPTH, _COLUMNS)) for stack in (first, second))
+        occupied = [c[0] for c in group if c[0].size]
+        if not occupied:
+            continue
+        low = min(int(idx.min()) for idx in occupied)
+        high = max(int(idx.max()) for idx in occupied) + 1
+        # moments up to the depth block of the group's last occupied cell
+        m1, m2 = (np.zeros((-(-high * t // _DEPTH) * _DEPTH, _COLUMNS)) for t in (_TERMS, _SQUARE))
         for k, (idx, dt, v, w2) in enumerate(group):
             # sum v dt^p and sum w^2 dt^p over each cell c, at depth c * terms + p
             cells = int(idx.max(initial=-1)) + 1
@@ -338,13 +341,8 @@ def pattern_sums(n, d, j_max, datasets):
                 if p < _TERMS:
                     s[:, p] = sq[:, p] if v is None else np.bincount(idx, v * power,
                                                                       minlength=cells)
-        occupied = [c[0] for c in group if c[0].size]
-        if not occupied:
-            continue
-        low = min(int(idx.min()) for idx in occupied)
-        high = max(int(idx.max()) for idx in occupied) + 1
         for m, stack, terms, out in ((m1, first, _TERMS, s1), (m2, second, _SQUARE, s2)):
-            depth = slice(low * terms // _DEPTH, -(-high * terms // _DEPTH))
+            depth = slice(low * terms // _DEPTH, len(m) // _DEPTH)
             parts = np.matmul(stack[depth, rows], m.reshape(-1, _DEPTH, _COLUMNS)[depth, None])
             total = parts[0]
             for part in parts[1:]:

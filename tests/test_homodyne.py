@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import simpson, solve_ivp
 from scipy.interpolate import BPoly
 from scipy.stats import chisquare, kstest
 
@@ -26,7 +26,7 @@ from losscomp import (
     quadrature_pdf,
     sample_quadratures,
 )
-from losscomp import homodyne, oscillator
+from losscomp import acceptance, homodyne, oscillator
 from losscomp.exceptions import ExtrapolationError, NumericalSanityError
 from losscomp.fock_core import DensityMatrix
 from losscomp.loss_channel import _damped_law
@@ -51,20 +51,43 @@ def element(data, n, d):
     return ray.estimate[0], ray.stderr[0]
 
 
-def cell_width():
-    return oscillator._CELL_SUB * oscillator.TAB_STEP
-
-
 def index_reach(m):
     """Index m's classical turning point plus 4, whole: the range its kernels need."""
     return float(np.ceil(np.sqrt(m + 0.5) + 4.0))
 
 
 def index_table(m):
-    """The shared table, holding index m and its reach, with the counts of its ``x_half``
-    and ``x_cell`` nodes inside that reach; the table may run farther, after other calls."""
-    nodes = int(round(index_reach(m) / oscillator.TAB_STEP)) + 1
-    return oscillator.tables_for(m, index_reach(m)), nodes, (nodes - 1) // oscillator._CELL_SUB + 1
+    """The shared table, holding index m and its reach, with the count of its ``x_cell``
+    nodes inside that reach; the table may run farther, after other calls."""
+    reach = index_reach(m)
+    return oscillator.tables_for(m, reach), int(round(reach / oscillator._CELL)) + 1
+
+
+def reference_kernel(n, m, x):
+    """Kernel f_nm at points ``x >= 0``, from a ``chi_m`` that shares no step with the table.
+
+    ``chi_m`` and ``chi_m'`` come from scipy's DOP853 (rtol 1e-13, atol 1e-15), started
+    from the table's start values at the origin; ``psi`` comes from ``_psi_half``.  The
+    kernel ``psi_n' chi_m + psi_n chi_m'`` is divided by its anchor ``W_m / 2``.
+    """
+    x = np.asarray(x, dtype=float)
+    start = [1.0, 0.0] if m % 2 else [0.0, 1.0]     # chi is even exactly when psi_m is odd
+    e = 4.0 * m + 2.0
+    chi, dchi = solve_ivp(lambda s, y: [y[1], (4.0 * s * s - e) * y[0]], (0.0, float(x.max())),
+                          start, method="DOP853", rtol=1e-13, atol=1e-15,
+                          dense_output=True).sol(x)
+    psi = oscillator._psi_half(max(n, m) + 1, np.append(0.0, x))
+
+    def dpsi(k):
+        return np.sqrt(k) * psi[max(k - 1, 0)] - np.sqrt(k + 1.0) * psi[k + 1]
+
+    anchor = 0.5 * (psi[m, 0] * start[1] - dpsi(m)[0] * start[0])
+    return (dpsi(n)[1:] * chi + psi[n, 1:] * dchi) / anchor
+
+
+def reference_stencil(n, m, x):
+    """The reference kernel at ``x + 0.002 k``, k = -2..2, as rows of 5."""
+    return reference_kernel(n, m, (x[:, None] + 0.002 * np.arange(-2, 3)).ravel()).reshape(-1, 5)
 
 
 def six_gather_pattern(t, coefficients, parities, x):
@@ -74,7 +97,7 @@ def six_gather_pattern(t, coefficients, parities, x):
     ``parities[k]`` where ``x < 0``.
     """
     a = np.abs(x)
-    idx = np.minimum((a / cell_width()).astype(np.int64), t.x_cell.size - 2)
+    idx = np.minimum((a / oscillator._CELL).astype(np.int64), t.x_cell.size - 2)
     dt = a - t.x_cell[idx]
     rows = []
     for c, p in zip(coefficients, parities):
@@ -524,8 +547,7 @@ class TestPatternFunction:
             c = band_row(t, n, m)
             assert c.shape == (6, t.x_cell.size - 1)
             assert c.flags.c_contiguous
-        nodes = np.concatenate([t.x_half[[1, 2503, t.x_half.size // 2 + 1, -2]],
-                                t.x_cell[[0, 1, 500, -2, -1]]])
+        nodes = t.x_cell[[0, 1, 2, 250, 500, t.x_cell.size // 2 + 1, -3, -2, -1]]
         x = np.concatenate([nodes, -nodes, [-t.x_max, t.x_max, -0.0, 0.37, -2.6, 9.999],
                             rng_from(17, 20).uniform(-t.x_max, t.x_max, 488)])
         n, m = np.array(pairs).T
@@ -545,15 +567,14 @@ class TestPatternFunction:
         Between the ends the rows agree with scipy's quintic Hermite
         interpolant of the same node data.  Both are checked inside index m's reach.
         """
-        t, nodes, cells = index_table(m)
-        f, slope, curvature = t.kernel_derivatives(n, m)
-        jet = [f[:nodes:oscillator._CELL_SUB], slope[:cells], curvature[:cells]]
+        t, cells = index_table(m)
+        jet = [a[:cells] for a in t.kernel_derivatives(n, m)]
         c = band_row(t, n, m)[:, :cells - 1]
         for end, h in ((slice(None, -1), 0.0), (slice(1, None), t.dx[:cells - 1])):
             for got, want in zip(row_derivatives(c, h), jet):
                 assert np.max(np.abs(got - want[end])) <= 1e-9 * np.max(np.abs(want))
         hermite = BPoly.from_derivatives(t.x_cell[:cells], np.column_stack(jet))
-        ends = t.x_half[[0, 1, nodes // 2, nodes - 2, nodes - 1]]
+        ends = t.x_cell[[0, 1, cells // 2, cells - 2, cells - 1]]
         reach = index_reach(m)
         x = np.concatenate([ends, -ends, rng_from(17, 21).uniform(-reach, reach, 2000)])
         want = np.where(x < 0, (-1.0) ** (n + m), 1.0) * hermite(np.abs(x))
@@ -561,44 +582,41 @@ class TestPatternFunction:
 
     @pytest.mark.parametrize("n,m", [(0, 0), (0, 1), (2, 5), (7, 7), (13, 40), (100, 102)])
     def test_ode_slope_matches_central_differences(self, n, m):
-        """``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'`` against a 5-point stencil of f
-
-        at the interior cell nodes, the only nodes the slope is computed on.
-        """
-        t, nodes, cells = index_table(m)
-        f, slope, _ = t.kernel_derivatives(n, m)
+        """``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'`` against a 5-point stencil, at
+        step 0.002, of the reference kernel at the interior cell nodes."""
+        t, cells = index_table(m)
+        slope = t.kernel_derivatives(n, m)[1]
         assert slope.shape == t.x_cell.shape
-        f, slope = f[:nodes], slope[:cells]
-        stencil = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * oscillator.TAB_STEP)
-        at_cells = stencil[oscillator._CELL_SUB - 2::oscillator._CELL_SUB]
-        assert at_cells.shape == slope[1:-1].shape
-        assert np.max(np.abs(at_cells - slope[1:-1])) <= 1e-5 * np.max(np.abs(slope))
+        slope = slope[:cells]
+        f = reference_stencil(n, m, t.x_cell[1:cells - 1])
+        stencil = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 3] - f[:, 4]) / (12.0 * 0.002)
+        assert np.max(np.abs(stencil - slope[1:-1])) <= 1e-5 * np.max(np.abs(slope))
 
     @pytest.mark.parametrize("n,m", [(0, 0), (0, 1), (2, 5), (7, 7), (13, 40), (100, 102)])
     def test_ode_curvature_matches_central_differences(self, n, m):
         """``f'' = 16x psi_n chi_m + (Q_n + Q_m) f + 2(Q_n psi_n chi_m' + Q_m psi_n' chi_m)``
 
-        against a 5-point stencil of f at the interior cell nodes.
+        against a 5-point stencil, at step 0.002, of the reference kernel at the interior
+        cell nodes.
         """
-        t, nodes, cells = index_table(m)
-        f, _, curvature = t.kernel_derivatives(n, m)
+        t, cells = index_table(m)
+        curvature = t.kernel_derivatives(n, m)[2]
         assert curvature.shape == t.x_cell.shape
-        f, curvature = f[:nodes], curvature[:cells]
-        stencil = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (
-            12.0 * oscillator.TAB_STEP**2)
-        at_cells = stencil[oscillator._CELL_SUB - 2::oscillator._CELL_SUB]
-        assert at_cells.shape == curvature[1:-1].shape
-        assert np.max(np.abs(at_cells - curvature[1:-1])) <= 1e-5 * np.max(np.abs(curvature))
+        curvature = curvature[:cells]
+        f = reference_stencil(n, m, t.x_cell[1:cells - 1])
+        stencil = (-f[:, 0] + 16.0 * f[:, 1] - 30.0 * f[:, 2] + 16.0 * f[:, 3] - f[:, 4]) / (
+            12.0 * 0.002**2)
+        assert np.max(np.abs(stencil - curvature[1:-1])) <= 1e-5 * np.max(np.abs(curvature))
 
     @pytest.mark.parametrize("n,m", [(0, 0), (2, 2), (5, 9), (13, 40), (20, 31), (50, 50),
                                      (70, 71), (100, 100), (100, 102), (0, 102)])
     def test_spline_holds_the_nodes_it_skips(self, n, m):
-        """At the tabulated nodes inside each cell, which the rows do not store,
-        the kernel is within 1e-7 of its peak, inside index 102's reach."""
-        t, nodes, _ = index_table(102)
-        f = t.kernel_derivatives(n, m)[0][:nodes]
-        inside = np.arange(nodes) % oscillator._CELL_SUB != 0
-        x = t.x_half[:nodes][inside]
+        """At x = 0.002 k inside each cell, where the rows store nothing, the spline is
+        within 1e-7 of the reference kernel's peak, inside index 102's reach."""
+        k = np.arange(int(round(index_reach(102) / 0.002)) + 1)
+        f = reference_kernel(n, m, 0.002 * k)
+        inside = k % 5 != 0
+        x = 0.002 * k[inside]
         assert np.max(np.abs(evaluate_pattern(n, m, x) - f[inside])) <= 1e-7 * np.max(np.abs(f))
 
     def test_requires_ordered_indices(self):
@@ -626,41 +644,42 @@ class TestPatternFunction:
     def test_number_state_anchors_through_index_20(self):
         """``integral psi_k^2 f_nn = delta_nk`` for every n, k <= 20, at AC-7's tolerance.
 
-        The integrands are even, so each integral is twice its half-line value, here over
-        index 20's reach.
+        AC-7's quadrature, Gauss-Legendre at 4 nodes per cell on the band rows, over index
+        20's reach.
         """
-        t, nodes, _ = index_table(20)
-        psi2 = t.psi[:21, :nodes] ** 2
-        overlap = np.array([2.0 * simpson(psi2 * t.kernel_derivatives(n, n)[0][:nodes],
-                                          dx=oscillator.TAB_STEP)
-                            for n in range(21)])
+        overlap = acceptance._number_state_overlaps(20, index_table(20)[1] - 1)
         assert np.max(np.abs(overlap - np.eye(21))) < 1e-6
 
     @pytest.mark.parametrize("n,m", [(0, 0), (2, 2), (3, 8), (10, 10), (50, 51), (100, 102)])
     def test_wronskian_anchor_equals_the_simpson_integral(self, n, m):
         """The kernel's scale ``W_m / 2`` equals, to 1e-9 relative, the unbiasedness integral
-        ``2 integral_0^R psi_n psi_m (psi_n chi_m)' dx`` by Simpson's rule over the range
-        index m needs, ``R = ceil(sqrt(m + 1/2) + 4)``: the scaled kernel integrates to 1."""
-        t, nodes, _ = index_table(m)         # an odd node count
-        f = t.kernel_derivatives(n, m)[0][:nodes]
-        overlap = 2.0 * simpson(t.psi[n, :nodes] * t.psi[m, :nodes] * f, dx=oscillator.TAB_STEP)
+        ``2 integral_0^R psi_n psi_m (psi_n chi_m)' dx`` by Simpson's rule at step 0.002 over
+        the range index m needs, ``R = ceil(sqrt(m + 1/2) + 4)``: the scaled reference kernel
+        integrates to 1.  The table's kernel is that reference, to 1e-7 of its peak, at the
+        cell nodes, every fifth Simpson node."""
+        t, cells = index_table(m)
+        x = 0.002 * np.arange(5 * (cells - 1) + 1)          # an odd node count
+        f = reference_kernel(n, m, x)
+        psi = oscillator._psi_half(m, x)
+        overlap = 2.0 * simpson(psi[n] * psi[m] * f, dx=0.002)
         assert abs(overlap - 1.0) <= 1e-9
+        table = t.kernel_derivatives(n, m)[0][:cells]
+        assert np.max(np.abs(table - f[::5])) <= 1e-7 * np.max(np.abs(f))
 
     def test_table_keeps_only_its_grid(self):
         t = oscillator.tables_for(12, index_reach(12))
-        for name in ("x_half", "psi", "chi", "dchi"):
+        for name in ("x_cell", "psi", "chi", "dchi"):
             a = getattr(t, name)
-            assert a.shape[-1] == t.x_half.size, name
+            assert a.shape[-1] == t.x_cell.size, name
             assert a.base is None, f"{name} is a view of a longer array"
-        assert t.x_cell.base is None, "x_cell is a view of x_half"
-        assert np.array_equal(t.x_cell, t.x_half[::oscillator._CELL_SUB])
-        assert t.x_cell[-1] == t.x_half[-1]
+        assert np.array_equal(t.x_cell, oscillator._CELL * np.arange(t.x_cell.size))
+        assert t.x_cell[-1] == t.x_max
         assert not hasattr(t, "dpsi"), "psi' follows from two stored psi rows"
         for n, m in [(0, 0), (3, 8), (12, 12)]:
             band_row(t, n, m)
         for name, a in vars(t).items():     # dx holds one width per spline cell
             if isinstance(a, np.ndarray):
-                assert a.shape[-1] in (t.x_half.size, t.x_cell.size, t.x_cell.size - 1), name
+                assert a.shape[-1] in (t.x_cell.size, t.x_cell.size - 1), name
         assert all(b.shape[1:] == (6, t.x_cell.size - 1) for b in t.bands.values())
         assert len(t.bands[0]) >= 13 and len(t.bands[5]) >= 4
 
@@ -727,17 +746,28 @@ class TestPatternFunction:
         assert grown.band(d, 103).tobytes() == whole.band(d, 103).tobytes()
         assert built == [(k, k + d) for k in range(103)]   # the one-call table's rows alone
 
+    def test_bands_keep_their_bytes(self):
+        """sha256 prefix of fig1's table at full precision: the bands ``f_{k,k+d}``,
+        d = 0..3, up to index 103 over |x| <= 7, and band 0's contraction blocks."""
+        t = oscillator._Tables(104, 7.0)
+        digest = hashlib.sha256()
+        for d in range(4):
+            digest.update(t.band(d, 103 - d).tobytes())
+        for stack in t.blocks(0, 103, t.dx.size):
+            digest.update(stack.tobytes())
+        assert digest.hexdigest()[:12] == "6a2989844cb1"
+
 
 @st.composite
 def kernel_sum_cases(draw):
     """One ray ``(n, d, j_max)``, with d = 0..3, points and phases.
 
-    Points include grid nodes and -0.0.
+    Points include cell nodes and -0.0.
     """
     n, d, j_max = draw(st.integers(0, 30)), draw(st.integers(0, 3)), draw(st.integers(0, 6))
     size = draw(st.integers(2, 80))
     point = st.one_of(st.floats(-12.0, 12.0),
-                      st.integers(-6000, 6000).map(lambda k: k * oscillator.TAB_STEP),
+                      st.integers(-1200, 1200).map(lambda k: k * oscillator._CELL),
                       st.sampled_from([0.0, -0.0]))
     x = np.array(draw(st.lists(point, min_size=size, max_size=size)))
     phi = np.array(draw(st.lists(st.floats(0.0, np.pi), min_size=size, max_size=size)))
@@ -1005,7 +1035,7 @@ class TestEstimateElement:
     @pytest.mark.parametrize("x", [
         [0.3, -1.1],                                           # N = 2
         [-0.7] * 40,                                           # all samples identical
-        [0.0, -0.0, 0.002, -0.002, 1.0, -3.5, 0.25, -0.25],    # on grid nodes and -0.0
+        [0.0, -0.0, 0.002, -0.002, 1.0, -3.5, 0.25, -0.25],    # on and between cell nodes, -0.0
         "edge",                                                # +-x_max of the table
     ], ids=["two", "identical", "nodes", "edge"])
     def test_reductions_on_degenerate_samples(self, d, x):

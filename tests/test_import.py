@@ -61,13 +61,13 @@ def test_import_builds_no_tables():
 
 
 def test_every_private_helper_is_used_by_the_package():
-    """Each module-level private function or class, and each non-dunder method of a
-    module-level class, is referenced from the package itself."""
+    """Each module-level private function, class or constant, and each non-dunder method
+    of a module-level class, is read from the package itself; an assignment is no read."""
     trees = {path.name: ast.parse(path.read_text())
              for path in Path(losscomp.__file__).parent.glob("*.py")}
     used = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
     unused = [f"{name}::{node.name}" for name, tree in sorted(trees.items()) for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
               and node.name.startswith("_") and not node.name.startswith("__")]
@@ -75,4 +75,10 @@ def test_every_private_helper_is_used_by_the_package():
                for node in tree.body if isinstance(node, ast.ClassDef)
                for method in node.body if isinstance(method, ast.FunctionDef)
                and method.name not in used and not method.name.startswith("__")]
+    unused += [f"{name}::{target.id}" for name, tree in sorted(trees.items()) for node in tree.body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               if isinstance(target, ast.Name)
+               and target.id not in used and target.id.startswith("_")
+               and not target.id.startswith("__")]
     assert unused == []
