@@ -55,8 +55,8 @@ DEFAULT_MASTER_SEED = 235711
 _BUDGET = 5 * 10**7
 # a run holds about 150 B per sample whatever j_M is: 10^7 samples is 1.5 GiB
 _SAMPLE_LIMIT = 10**7
-# samples a homodyne batch holds at once, with 20-70 B of kernel-pass arrays each beside
-# their own 16 B (fig1 and fig2 defaults batch every trial); it does not change the bytes
+# samples of one homodyne kernel pass, which holds one trial's dataset at a time (fig1 and
+# fig2 defaults batch every trial); a failing batch is redone cell by cell.  No byte depends on it
 _BATCH_SAMPLES = 10**6
 # expected homodyne samples past the kernel table's |x| limit, over all of a run's
 # cells, above which a config is rejected up front instead of failing after sampling
@@ -319,10 +319,11 @@ def _cells(run, eta_index, trials):
     The unit damps the signal once: a homodyne run of a Gaussian signal takes
     its damped quadrature law, any other run the damped matrix.  Each trial
     draws its own dataset; a homodyne run estimates the rays of a batch, at
-    most ``_BATCH_SAMPLES`` samples, in one kernel pass, and each cell's scan
-    reads its own ray.  A batch that raises is scanned again one cell at a
-    time, so the error raised is that of the unit's first failing cell,
-    whatever cells share its batch.
+    most ``_BATCH_SAMPLES`` samples, in one kernel pass that draws each trial's
+    samples as it takes them, so one trial's are alive at a time, and each
+    cell's scan reads its own ray.  A batch that raises is scanned again one
+    cell at a time, so the error raised is that of the unit's first failing
+    cell, whatever cells share its batch.
     """
     config, signal, grids, scan = run
     n, d, grid = config.target_n, config.target_d, grids[eta_index]
@@ -333,10 +334,11 @@ def _cells(run, eta_index, trials):
         damped = apply_loss(signal, eta)
 
     def scanned(batch):
-        sources = [_measurement_source(config, damped, _trial_rng(config, eta_index, t))
-                   for t in batch]
-        if config.detection == "homodyne":
-            sources = estimate_rays(sources, n, d, grid[-1])
+        draws = (_measurement_source(config, damped, _trial_rng(config, eta_index, t))
+                 for t in batch)
+        # photocounts are tiny: drawing them all before the scans was measurably faster
+        sources = (estimate_rays(draws, n, d, grid[-1]) if config.detection == "homodyne"
+                   else list(draws))
         return [scan(source, n, d, eta, grid) for source in sources]
 
     size = max(1, _BATCH_SAMPLES // config.n_samples)

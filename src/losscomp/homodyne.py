@@ -317,20 +317,24 @@ def estimate_rays(datasets, n: int, d: int, j_max: int = 0) -> list:
     Element j is the sample mean of ``e^{i d phi} f_{n+j,n+d+j}(x)``; its
     standard error is the larger componentwise sample deviation divided
     by sqrt(N).  Both come from the sums of the summands and of their
-    squares, which ``oscillator.pattern_sums`` forms for every dataset in
-    one pass.  A dataset's ray has the same bytes in any batch.
+    squares, which ``oscillator.pattern_sums`` forms in one pass.  ``datasets``
+    is any iterable, read once, one dataset at a time.  A dataset's ray has the
+    same bytes in any batch.
     """
-    if any(len(samples) < 2 for samples in datasets):
-        raise ValueError("need at least two samples")
-    columns = []
-    for samples in datasets:
+    sizes = []
+
+    def column(samples):
+        if len(samples) < 2:
+            raise ValueError("need at least two samples")
+        sizes.append(len(samples))
         phase = np.exp(1j * d * samples.phi) if d else None
-        columns.append((samples.x, None if phase is None else (phase.real, phase.imag)))
-    s1, s2 = oscillator.pattern_sums(n, d, j_max, columns)
+        return samples.x, None if phase is None else (phase.real, phase.imag)
+
+    s1, s2 = oscillator.pattern_sums(n, d, j_max, map(column, datasets))
     width = 2 if d else 1
     rays = []
-    for k, samples in enumerate(datasets):
-        n_s, own = len(samples), slice(k * width, (k + 1) * width)
+    for k, n_s in enumerate(sizes):
+        own = slice(k * width, (k + 1) * width)
         mean = s1[:, own] / n_s
         spread = np.sqrt(np.maximum(s2[:, own] - n_s * mean**2, 0.0) / (n_s - 1))
         estimate = mean[:, 0] + 1j * mean[:, 1] if d else mean[:, 0]

@@ -25,32 +25,32 @@ the same bits in every table that holds it.
 The table holds ``psi``, ``chi`` and ``chi'`` on one grid, the spline's cell
 nodes ``_CELL`` apart on the half line ``x >= 0`` (no separate tabulation
 step), and the splines built from them.  Numerov takes ``_FINE_SUB`` (10)
-steps per cell and keeps the cell nodes only.  On each cell a kernel is the
-quintic Hermite interpolant of its value, slope and curvature at both ends;
-slope and curvature follow from the ODE, so no spline system is solved.
-The kernels ``f_{k,k+d}`` of one offset ``d`` are cached as one
-``(rows, 6, cells)`` band: row k holds six Horner coefficients per cell,
-each a contiguous plane.
+steps per cell through rolling rows and keeps the cell nodes only.  On each
+cell a kernel is the quintic Hermite interpolant of its value, slope and
+curvature at both ends; slope and curvature follow from the ODE, so no
+spline system is solved.  ``_Tables.coefficients`` gives the six Horner
+coefficients per cell of one kernel or of a block of kernels at once.
 
 Kernels leave the table two ways, which share one locate step (``|x|``
 to its cell and offset).  ``evaluate_pattern`` gives the values of one
-kernel: it fetches its band row at the points in one gather and negates
-them at ``x < 0`` when ``n + m`` is odd, so the parity ``(-1)^(n+m)`` is
-exact.  ``pattern_sums`` gives the weighted sums of a kernel and of its
-square over the points for one ray ``f_{n+j, n+d+j}``, j = 0..j_max, which
-is rows n..n+j_max of band d, and for a batch of datasets at once.  It
-contracts per-cell moments of the offsets with the band's coefficients and
-those of their squares, kept as fixed blocks (``_Tables.blocks``), so a
-kernel costs its occupied cells, not its points.  All kernels of a ray
-have the parity of ``d``, so an odd ray takes the sign into the weights of
-its first sums once.
+kernel: it gathers its row of a lazy band cache (the kernels ``f_{k,k+d}``
+of one offset ``d``, ``(rows, 6, cells)``) at the points and negates them at
+``x < 0`` when ``n + m`` is odd, so the parity ``(-1)^(n+m)`` is exact.
+``pattern_sums`` gives the weighted sums of a kernel and of its square over
+the points for one ray ``f_{n+j, n+d+j}``, j = 0..j_max, and for a stream of
+datasets.  It reduces each dataset to per-cell moments of its offsets as it
+arrives and contracts them, 16 columns at a time, with the ray's
+coefficients and those of their squares, kept as fixed blocks
+(``_Tables.blocks``, built from coefficient rows, not the band), so a kernel
+costs its occupied cells, not its points.  All kernels of a ray have the
+parity of ``d``, so an odd ray takes the sign into its first sums' weights.
 
 Each block product is one BLAS ``gemm`` of 32 kernel rows, 256 cell
 coefficients and 16 moment columns.  That is under OpenBLAS's one-thread
 limit (4 x 65,536 multiply-adds), so no product is split over threads, and
 the fixed shape keeps every column's arithmetic the same.  Block products
-are added in cell order over the blocks from the batch's first occupied
-cell to its last; the others are skipped, and a block where a column has
+are added in cell order over the blocks from the 16 columns' first occupied
+cell to their last; the others are skipped, and a block where a column has
 no points adds exact zeros to it.  So a dataset's sums depend only on its
 own points and weights and on the CPU's BLAS kernel, not on the other
 datasets of the batch, their count, ``j_max``, the table's range or the
@@ -98,35 +98,42 @@ def _chi_half(mmax, x):
     psi_m, which excludes any admixture of the regular solution.
     Returns contiguous chi and chi' at every ``_FINE_SUB``-th node of ``x``, the cell
     nodes; the last node of ``x`` serves the central difference at the outermost one.
+    It steps one cell at a time, forming ``Q`` and the Numerov factors on that cell's rows.
     """
     ms = np.arange(mmax + 1)
     E = 4.0 * ms + 2.0
-    Q = 4.0 * x[:, None] ** 2 - E[None, :]
-    L = x.size
     h = x[1] - x[0]
     even = (ms % 2) == 1          # chi is even exactly when psi_m is odd
-    chi = np.empty((L, ms.size))
-    chi[0] = np.where(even, 1.0, 0.0)
+    cells = (x.size - 2) // _FINE_SUB
+    chi = np.empty((cells + 1, ms.size))
+    around = np.empty((cells, 2, ms.size))     # chi one step before and after each node
+    rows = np.empty((_FINE_SUB + 2, ms.size))  # one cell's steps, from its left node on
+    rows[0] = chi[0] = np.where(even, 1.0, 0.0)
     # Taylor start one step out (error O(h^6))
-    chi[1] = np.where(
+    rows[1] = np.where(
         even,
         1.0 - E * h * h / 2.0 + (8.0 + E * E) * h**4 / 24.0,
         h * (1.0 - E * h * h / 6.0 + (24.0 + E * E) * h**4 / 120.0),
     )
-    a = 1.0 - (h * h / 12.0) * Q
-    b = 2.0 * (1.0 + (5.0 * h * h / 12.0) * Q)
-    for i in range(1, L - 1):
-        chi[i + 1] = (b[i] * chi[i] - a[i - 1] * chi[i - 1]) / a[i + 1]
+    for c in range(cells):
+        Q = 4.0 * x[c * _FINE_SUB:(c + 1) * _FINE_SUB + 2, None] ** 2 - E[None, :]
+        a = 1.0 - (h * h / 12.0) * Q
+        b = 2.0 * (1.0 + (5.0 * h * h / 12.0) * Q)
+        for i in range(1, _FINE_SUB + 1):
+            rows[i + 1] = (b[i] * rows[i] - a[i - 1] * rows[i - 1]) / a[i + 1]
+        chi[c + 1] = rows[_FINE_SUB]
+        around[c] = rows[_FINE_SUB - 1::2]
+        rows[:2] = rows[_FINE_SUB:]
     # derivative at the returned nodes from the ODE-corrected central difference (O(h^4)):
     # chi' (1 + h^2 Q / 6) = (chi_+ - chi_-)/(2h) - (h^2/6) Q' chi, Q' = 8x
-    i = np.arange(_FINE_SUB, L - 1, _FINE_SUB)
-    dchi = np.empty((i.size + 1, ms.size))
+    node = x[_FINE_SUB:-1:_FINE_SUB, None]
+    dchi = np.empty((cells + 1, ms.size))
     dchi[1:] = (
-        (chi[i + 1] - chi[i - 1]) / (2.0 * h)
-        - (h * h / 6.0) * (8.0 * x[i, None]) * chi[i]
-    ) / (1.0 + (h * h / 6.0) * Q[i])
+        (around[:, 1] - around[:, 0]) / (2.0 * h)
+        - (h * h / 6.0) * (8.0 * node) * chi[1:]
+    ) / (1.0 + (h * h / 6.0) * (4.0 * node ** 2 - E[None, :]))
     dchi[0] = np.where(even, 0.0, 1.0)
-    return np.ascontiguousarray(chi[:-1:_FINE_SUB].T), np.ascontiguousarray(dchi.T)
+    return np.ascontiguousarray(chi.T), np.ascontiguousarray(dchi.T)
 
 
 class _Tables:
@@ -144,8 +151,9 @@ class _Tables:
     def kernel_derivatives(self, n, m):
         """Kernel f_nm, its slope and its curvature on ``x_cell``, all over the anchor.
 
-        Both derivatives follow from the ODE, ``psi'' = Q psi`` and ``chi'' = Q chi``,
-        ``Q_k = 4x^2 - 4k - 2``:
+        ``n`` and ``m`` are indices or equal-length index arrays; an array gives one row
+        per pair.  Both derivatives follow from the ODE, ``psi'' = Q psi`` and
+        ``chi'' = Q chi``, ``Q_k = 4x^2 - 4k - 2``:
         ``f' = (Q_n + Q_m) psi_n chi_m + 2 psi_n' chi_m'`` and
         ``f'' = 16x psi_n chi_m + (Q_n + Q_m) f + 2(Q_n psi_n chi_m' + Q_m psi_n' chi_m)``.
         ``psi_n' = sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}``, with ``psi_0``
@@ -153,68 +161,76 @@ class _Tables:
         The anchor is ``W_m / 2``, taken at the x = 0 node, so a kernel's bits do not
         depend on the table's range.
         """
-        dpsi = np.sqrt(n) * self.psi[max(n - 1, 0)] - np.sqrt(n + 1.0) * self.psi[n + 1]
+        n, m = np.asarray(n), np.asarray(m)
+        cn, cm = n[..., None], m[..., None]     # per-pair factors, broadcast over the nodes
+        dpsi = np.sqrt(cn) * self.psi[np.maximum(n - 1, 0)] - np.sqrt(cn + 1.0) * self.psi[n + 1]
         psi, chi, dchi = self.psi[n], self.chi[m], self.dchi[m]
         f = dpsi * chi + psi * dchi
-        origin = self.psi[:, 0]
-        dpsi_m = np.sqrt(m) * origin[max(m - 1, 0)] - np.sqrt(m + 1.0) * origin[m + 1]
-        anchor = 0.5 * float(origin[m] * dchi[0] - dpsi_m * chi[0])
+        origin = self.psi[:, :1]
+        dpsi_m = np.sqrt(cm) * origin[np.maximum(m - 1, 0)] - np.sqrt(cm + 1.0) * origin[m + 1]
+        anchor = 0.5 * (origin[m] * dchi[..., :1] - dpsi_m * chi[..., :1])
         product = psi * chi
         x2 = 4.0 * self.x_cell**2
-        q_n, q_m = x2 - (4.0 * n + 2.0), x2 - (4.0 * m + 2.0)
+        q_n, q_m = x2 - (4.0 * cn + 2.0), x2 - (4.0 * cm + 2.0)
         df = (q_n + q_m) * product + 2.0 * dpsi * dchi
         ddf = (16.0 * self.x_cell * product + (q_n + q_m) * f
                + 2.0 * (q_n * psi * dchi + q_m * dpsi * chi))
         return f / anchor, df / anchor, ddf / anchor
 
-    def band(self, d, rows):
-        """Quintic Hermite coefficients of kernels f_{k,k+d}, k < ``rows``: ``(rows, 6, cells)``.
+    def coefficients(self, n, m):
+        """Kernel f_nm's quintic Hermite coefficients, ``(6, cells)``; ``(pairs, 6, cells)``
+        for index arrays.  Per cell on ``x_cell``, the Horner coefficients in ``x - x_i``,
+        highest power first, that match its value, slope and curvature at both ends."""
+        y, dy, ddy = self.kernel_derivatives(n, m)
+        h = self.dx
+        # what the Taylor quadratic at the left end misses at the right end,
+        # in value, slope and curvature, each scaled to units of h^k
+        y0, dy0, ddy0 = y[..., :-1], dy[..., :-1], ddy[..., :-1]
+        e0 = y[..., 1:] - (y0 + h * (dy0 + 0.5 * h * ddy0))
+        e1 = h * (dy[..., 1:] - (dy0 + h * ddy0))
+        e2 = h * h * (ddy[..., 1:] - ddy0)
+        return np.stack([(6.0 * e0 - 3.0 * e1 + 0.5 * e2) / h**5,
+                         (-15.0 * e0 + 7.0 * e1 - e2) / h**4,
+                         (10.0 * e0 - 4.0 * e1 + 0.5 * e2) / h**3,
+                         0.5 * ddy0, dy0, y0], axis=-2)
 
-        Row k holds, per cell on ``x_cell``, the Horner coefficients in
-        ``x - x_i``, highest power first, that match the kernel's value, slope
-        and curvature at both ends of the cell.  Rows are built once and kept;
-        a longer band appends the rows it lacks.
+    def band(self, d, rows):
+        """The coefficients of kernels f_{k,k+d}, k < ``rows``, as one ``(rows, 6, cells)`` band.
+
+        Rows are built once and kept; a longer band appends the rows it lacks.
+        Only ``evaluate_pattern`` reads the band.
         """
         band = self.bands.get(d, np.empty((0, _TERMS, self.dx.size)))
         if len(band) < rows:
             grown = np.empty((rows, _TERMS, self.dx.size))
             grown[:len(band)] = band
-            h = self.dx
             for k in range(len(band), rows):
-                y, dy, ddy = self.kernel_derivatives(k, k + d)
-                # what the Taylor quadratic at the left end misses at the right end,
-                # in value, slope and curvature, each scaled to units of h^k
-                e0 = y[1:] - (y[:-1] + h * (dy[:-1] + 0.5 * h * ddy[:-1]))
-                e1 = h * (dy[1:] - (dy[:-1] + h * ddy[:-1]))
-                e2 = h * h * (ddy[1:] - ddy[:-1])
-                grown[k] = [(6.0 * e0 - 3.0 * e1 + 0.5 * e2) / h**5,
-                            (-15.0 * e0 + 7.0 * e1 - e2) / h**4,
-                            (10.0 * e0 - 4.0 * e1 + 0.5 * e2) / h**3,
-                            0.5 * ddy[:-1], dy[:-1], y[:-1]]
+                grown[k] = self.coefficients(k, k + d)
             band = self.bands[d] = grown
         return band[:rows]
 
     def blocks(self, d, rows, cells):
-        """Band d's rows k < ``rows`` on the cells c < ``cells`` as contraction blocks.
+        """Kernels f_{k,k+d}, k < ``rows``, on the cells c < ``cells`` as contraction blocks.
 
         Returns ``(quintics, squares)``, each shaped ``(depth blocks, row blocks, 32,
         256)``.  Row k sits at row ``k % 32`` of row block ``k // 32``; cell c's
         coefficient of ``dt^p`` sits at depth ``c * terms + p``, with 6 terms for the
         quintic and 11 for its square, whose coefficients ``sum_(k+l=p) a_k a_l``
-        come from the 21 distinct products.  Padding is zero.  The blocks are kept
-        and rebuilt larger when asked for more rows or cells; the cells grow in
+        come from the 21 distinct products.  Padding is zero.  Each row block is
+        built from its own 32 coefficient rows, without the band.  The blocks are
+        kept and rebuilt larger when asked for more rows or cells; the cells grow in
         steps of 256, up to the table's.
         """
         held = self.stacks.get(d, (0, 0))
         if held[0] < rows or held[1] < cells:
             rows = max(rows, held[0])
             cells = min(max(-(-cells // _DEPTH) * _DEPTH, held[1]), self.dx.size)
-            band = self.band(d, rows)[:, ::-1, :cells]     # a[:, k] multiplies dt^k
             count = -(-rows // _ROWS)
             stacks = [np.zeros((-(-cells * terms // _DEPTH), count, _ROWS, _DEPTH))
                       for terms in (_TERMS, _SQUARE)]
             for b in range(count):
-                a = band[b * _ROWS:(b + 1) * _ROWS]
+                ks = np.arange(b * _ROWS, min((b + 1) * _ROWS, rows))
+                a = self.coefficients(ks, ks + d)[:, ::-1, :cells]   # a[:, k] multiplies dt^k
                 square = np.zeros((len(a), _SQUARE, cells))
                 for k in range(_TERMS):
                     square[:, 2 * k] += a[:, k] * a[:, k]
@@ -288,7 +304,7 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
 def pattern_sums(n, d, j_max, datasets):
     """Sums ``sum_s w_s f(x_s)`` and ``sum_s (w_s f(x_s))^2`` of each kernel ``f_{n+j, n+d+j}``.
 
-    ``j`` runs over 0..j_max, one ray.  ``datasets`` is a sequence of pairs
+    ``j`` runs over 0..j_max, one ray.  ``datasets`` is an iterable of pairs
     ``(x, weights)``: points of any shape and one row of per-point weights ``w``
     per sum wanted, or ``None`` for one row of ones.  Each weight row is one
     column of ``s1`` and ``s2``, which are shaped ``(j_max + 1, columns)``.
@@ -296,43 +312,54 @@ def pattern_sums(n, d, j_max, datasets):
     coefficients ``a_k`` dotted with the cells' moments ``S_k = sum w dt^k``, and
     its square's coefficients dotted with ``sum w^2 dt^p``.  Every kernel of the
     ray has the parity of ``d``: for odd ``d`` the first sums take ``-w`` at
-    ``x < 0``.  The moments of 16 columns at a time are contracted with the
-    ray's row blocks in fixed-shape products, added in cell order from the
-    first occupied block to the last, so a column's bits depend on its own
-    points and weights only (see the module docstring).
+    ``x < 0``.  Each dataset is reduced to its columns' moments as it arrives,
+    and each 16 columns are contracted with the ray's row blocks once they are
+    in, in fixed-shape products added in cell order from the first occupied
+    block to the last, so a column's bits depend on its own points and weights
+    only (see the module docstring).
     """
     if n < 0 or d < 0 or j_max < 0:
         raise ValueError("ray indices n, d and j_max must be nonnegative")
     top = n + d + j_max
-    columns = []    # (cells, offsets, first-sum weights, second-sum weights) per column
-    for x, weights in datasets:         # every dataset located first: the table is then final
+    lo, skip = divmod(n, _ROWS)
+    rows = slice(lo, (n + j_max) // _ROWS + 1)
+    sums = [np.zeros((2, j_max + 1, 0))]
+    group = []      # (first cell, first-sum moments, second-sum moments) per open column
+
+    def contract():
+        out = np.zeros((2, j_max + 1, len(group)))
+        occupied = [c for c in group if c[1].size]
+        if occupied:
+            low = min(c[0] for c in occupied)
+            high = max(len(c[1]) for c in occupied)
+            stacks = tables_for(top).blocks(d, n + j_max + 1, high)
+            for part, (stack, terms) in enumerate(zip(stacks, (_TERMS, _SQUARE))):
+                # moments up to the depth block of the group's last occupied cell
+                m = np.zeros((-(-high * terms // _DEPTH) * _DEPTH, _COLUMNS))
+                for k, column in enumerate(group):
+                    m[:column[part + 1].size, k] = column[part + 1].ravel()
+                depth = slice(low * terms // _DEPTH, len(m) // _DEPTH)
+                parts = np.matmul(stack[depth, rows], m.reshape(-1, _DEPTH, _COLUMNS)[depth, None])
+                total = parts[0]
+                for product in parts[1:]:
+                    total += product
+                out[part] = total.reshape(-1, _COLUMNS)[skip:skip + j_max + 1, :len(group)]
+        sums.append(out)
+        group.clear()
+
+    def moments(dataset):
+        x, weights = dataset
         xa = np.asarray(x, dtype=float)
         _, idx, dt, negative = _locate(top, xa)
+        cells = int(idx.max(initial=-1)) + 1
+        columns = []
         for w in [None] if weights is None else np.reshape(weights, (-1, xa.size)):
             v = w
             if d % 2:
                 v = np.where(negative, -1.0, 1.0) if w is None else np.where(negative, -w, w)
-            columns.append((idx, dt, v, None if w is None else w * w))
-    reach = max((int(c[0].max(initial=-1)) + 1 for c in columns), default=0)
-    first, second = tables_for(top).blocks(d, n + j_max + 1, reach)
-    lo, skip = divmod(n, _ROWS)
-    rows = slice(lo, (n + j_max) // _ROWS + 1)
-    s1 = np.zeros((j_max + 1, len(columns)))
-    s2 = np.zeros((j_max + 1, len(columns)))
-    for start in range(0, len(columns), _COLUMNS):
-        group = columns[start:start + _COLUMNS]
-        occupied = [c[0] for c in group if c[0].size]
-        if not occupied:
-            continue
-        low = min(int(idx.min()) for idx in occupied)
-        high = max(int(idx.max()) for idx in occupied) + 1
-        # moments up to the depth block of the group's last occupied cell
-        m1, m2 = (np.zeros((-(-high * t // _DEPTH) * _DEPTH, _COLUMNS)) for t in (_TERMS, _SQUARE))
-        for k, (idx, dt, v, w2) in enumerate(group):
-            # sum v dt^p and sum w^2 dt^p over each cell c, at depth c * terms + p
-            cells = int(idx.max(initial=-1)) + 1
-            s = m1[:cells * _TERMS, k].reshape(cells, _TERMS)
-            sq = m2[:cells * _SQUARE, k].reshape(cells, _SQUARE)
+            w2 = None if w is None else w * w
+            # sum v dt^p and sum w^2 dt^p over each cell c, at row c
+            s, sq = np.empty((cells, _TERMS)), np.empty((cells, _SQUARE))
             power = np.ones(dt.size)
             for p in range(_SQUARE):
                 if p:
@@ -341,12 +368,16 @@ def pattern_sums(n, d, j_max, datasets):
                 if p < _TERMS:
                     s[:, p] = sq[:, p] if v is None else np.bincount(idx, v * power,
                                                                       minlength=cells)
-        for m, stack, terms, out in ((m1, first, _TERMS, s1), (m2, second, _SQUARE, s2)):
-            depth = slice(low * terms // _DEPTH, len(m) // _DEPTH)
-            parts = np.matmul(stack[depth, rows], m.reshape(-1, _DEPTH, _COLUMNS)[depth, None])
-            total = parts[0]
-            for part in parts[1:]:
-                total += part
-            out[:, start:start + len(group)] = \
-                total.reshape(-1, _COLUMNS)[skip:skip + j_max + 1, :len(group)]
+            columns.append((int(idx.min(initial=cells)), s, sq))
+        return columns
+
+    # map holds no dataset between pulls, so only the one being reduced is alive
+    for columns in map(moments, datasets):
+        for column in columns:
+            group.append(column)
+            if len(group) == _COLUMNS:
+                contract()
+    if group:
+        contract()
+    s1, s2 = np.concatenate(sums, axis=2)
     return s1, s2

@@ -1,0 +1,104 @@
+"""Memory bounds of the homodyne pipeline, and the streaming kernel pass behind them.
+
+Peaks are read with tracemalloc, which counts numpy's buffers, so they do not
+depend on the machine.  Each bound sits between the peak of the layout that
+held whole arrays (the Numerov grid, a batch's located samples) and the peak
+of the streaming one.
+"""
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from losscomp import convergence_scan, experiments, homodyne, oscillator
+from losscomp.homodyne import QuadratureData, estimate_element
+
+MIB = 2**20
+
+
+def traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_build_keeps_its_peak():
+    """One fig1-size table build: 24.3 MiB while the Numerov grid was held whole, about
+    2 MiB kept."""
+    assert traced_peak(oscillator._Tables, 102, 7.0) < 8 * MIB
+
+
+def fig1_run(monkeypatch):
+    """The fig1 default run as ``_scan_cells`` prepares it: its table and blocks built."""
+    monkeypatch.setattr(oscillator, "_TABLES", None)
+    config = experiments.default_config("fig1")
+    signal, grids = config.validate()
+    j_top = max(max(grid) for grid in grids)
+    t = oscillator.tables_for(config.target_n + config.target_d + j_top,
+                              experiments._check_sample_extent(config, signal))
+    t.blocks(config.target_d, config.target_n + j_top + 1, t.dx.size)
+    return (config, signal, grids, convergence_scan)
+
+
+def test_fig1_unit_keeps_its_peak(monkeypatch):
+    """One fig1 unit, ten trials of 24,000 samples at eta 0.6, run serially and warm: 9.0
+    MiB while the batch's samples were located together, one trial's worth now."""
+    run = fig1_run(monkeypatch)
+    trials = range(run[0].trials)
+    experiments._cells(run, 0, trials)
+    assert traced_peak(experiments._cells, run, 0, trials) < 4 * MIB
+
+
+def test_fig1_run_fills_no_band(tmp_path, monkeypatch):
+    """The contraction blocks are built from coefficient rows, not from the lazy band."""
+    monkeypatch.setattr(oscillator, "_TABLES", None)
+    config = experiments.default_config("fig1")
+    config = replace(config, eta_list=config.eta_list[:2], trials=2)
+    experiments.run_fig1(config, out=tmp_path / "fig1.csv")
+    assert oscillator._TABLES.stacks and oscillator._TABLES.bands == {}
+
+
+def datasets(count):
+    """Datasets of 2 to 3,000 samples whose extents run from |x| ~ 1 to ~ 9."""
+    rng = np.random.default_rng(2817)
+    for k in range(count):
+        size = [2, 300, 3000, 41, 1200][k % 5]
+        scale = 0.3 + 1.7 * ((3 * k) % count) / count
+        yield QuadratureData(scale * rng.standard_normal(size), rng.uniform(0.0, np.pi, size))
+
+
+@pytest.mark.parametrize("d", [0, 2])
+def test_rays_from_a_generator_equal_the_list_form(d, monkeypatch):
+    """17 datasets cross a 16-column group.  From a fresh table the wide datasets grow it
+    mid-pass.  Each dataset is reduced before the next is pulled."""
+    data = list(datasets(17))
+    monkeypatch.setattr(oscillator, "_TABLES", None)
+    listed = homodyne.estimate_rays(data, 1, d, j_max=40)
+
+    located = []
+    locate = oscillator._locate
+    monkeypatch.setattr(oscillator, "_locate", lambda *args: located.append(1) or locate(*args))
+
+    def pulled():
+        for k, samples in enumerate(data):
+            assert len(located) == k, "a dataset was pulled before the last one was reduced"
+            yield samples
+
+    monkeypatch.setattr(oscillator, "_TABLES", None)
+    streamed = homodyne.estimate_rays(pulled(), 1, d, j_max=40)
+    assert len(streamed) == len(listed) == 17
+    for one, many, samples in zip(streamed, listed, data):
+        alone = estimate_element(samples, 1, d, j_max=40)
+        for ray in (many, alone):
+            assert one.estimate.tobytes() == ray.estimate.tobytes()
+            assert one.stderr.tobytes() == ray.stderr.tobytes()
+
+
+def test_a_short_dataset_from_a_generator_still_raises():
+    data = list(datasets(3))
+    with pytest.raises(ValueError, match="need at least two samples"):
+        homodyne.estimate_rays(iter(data + [QuadratureData([0.1], [0.2])] + data), 1, 2, 5)
