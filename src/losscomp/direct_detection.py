@@ -17,7 +17,11 @@ class CountHistogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        raw = np.asarray(self.counts)
+        if raw.dtype.kind == "f" and not np.all((np.trunc(raw) == raw) & (np.abs(raw) < 2.0**63)):
+            raise ValueError("counts must be whole numbers below 2**63, not fractions, "
+                             "infinities or NaN")
+        self.counts = np.asarray(raw, dtype=np.int64)
         if self.counts.ndim != 1 or np.any(self.counts < 0):
             raise ValueError("counts must be a 1-d array of nonnegative integers")
 

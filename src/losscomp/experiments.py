@@ -12,14 +12,14 @@ efficiencies than processes splits each into contiguous trial blocks),
 and units are dealt to the processes in turn.  Each process damps the
 signal for its own units, after the fork: a Gaussian signal's homodyne
 cells are drawn from its damped quadrature law, and only other states
-and photocounting damp the matrix.  It scans each unit as one batch:
+and photocounting damp the matrix.  It scans each unit as one stream:
 one kernel pass estimates every trial's ray, and a ray's bytes do not
-depend on the batch it is in.  The bytes are the same whatever the
-process count, and so is the exception of a failing run: that of the
-first failing cell in cell order.  A child whose cell raises sends
-nothing, and the parent scans that child's units itself.  Tables carry
-a 12-hex-digit hash of the canonical config serialization in every row;
-reruns with the same config are byte-identical.
+depend on the other datasets of the stream.  The bytes are the same
+whatever the process count, and so is the exception of a failing run:
+that of the first failing cell in cell order.  A child whose cell raises
+sends nothing, and the parent scans that child's units itself.  Tables
+carry a 12-hex-digit hash of the canonical config serialization in every
+row; reruns with the same config are byte-identical.
 
 Outputs per run: a mean table (one row per (eta, truncation index),
 averaged over trials) and a sibling ``*_trials.csv`` with the per-trial
@@ -53,11 +53,9 @@ DEFAULT_MASTER_SEED = 235711
 # this product no longer tracks runtime; it rejects configs far past the
 # defaults, which sit 20-60x below it (fig1 2.4e6, fig2 8e5)
 _BUDGET = 5 * 10**7
-# a run holds about 150 B per sample whatever j_M is: 10^7 samples is 1.5 GiB
+# a homodyne process holds about 41 B per sample whatever j_M is (tracemalloc, one warm
+# fig1 unit of ten trials: 4.5 MiB at N = 10^5, 39.7 MiB at 10^6): 10^7 samples is 0.4 GiB
 _SAMPLE_LIMIT = 10**7
-# samples of one homodyne kernel pass, which holds one trial's dataset at a time (fig1 and
-# fig2 defaults batch every trial); a failing batch is redone cell by cell.  No byte depends on it
-_BATCH_SAMPLES = 10**6
 # expected homodyne samples past the kernel table's |x| limit, over all of a run's
 # cells, above which a config is rejected up front instead of failing after sampling
 _PAST_LIMIT_BOUND = 1e-6
@@ -318,12 +316,11 @@ def _cells(run, eta_index, trials):
 
     The unit damps the signal once: a homodyne run of a Gaussian signal takes
     its damped quadrature law, any other run the damped matrix.  Each trial
-    draws its own dataset; a homodyne run estimates the rays of a batch, at
-    most ``_BATCH_SAMPLES`` samples, in one kernel pass that draws each trial's
-    samples as it takes them, so one trial's are alive at a time, and each
-    cell's scan reads its own ray.  A batch that raises is scanned again one
-    cell at a time, so the error raised is that of the unit's first failing
-    cell, whatever cells share its batch.
+    draws its own dataset; a homodyne run estimates the unit's rays in one
+    kernel pass over a stream that draws each trial's samples as it takes
+    them, so one trial's are alive at a time, and each cell's scan reads its
+    own ray.  A unit that raises is scanned again one cell at a time, so the
+    error raised is that of its first failing cell.
     """
     config, signal, grids, scan = run
     n, d, grid = config.target_n, config.target_d, grids[eta_index]
@@ -341,16 +338,10 @@ def _cells(run, eta_index, trials):
                    else list(draws))
         return [scan(source, n, d, eta, grid) for source in sources]
 
-    size = max(1, _BATCH_SAMPLES // config.n_samples)
-    results = []
-    for lo in range(0, len(trials), size):
-        batch = trials[lo:lo + size]
-        try:
-            results += scanned(batch)
-        except Exception:
-            for trial in batch:
-                results += scanned([trial])
-    return results
+    try:
+        return scanned(trials)
+    except Exception:
+        return [result for trial in trials for result in scanned([trial])]
 
 
 def _scan_share(run, units):
@@ -453,14 +444,15 @@ def _scan_cells(config, out, scan):
 
     Validates ``config``, checks the output directory, and sizes the kernel
     table for the largest kernel index a homodyne run needs and for its sample
-    reach (:func:`_check_sample_extent`), then builds its ray's kernel rows and
-    their contraction blocks over the whole table: built before any fork, they
-    are built once, not once per process.  Then the cells run by units of work,
+    reach (:func:`_check_sample_extent`), then builds its ray's contraction
+    blocks, which cover the whole table: built before any fork, they are built
+    once, not once per process.  Then the cells run by units of work,
     one efficiency's trials each (:func:`_map_cells`): homodyne units are dealt in turn to
     this process and forked children, one process per CPU in its affinity,
     and direct-detection units run in-process.  Each unit damps the signal
     in the process that owns it, and each cell draws a fresh dataset from
-    its own RNG stream; a homodyne unit's rays are estimated in one batch.
+    its own RNG stream; a homodyne unit's rays are estimated in one kernel
+    pass over the stream of its trials' datasets.
     ``scan(source, target_n, target_d, eta, jm_grid)`` reads each cell's ray
     or counts.  Results come back in cell order, so the output does not
     depend on the process count.
@@ -475,7 +467,7 @@ def _scan_cells(config, out, scan):
         j_top = max(max(grid) for grid in grids)
         t = oscillator.tables_for(config.target_n + config.target_d + j_top,
                                   _check_sample_extent(config, signal))
-        t.blocks(config.target_d, config.target_n + j_top + 1, t.dx.size)
+        t.blocks(config.target_d, config.target_n + j_top + 1)
     results = _map_cells((config, signal, grids, scan), serial=config.detection == "direct")
     trials = config.trials
     table = [(eta, jm_grid, results[k * trials:(k + 1) * trials])

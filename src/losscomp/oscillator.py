@@ -33,17 +33,17 @@ coefficients per cell of one kernel or of a block of kernels at once.
 
 Kernels leave the table two ways, which share one locate step (``|x|``
 to its cell and offset).  ``evaluate_pattern`` gives the values of one
-kernel: it gathers its row of a lazy band cache (the kernels ``f_{k,k+d}``
-of one offset ``d``, ``(rows, 6, cells)``) at the points and negates them at
-``x < 0`` when ``n + m`` is odd, so the parity ``(-1)^(n+m)`` is exact.
-``pattern_sums`` gives the weighted sums of a kernel and of its square over
-the points for one ray ``f_{n+j, n+d+j}``, j = 0..j_max, and for a stream of
-datasets.  It reduces each dataset to per-cell moments of its offsets as it
-arrives and contracts them, 16 columns at a time, with the ray's
-coefficients and those of their squares, kept as fixed blocks
-(``_Tables.blocks``, built from coefficient rows, not the band), so a kernel
-costs its occupied cells, not its points.  All kernels of a ray have the
-parity of ``d``, so an odd ray takes the sign into its first sums' weights.
+kernel: it gathers that kernel's coefficients, formed per call and not
+kept, at the points and negates them at ``x < 0`` when ``n + m`` is odd, so
+the parity ``(-1)^(n+m)`` is exact.  ``pattern_sums`` gives the weighted
+sums of a kernel and of its square over the points for one ray
+``f_{n+j, n+d+j}``, j = 0..j_max, and for a stream of datasets.  It reduces
+each dataset to per-cell moments of its offsets as it arrives and contracts
+them, 16 columns at a time, with the ray's coefficients and those of their
+squares, kept over the table's cells as fixed blocks (``_Tables.blocks``,
+the table's one coefficient cache), so a kernel costs its occupied cells,
+not its points.  All kernels of a ray have the parity of ``d``, so an odd
+ray takes the sign into its first sums' weights.
 
 Each block product is one BLAS ``gemm`` of 32 kernel rows, 256 cell
 coefficients and 16 moment columns.  That is under OpenBLAS's one-thread
@@ -145,7 +145,6 @@ class _Tables:
         self.x_cell = fine[:-1:_FINE_SUB].copy()
         self.psi = _psi_half(max_index + 1, self.x_cell)
         self.dx = np.diff(self.x_cell)
-        self.bands = {}
         self.stacks = {}
 
     def kernel_derivatives(self, n, m):
@@ -194,54 +193,41 @@ class _Tables:
                          (10.0 * e0 - 4.0 * e1 + 0.5 * e2) / h**3,
                          0.5 * ddy0, dy0, y0], axis=-2)
 
-    def band(self, d, rows):
-        """The coefficients of kernels f_{k,k+d}, k < ``rows``, as one ``(rows, 6, cells)`` band.
-
-        Rows are built once and kept; a longer band appends the rows it lacks.
-        Only ``evaluate_pattern`` reads the band.
-        """
-        band = self.bands.get(d, np.empty((0, _TERMS, self.dx.size)))
-        if len(band) < rows:
-            grown = np.empty((rows, _TERMS, self.dx.size))
-            grown[:len(band)] = band
-            for k in range(len(band), rows):
-                grown[k] = self.coefficients(k, k + d)
-            band = self.bands[d] = grown
-        return band[:rows]
-
-    def blocks(self, d, rows, cells):
-        """Kernels f_{k,k+d}, k < ``rows``, on the cells c < ``cells`` as contraction blocks.
+    def blocks(self, d, rows):
+        """Kernels f_{k,k+d}, k < ``rows``, on the table's cells as contraction blocks.
 
         Returns ``(quintics, squares)``, each shaped ``(depth blocks, row blocks, 32,
         256)``.  Row k sits at row ``k % 32`` of row block ``k // 32``; cell c's
         coefficient of ``dt^p`` sits at depth ``c * terms + p``, with 6 terms for the
         quintic and 11 for its square, whose coefficients ``sum_(k+l=p) a_k a_l``
-        come from the 21 distinct products.  Padding is zero.  Each row block is
-        built from its own 32 coefficient rows, without the band.  The blocks are
-        kept and rebuilt larger when asked for more rows or cells; the cells grow in
-        steps of 256, up to the table's.
+        come from the 21 distinct products.  Padding is zero.  Each row block's
+        coefficients and squares are formed in ``(rows, cells, terms)`` order and
+        written straight into the stacks.  The blocks are kept and rebuilt when
+        asked for more rows.
         """
-        held = self.stacks.get(d, (0, 0))
-        if held[0] < rows or held[1] < cells:
-            rows = max(rows, held[0])
-            cells = min(max(-(-cells // _DEPTH) * _DEPTH, held[1]), self.dx.size)
+        if self.stacks.get(d, (0,))[0] < rows:
+            self.stacks.pop(d, None)    # let the short stacks go before the new ones are built
+            cells = self.dx.size
             count = -(-rows // _ROWS)
             stacks = [np.zeros((-(-cells * terms // _DEPTH), count, _ROWS, _DEPTH))
                       for terms in (_TERMS, _SQUARE)]
             for b in range(count):
                 ks = np.arange(b * _ROWS, min((b + 1) * _ROWS, rows))
-                a = self.coefficients(ks, ks + d)[:, ::-1, :cells]   # a[:, k] multiplies dt^k
-                square = np.zeros((len(a), _SQUARE, cells))
+                a = self.coefficients(ks, ks + d)[:, ::-1].transpose(0, 2, 1)  # [:, c, k]: dt^k
+                square = np.zeros((len(ks), cells, _SQUARE))
                 for k in range(_TERMS):
-                    square[:, 2 * k] += a[:, k] * a[:, k]
+                    square[..., 2 * k] += a[..., k] * a[..., k]
                     for l in range(k + 1, _TERMS):
-                        square[:, k + l] += 2.0 * (a[:, k] * a[:, l])
+                        square[..., k + l] += 2.0 * (a[..., k] * a[..., l])
                 for stack, c in zip(stacks, (a, square)):
-                    flat = np.zeros((len(a), stack.shape[0] * _DEPTH))
-                    flat[:, :c[0].size] = c.transpose(0, 2, 1).reshape(len(a), -1)
-                    stack[:, b, :len(a)] = flat.reshape(len(a), -1, _DEPTH).transpose(1, 0, 2)
-            held = self.stacks[d] = (rows, cells, *stacks)
-        return held[2:]
+                    flat = c.reshape(len(ks), -1)
+                    full, rest = divmod(flat.shape[1], _DEPTH)
+                    stack[:full, b, :len(ks)] = \
+                        flat[:, :full * _DEPTH].reshape(len(ks), full, _DEPTH).transpose(1, 0, 2)
+                    if rest:
+                        stack[full, b, :len(ks), :rest] = flat[:, full * _DEPTH:]
+            self.stacks[d] = (rows, *stacks)
+        return self.stacks[d][1:]
 
 
 _TABLES: _Tables | None = None
@@ -281,7 +267,7 @@ def _locate(max_index, x):
 
 
 def evaluate_pattern(n, m, x) -> np.ndarray:
-    """Kernel f_nm at points ``x`` via cached quintic interpolation.
+    """Kernel f_nm at points ``x`` via quintic interpolation on the table's cells.
 
     Defined by unbiasedness:  averaging ``e^{i(m-n) phi} f_nm(x)`` over
     homodyne samples of any state estimates ``<n|rho|m>``.  ``n`` and ``m``
@@ -294,7 +280,7 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
         raise ValueError("kernel indices require 0 <= n <= m")
     xa = np.asarray(x, dtype=float)
     t, idx, dt, negative = _locate(m, xa)
-    c = np.take(t.band(m - n, n + 1)[n], idx, axis=1)
+    c = np.take(t.coefficients(n, m), idx, axis=1)
     out = ((((c[0] * dt + c[1]) * dt + c[2]) * dt + c[3]) * dt + c[4]) * dt + c[5]
     if (n + m) % 2:
         np.negative(out, out=out, where=negative)
@@ -332,7 +318,7 @@ def pattern_sums(n, d, j_max, datasets):
         if occupied:
             low = min(c[0] for c in occupied)
             high = max(len(c[1]) for c in occupied)
-            stacks = tables_for(top).blocks(d, n + j_max + 1, high)
+            stacks = tables_for(top).blocks(d, n + j_max + 1)
             for part, (stack, terms) in enumerate(zip(stacks, (_TERMS, _SQUARE))):
                 # moments up to the depth block of the group's last occupied cell
                 m = np.zeros((-(-high * terms // _DEPTH) * _DEPTH, _COLUMNS))

@@ -145,3 +145,8 @@ class TestCountHistogram:
             CountHistogram(np.array([1, -2, 3]))
         with pytest.raises(ValueError):
             CountHistogram(np.zeros((2, 2), dtype=int))
+        for counts in ([0.5, 2.7, 3], [1.0, np.nan], [np.inf, 2.0], np.array([4.0, -0.5]),
+                       [1e20, 1.0]):
+            with pytest.raises(ValueError, match=r"^counts must be whole numbers below 2\*\*63, "
+                                                 r"not fractions, infinities or NaN$"):
+                CountHistogram(counts)

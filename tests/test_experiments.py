@@ -522,17 +522,16 @@ class TestScanTables:
         assert body == "".join(line for cell in cells for line in rows[cell]).encode()
 
     @pytest.mark.parametrize("d", [0, 1])
-    def test_batch_size_leaves_results_unchanged(self, d, tmp_path, monkeypatch):
-        """A share's cells of one efficiency are estimated in batches of at most
-        ``_BATCH_SAMPLES`` samples; batches of one, two or every trial give the same
-        full-precision scans."""
+    def test_unit_as_one_stream_equals_its_cells_alone(self, d):
+        """A unit's trials estimated in one kernel pass give each trial's full-precision
+        scan alone."""
         config = small_fig1(trials=5, target_d=d, jm_list=(1, 2, 5, 30))
-        scans = []
-        for size in (1, 2, 5):
-            monkeypatch.setattr(experiments, "_BATCH_SAMPLES", size * config.n_samples)
-            _, _, table = experiments._scan_cells(config, tmp_path / "run.csv", convergence_scan)
-            scans.append([(r.trace, r.verdict) for _, _, results in table for r in results])
-        assert scans[0] == scans[1] == scans[2]
+        signal, grids = config.validate()
+        run = (config, signal, grids, convergence_scan)
+        for e in range(len(grids)):
+            unit = experiments._cells(run, e, range(5))
+            alone = [experiments._cells(run, e, [t])[0] for t in range(5)]
+            assert [(r.trace, r.verdict) for r in unit] == [(r.trace, r.verdict) for r in alone]
 
     @pytest.mark.parametrize("figure,built", [("fig1", [102]), ("direct", [])])
     def test_run_sizes_the_kernel_table_once(self, figure, built, tmp_path, monkeypatch):

@@ -114,8 +114,8 @@ def kernel_rows(n, m, x):
 
 
 def band_row(t, n, m):
-    """Kernel f_nm's ``(6, cells)`` quintic coefficients: row n of the table's band m - n."""
-    return t.band(m - n, n + 1)[n]
+    """Kernel f_nm's ``(6, cells)`` quintic coefficients."""
+    return t.coefficients(n, m)
 
 
 def row_derivatives(c, h):
@@ -680,8 +680,6 @@ class TestPatternFunction:
         for name, a in vars(t).items():     # dx holds one width per spline cell
             if isinstance(a, np.ndarray):
                 assert a.shape[-1] in (t.x_cell.size, t.x_cell.size - 1), name
-        assert all(b.shape[1:] == (6, t.x_cell.size - 1) for b in t.bands.values())
-        assert len(t.bands[0]) >= 13 and len(t.bands[5]) >= 4
 
     @pytest.mark.parametrize("index,reach,message", [
         (oscillator._INDEX_LIMIT + 1, 0.0, "index 484 past the kernel table's limit 483"),
@@ -726,25 +724,22 @@ class TestPatternFunction:
             for t in others:
                 assert np.array_equal(band_row(t, n, m)[:, :want.shape[1]], want), (n, m, t.x_max)
 
-    def test_band_grown_in_steps_equals_one_build(self, monkeypatch):
-        """Rows appended over several calls have the bits of one call's rows, and each
-        kernel is built once, in row order."""
-        d, built = 2, []
-        derivatives = oscillator._Tables.kernel_derivatives
-
-        def counted(self, n, m):
-            built.append((n, m))
-            return derivatives(self, n, m)
-
-        monkeypatch.setattr(oscillator._Tables, "kernel_derivatives", counted)
-        grown, whole = oscillator._Tables(104, 0.0), oscillator._Tables(104, 0.0)
-        cells = grown.x_cell.size - 1
-        for rows in (5, 40, 103, 40):
-            assert grown.band(d, rows).shape == (rows, 6, cells)
-        assert built == [(k, k + d) for k in range(103)]
-        built.clear()
-        assert grown.band(d, 103).tobytes() == whole.band(d, 103).tobytes()
-        assert built == [(k, k + d) for k in range(103)]   # the one-call table's rows alone
+    def test_blocks_regrown_equal_one_build(self, monkeypatch):
+        """Blocks rebuilt for more rows have the bytes of a fresh table's blocks; asked
+        again for fewer rows, they are served from the cache without a coefficient."""
+        d = 2
+        grown = oscillator._Tables(104, 0.0)
+        grown.blocks(d, 40)
+        stacks = grown.blocks(d, 103)
+        whole = oscillator._Tables(104, 0.0).blocks(d, 103)
+        assert [s.tobytes() for s in stacks] == [s.tobytes() for s in whole]
+        calls = []
+        coefficients = oscillator._Tables.coefficients
+        monkeypatch.setattr(oscillator._Tables, "coefficients",
+                            lambda self, n, m: calls.append((n, m)) or coefficients(self, n, m))
+        again = grown.blocks(d, 40)
+        assert calls == []
+        assert all(a is b for a, b in zip(again, stacks))
 
     def test_bands_keep_their_bytes(self):
         """sha256 prefix of fig1's table at full precision: the bands ``f_{k,k+d}``,
@@ -752,8 +747,8 @@ class TestPatternFunction:
         t = oscillator._Tables(104, 7.0)
         digest = hashlib.sha256()
         for d in range(4):
-            digest.update(t.band(d, 103 - d).tobytes())
-        for stack in t.blocks(0, 103, t.dx.size):
+            digest.update(np.array([t.coefficients(k, k + d) for k in range(103 - d)]).tobytes())
+        for stack in t.blocks(0, 103):
             digest.update(stack.tobytes())
         assert digest.hexdigest()[:12] == "6a2989844cb1"
 
@@ -797,7 +792,8 @@ def plane_product_sums(n, d, j_max, x, weights=None):
     def moments(v, order):
         return [np.bincount(at, v * powers[p], minlength=cells.size) for p in range(order)]
 
-    a = np.take(t.band(d, n + j_max + 1)[n:], cells, axis=2).transpose(1, 0, 2)[::-1]
+    ks = np.arange(n, n + j_max + 1)
+    a = np.take(t.coefficients(ks, ks + d), cells, axis=2).transpose(1, 0, 2)[::-1]
     s1 = np.empty((j_max + 1, len(w)))
     s2 = np.empty((j_max + 1, len(w)))
     for k, wk in enumerate(w):

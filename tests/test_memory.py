@@ -2,11 +2,10 @@
 
 Peaks are read with tracemalloc, which counts numpy's buffers, so they do not
 depend on the machine.  Each bound sits between the peak of the layout that
-held whole arrays (the Numerov grid, a batch's located samples) and the peak
-of the streaming one.
+held whole arrays (the Numerov grid, a batch's located samples, a row block's
+zero-padded copies) and the peak of the streaming one.
 """
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +31,15 @@ def test_table_build_keeps_its_peak():
     assert traced_peak(oscillator._Tables, 102, 7.0) < 8 * MIB
 
 
+def test_block_build_keeps_its_peak():
+    """One fig1-size block build past the 12.0 MiB of stacks it keeps: 7.6 MiB while each
+    row block was copied through zero-padded flat arrays, under 6 MiB written straight
+    into the stacks."""
+    t = oscillator._Tables(104, 7.0)
+    peak = traced_peak(t.blocks, 0, 103)
+    assert peak - sum(stack.nbytes for stack in t.blocks(0, 103)) < 6.5 * MIB
+
+
 def fig1_run(monkeypatch):
     """The fig1 default run as ``_scan_cells`` prepares it: its table and blocks built."""
     monkeypatch.setattr(oscillator, "_TABLES", None)
@@ -40,7 +48,7 @@ def fig1_run(monkeypatch):
     j_top = max(max(grid) for grid in grids)
     t = oscillator.tables_for(config.target_n + config.target_d + j_top,
                               experiments._check_sample_extent(config, signal))
-    t.blocks(config.target_d, config.target_n + j_top + 1, t.dx.size)
+    t.blocks(config.target_d, config.target_n + j_top + 1)
     return (config, signal, grids, convergence_scan)
 
 
@@ -51,15 +59,6 @@ def test_fig1_unit_keeps_its_peak(monkeypatch):
     trials = range(run[0].trials)
     experiments._cells(run, 0, trials)
     assert traced_peak(experiments._cells, run, 0, trials) < 4 * MIB
-
-
-def test_fig1_run_fills_no_band(tmp_path, monkeypatch):
-    """The contraction blocks are built from coefficient rows, not from the lazy band."""
-    monkeypatch.setattr(oscillator, "_TABLES", None)
-    config = experiments.default_config("fig1")
-    config = replace(config, eta_list=config.eta_list[:2], trials=2)
-    experiments.run_fig1(config, out=tmp_path / "fig1.csv")
-    assert oscillator._TABLES.stacks and oscillator._TABLES.bands == {}
 
 
 def datasets(count):
