@@ -16,10 +16,11 @@ and photocounting damp the matrix.  It scans each unit as one stream:
 one kernel pass estimates every trial's ray, and a ray's bytes do not
 depend on the other datasets of the stream.  The bytes are the same
 whatever the process count, and so is the exception of a failing run:
-that of the first failing cell in cell order.  A child whose cell raises
-sends nothing, and the parent scans that child's units itself.  Tables
-carry a 12-hex-digit hash of the canonical config serialization in every
-row; reruns with the same config are byte-identical.
+once any cell raises, every child is killed and the process scans every
+cell again, one at a time, so the first failing cell in cell order
+raises.  Tables carry a 12-hex-digit hash of the canonical config
+serialization in every row; reruns with the same config are
+byte-identical.
 
 Outputs per run: a mean table (one row per (eta, truncation index),
 averaged over trials) and a sibling ``*_trials.csv`` with the per-trial
@@ -213,6 +214,7 @@ def _format_value(value, sign=""):
     if isinstance(value, complex):
         return f"{_format_value(value.real)}{_format_value(value.imag, '+')}j"
     if isinstance(value, float):  # 9 significant digits unless they do not read back exactly
+        value += 0.0  # -0.0 as 0
         text = f"{value:{sign}.9g}"
         return text if float(text) == value else f"{value:{sign}}"
     return str(value)
@@ -221,8 +223,9 @@ def _format_value(value, sign=""):
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical flat ``key = value`` text; the hash is taken over this.
 
-    A list is written as the equal tuple and a real ``state_alpha`` as the
-    equal complex number, so equal configs share their text and hash.
+    A list is written as the equal tuple, a real ``state_alpha`` as the
+    equal complex number and ``-0.0`` as ``0``, so equal configs share their
+    text and hash.
     """
     values = {name: getattr(config, name) for name in _CONFIG_FIELDS}
     if isinstance(values["state_alpha"], numbers.Number):
@@ -258,6 +261,8 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         name = name.strip()
         if name not in _CONFIG_FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {name!r}")
+        if name in updates:
+            raise ValueError(f"config line {lineno}: duplicate key {name!r}")
         try:
             updates[name] = _parse_value(name, value)
         except ValueError as exc:
@@ -319,8 +324,7 @@ def _cells(run, eta_index, trials):
     draws its own dataset; a homodyne run estimates the unit's rays in one
     kernel pass over a stream that draws each trial's samples as it takes
     them, so one trial's are alive at a time, and each cell's scan reads its
-    own ray.  A unit that raises is scanned again one cell at a time, so the
-    error raised is that of its first failing cell.
+    own ray.  A failing cell's error propagates.
     """
     config, signal, grids, scan = run
     n, d, grid = config.target_n, config.target_d, grids[eta_index]
@@ -329,34 +333,12 @@ def _cells(run, eta_index, trials):
         damped = _damped_law(signal.quadrature_law, eta)
     else:
         damped = apply_loss(signal, eta)
-
-    def scanned(batch):
-        draws = (_measurement_source(config, damped, _trial_rng(config, eta_index, t))
-                 for t in batch)
-        # photocounts are tiny: drawing them all before the scans was measurably faster
-        sources = (estimate_rays(draws, n, d, grid[-1]) if config.detection == "homodyne"
-                   else list(draws))
-        return [scan(source, n, d, eta, grid) for source in sources]
-
-    try:
-        return scanned(trials)
-    except Exception:
-        return [result for trial in trials for result in scanned([trial])]
-
-
-def _scan_share(run, units):
-    """The results of ``units``, one list per unit, up to the first failing unit.
-
-    Returns the results and the first failing unit's exception (the unit at
-    ``len(results)``), or None.
-    """
-    results = []
-    for eta_index, trials in units:
-        try:
-            results.append(_cells(run, eta_index, trials))
-        except Exception as exc:
-            return results, exc
-    return results, None
+    draws = (_measurement_source(config, damped, _trial_rng(config, eta_index, t))
+             for t in trials)
+    # photocounts are tiny: drawing them all before the scans was measurably faster
+    sources = (estimate_rays(draws, n, d, grid[-1]) if config.detection == "homodyne"
+               else list(draws))
+    return [scan(source, n, d, eta, grid) for source in sources]
 
 
 def _map_cells(run, serial):
@@ -372,14 +354,13 @@ def _map_cells(run, serial):
     ``k`` is process ``k mod W``'s: child ``k`` scans ``units[k::W]`` and
     pickles its results back through a pipe, the parent scans
     ``units[0::W]`` itself, so ``W = 1`` is the serial loop.  A child whose
-    cell raises exits 1 and sends nothing, and the parent scans that child's
-    units itself, so a cell that fails only in a child costs time, not the
-    run.  Units are contiguous in cell order, so the first failing cell lies
-    in the first failing unit, and the exception raised is that cell's, as
-    at ``W = 1``: once the parent knows a failing unit, it waits only for
-    the children holding an earlier unit and kills the rest at once.  A
-    child killed by a signal raises ``ChildProcessError`` naming it.  Every
-    child is killed and reaped before the call returns or raises.
+    cell raises exits 1 and sends nothing.  If any cell raises, in a child
+    or in the parent, every child is killed and reaped, and then the parent
+    scans every cell again, one at a time: the first failing cell in cell
+    order raises, as at ``W = 1``, and a cell that fails only in a child
+    costs time, not the run.  A child killed by a signal raises
+    ``ChildProcessError`` naming it.  Every child is killed and reaped
+    before the call returns or raises.
     """
     config, _, grids, _ = run
     workers = (1 if serial or not hasattr(os, "fork") or threading.active_count() > 1
@@ -390,6 +371,7 @@ def _map_cells(run, serial):
              for eta_index in range(len(grids)) for k in range(blocks)]
     workers = min(workers, len(units))
     children = {}  # pid -> read end of its pipe, in share order
+    results = [None] * len(units)
     try:
         for share in range(1, workers):
             read, write = os.pipe()
@@ -397,22 +379,23 @@ def _map_cells(run, serial):
             if pid == 0:
                 try:
                     os.close(read)  # so a write to a dead parent fails instead of blocking
-                    results, failure = _scan_share(run, units[share::workers])
-                    if failure is None:
-                        with open(write, "wb") as pipe:
-                            pickle.dump(results, pipe)
-                        os._exit(0)
+                    part = [_cells(run, *unit) for unit in units[share::workers]]
+                    with open(write, "wb") as pipe:
+                        pickle.dump(part, pipe)
+                    os._exit(0)
                 finally:  # never return into the parent's stack
                     os._exit(1)
             children[pid] = open(read, "rb")
             # closed before the next fork, the child's write end is the only one left,
             # so its death reads as EOF
             os.close(write)
-        results = [None] * len(units)
-        mine, failure = _scan_share(run, units[0::workers])
-        first = len(units) if failure is None else len(mine) * workers  # first failing unit
+        try:
+            results[0::workers] = [_cells(run, *unit) for unit in units[0::workers]]
+            failed = False
+        except Exception:
+            failed = True
         for share, pid in enumerate(list(children), start=1):
-            if share >= first:      # this child and the later ones hold no earlier unit
+            if failed:
                 break
             with children[pid] as pipe:
                 data = pipe.read()
@@ -422,21 +405,18 @@ def _map_cells(run, serial):
                 raise ChildProcessError(f"child process {pid} was killed by "
                                         f"{signal.Signals(-code).name} before sending its "
                                         "cells' results")
-            part, exc = (pickle.loads(data), None) if code == 0 else \
-                _scan_share(run, units[share:first:workers])
-            if exc is not None:
-                first, failure = share + len(part) * workers, exc
-            elif failure is None:
-                results[share::workers] = part
-        if failure is not None:
-            raise failure
-        results[0::workers] = mine
-        return [result for unit in results for result in unit]
+            failed = code != 0
+            if not failed:
+                results[share::workers] = pickle.loads(data)
     finally:
         for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    if failed:  # every cell alone, in cell order, so the first failing cell raises
+        return [result for eta_index, block in units for trial in block
+                for result in _cells(run, eta_index, [trial])]
+    return [result for unit in results for result in unit]
 
 
 def _scan_cells(config, out, scan):

@@ -319,7 +319,8 @@ def estimate_rays(datasets, n: int, d: int, j_max: int = 0) -> list:
     by sqrt(N).  Both come from the sums of the summands and of their
     squares, which ``oscillator.pattern_sums`` forms in one pass.  ``datasets``
     is any iterable, read once, one dataset at a time.  A dataset's ray has the
-    same bytes in any batch.
+    same bytes in any batch.  A ray with ``d > 0`` rejects a dataset holding a
+    non-finite phase.
     """
     sizes = []
 
@@ -327,8 +328,12 @@ def estimate_rays(datasets, n: int, d: int, j_max: int = 0) -> list:
         if len(samples) < 2:
             raise ValueError("need at least two samples")
         sizes.append(len(samples))
-        phase = np.exp(1j * d * samples.phi) if d else None
-        return samples.x, None if phase is None else (phase.real, phase.imag)
+        if not d:
+            return samples.x, None
+        if not np.isfinite(samples.phi).all():
+            raise ValueError("phases must be finite")
+        phase = np.exp(1j * d * samples.phi)
+        return samples.x, (phase.real, phase.imag)
 
     s1, s2 = oscillator.pattern_sums(n, d, j_max, map(column, datasets))
     width = 2 if d else 1

@@ -117,6 +117,17 @@ class TestConfigText:
         with pytest.raises(ValueError, match="key = value"):
             parse_config("just some words\n")
 
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        """A key given twice names its second line, in the library and through the CLI."""
+        message = "config line 2: duplicate key 'eta_list'"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_config("eta_list = 0.6\neta_list = 0.5\n")
+        conf = tmp_path / "twice.conf"
+        conf.write_text("eta_list = 0.6\neta_list = 0.5\n")
+        assert cli.main(["fig1", "--config", str(conf), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr() == ("", f"losscomp: error: {message}\n")
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("line", [
         "dim = 64.0", "eta_list = 0.6,,0.5", "state_alpha = 1+", "jm_list = ",
         "master_seed = 1e3"])
@@ -144,6 +155,17 @@ class TestConfigHash:
         # every shipped CSV row carries this hash: the canonical text, its
         # field order included, must not drift
         assert config_hash(default_config(figure)) == want
+
+    @pytest.mark.parametrize("overrides", [
+        dict(state_alpha=complex(-0.0, 0.0)), dict(state_alpha=complex(0.0, -0.0)),
+        dict(state_alpha=-0.0)])
+    def test_signed_zeros_share_the_hash(self, overrides):
+        """A zero's sign does not make a config unequal, so it does not reach the text."""
+        zero = replace(default_config("fig1"), state_alpha=0j)
+        signed = replace(zero, **overrides)
+        assert signed == zero
+        assert serialize_config(signed) == serialize_config(zero)
+        assert config_hash(signed) == config_hash(zero) == "99c1d3f8bc0d"
 
     @settings(derandomize=True, deadline=None)
     @given(config=st.builds(
@@ -854,15 +876,18 @@ class TestWorkers:
             run_fig1(small_fig1(), out=tmp_path / "fig1.csv")
         assert_no_children()
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_first_failing_cell_raises_at_every_process_count(self, cpus, tmp_path,
+    @pytest.mark.parametrize("figure, cpus", [
+        *[pytest.param("fig1", cpus, id=str(cpus)) for cpus in (1, 2, 3)],
+        *[pytest.param("direct", cpus, id=f"direct-{cpus}") for cpus in (1, 2, 3)]])
+    def test_first_failing_cell_raises_at_every_process_count(self, figure, cpus, tmp_path,
                                                               monkeypatch):
         """Cells (0, 1), (1, 0) and (1, 1) of a 2x2 run fail: every process count raises the
         error of (0, 1), the first in cell order.  On two processes (0, 1) is in the parent's
-        unit and (1, 0) hangs in the child's, which holds no earlier cell and is killed, not
-        waited for.  On three, each efficiency is split into one-trial units: the parent's
-        own (1, 1) fails, but (0, 1) is the first child's, which the parent waits for, and
-        (1, 0) hangs in the second child, which holds no cell before (0, 1) and is killed."""
+        unit and (1, 0) hangs in the child's; on three, each efficiency is split into
+        one-trial units, (0, 1) is the first child's, (1, 0) hangs in the second and the
+        parent's own (1, 1) fails.  Either way the children are killed, not waited for, and
+        the parent scans the cells again one at a time.  A photocounting run draws its
+        counts as a list, always in one process, and raises the same error."""
         parent, source = os.getpid(), experiments._measurement_source
 
         def failing_source(config, damped, rng):
@@ -873,8 +898,37 @@ class TestWorkers:
                 raise ValueError(f"cell {cell}")
             return source(config, damped, rng)
 
+        config = (small_fig1() if figure == "fig1"
+                  else replace(default_config("direct"), n_samples=500, trials=2))
         monkeypatch.setattr(experiments, "_measurement_source", failing_source)
         monkeypatch.setattr(experiments, "_cpus", lambda: cpus)
+        with deadline(60), pytest.raises(ValueError, match=r"^cell \(0, 1\)$"):
+            run_scan_table(config, out=tmp_path / "run.csv")
+        assert_no_children()
+
+    def test_failing_run_rescans_with_no_child_alive(self, tmp_path, monkeypatch):
+        """On three processes cell (0, 1) raises in the first child while the second sleeps
+        in cell (1, 0).  When this process draws (0, 1) itself, no child is left: the
+        re-scan starts only after every child is reaped."""
+        parent, source = os.getpid(), experiments._measurement_source
+
+        def failing_source(config, damped, rng):
+            cell = rng.bit_generator.seed_seq.entropy[1:]
+            if os.getpid() != parent:
+                if cell == (1, 0):
+                    time.sleep(600)
+                if cell == (0, 1):
+                    raise ValueError("cell (0, 1)")
+            elif cell == (0, 1):
+                try:
+                    os.waitpid(-1, os.WNOHANG)
+                except ChildProcessError:
+                    raise ValueError("cell (0, 1)") from None
+                raise AssertionError("a child is alive while the parent re-scans")
+            return source(config, damped, rng)
+
+        monkeypatch.setattr(experiments, "_measurement_source", failing_source)
+        monkeypatch.setattr(experiments, "_cpus", lambda: 3)
         with deadline(60), pytest.raises(ValueError, match=r"^cell \(0, 1\)$"):
             run_fig1(small_fig1(), out=tmp_path / "fig1.csv")
         assert_no_children()
@@ -904,8 +958,8 @@ class TestWorkers:
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_cells_failing_only_in_children_are_scanned_by_the_parent(self, cpus, tmp_path,
                                                                       monkeypatch):
-        """A child whose cell raises sends nothing; the parent scans that child's share
-        itself and the run writes the one-CPU bytes."""
+        """A child whose cell raises sends nothing; the parent kills the other children,
+        scans every cell itself and the run writes the one-CPU bytes."""
         config = small_fig1()
         with one_cpu():
             serial = [p.read_bytes() for p in run_fig1(config, out=tmp_path / "serial.csv")]

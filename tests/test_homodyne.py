@@ -950,6 +950,17 @@ class TestEstimateElement:
         with pytest.raises(ValueError):
             estimate_element(data, 0, 0, j_max=-1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_phases(self, bad):
+        """A phased ray rejects a dataset with a NaN or infinite phase; a ray with d = 0
+        reads no phase, so it still estimates from the positions."""
+        x, phi = np.array([0.1, -0.3, 0.7]), np.array([0.0, bad, 1.0])
+        for d in (1, 2):
+            with pytest.raises(ValueError, match="^phases must be finite$"):
+                estimate_element(QuadratureData(x, phi), 0, d, 2)
+        ray = estimate_element(QuadratureData(x, phi), 0, 0, 2)
+        assert np.isfinite(ray.estimate).all() and np.isfinite(ray.stderr).all()
+
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_ray_equals_single_elements_across_blocks(self, d, monkeypatch):
         """A ray's rows have the bytes of the single-element rays, and no kernel value is formed."""
