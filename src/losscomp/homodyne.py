@@ -80,15 +80,16 @@ class MeasuredRay:
             raise ValueError("estimate and stderr must be 1-d arrays of equal length")
 
 
-def _rotated(dim, phi, x):
-    """``e^{i n phi} psi_n(x)`` for ``n < dim``, a complex ``(dim, points)`` array.
+def quadrature_pdf(rho: DensityMatrix, phi, x) -> np.ndarray:
+    """Quadrature density ``p(x; phi)`` for the given state.
 
-    ``phi`` is one phase or one per point of ``x``.
+    ``phi`` is one phase or one per point of ``x``; scalar ``phi`` and
+    ``x`` give a float, anything else an array.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     step = np.exp(1j * np.atleast_1d(np.asarray(phi, dtype=float)))
-    rotated = np.empty((dim, max(xa.size, step.size)), dtype=complex)
-    rotated[:] = oscillator._psi_half(dim - 1, xa)
+    rotated = np.empty((rho.dim, max(xa.size, step.size)), dtype=complex)  # e^{in phi} psi_n
+    rotated[:] = oscillator._psi_half(rho.dim - 1, xa)
     # e^{i n phi} as e^{i (n-1) phi} e^{i phi}, so it is 1 exactly at phi = 0.  Each
     # power is a new array: numpy 2.4 rounded an in-place one-element product
     # differently from the same product in a longer array, which split
@@ -97,16 +98,6 @@ def _rotated(dim, phi, x):
     for row in rotated[1:]:
         power = power * step
         row *= power
-    return rotated
-
-
-def quadrature_pdf(rho: DensityMatrix, phi, x) -> np.ndarray:
-    """Quadrature density ``p(x; phi)`` for the given state.
-
-    ``phi`` is one phase or one per point of ``x``; scalar ``phi`` and
-    ``x`` give a float, anything else an array.
-    """
-    rotated = _rotated(rho.dim, phi, x)
     dens = np.einsum("nx,nx->x", rotated, rho.elements @ rotated.conj()).real
     return dens if np.ndim(x) or np.ndim(phi) else float(dens[0])
 
@@ -119,8 +110,8 @@ def _is_phase_invariant(rho):
 _GRID_POINTS = 4097
 _BINS = 32          # phase bins of the rejection proposal
 _HEADROOM = 1.005   # envelope factor: room for interpolation between grid nodes
-# proposal points per density call in the rejection sampler: one call holds
-# a few complex (dim, points) arrays, so this caps them whatever N is
+# proposal points per density call in the rejection sampler: one call holds the
+# kept modes' complex (rank, points) amplitudes, so this caps them whatever N is
 _PDF_CHUNK = 8192
 _TABLES = {}        # one entry: (dim, element bytes) -> that state's sampling tables
 
@@ -179,10 +170,15 @@ class _BinnedEnvelope:
     Proposals are scored through the state's eigenpairs, ``rho = V diag(lam)
     V^H``: with ``R_n = e^{in phi} psi_n(x)``, ``p(x; phi) = sum_r lam_r
     |sum_n V_nr R_n|^2``, so ``density`` costs O(rank dim) per point where
-    ``quadrature_pdf`` costs O(dim^2).  The pairs of smallest ``|lam|`` are
-    dropped while their ``|lam|`` sum to at most machine epsilon times the
-    trace; since ``|sum_n V_nr R_n|^2 <= sum_n psi_n(x)^2``, that moves ``p`` by
-    less than the rounding the quadratic form carries.  A state whose negative
+    ``quadrature_pdf`` costs O(dim^2).  It streams the oscillator recursion
+    (``oscillator._psi_rows``), adding each ``R_n`` into the amplitudes as it
+    comes, so it holds ``(rank, points)`` amplitudes and one row, never a
+    ``(dim, points)`` table, and it sums the weighted squares mode by mode, so
+    a point's score has the same bytes whatever points are scored with it.  The
+    pairs of smallest ``|lam|`` are dropped while their ``|lam|`` sum to at most
+    machine epsilon times the trace; since ``|sum_n V_nr R_n|^2 <= sum_n
+    psi_n(x)^2``, that moves ``p`` by less than the rounding the quadratic form
+    carries.  A state whose negative
     eigenvalues sum below ``-1e-6`` of its trace raises: its ``p`` is not a
     probability law.
     """
@@ -223,8 +219,14 @@ class _BinnedEnvelope:
 
     def density(self, phi, x):
         """``p(x; phi)`` at equal-length arrays of phases and points, from the kept eigenpairs."""
-        amplitude = self.modes @ _rotated(self.modes.shape[1], phi, x)
-        return self.weights @ (amplitude.real ** 2 + amplitude.imag ** 2)
+        step = np.exp(1j * phi)
+        power = np.ones_like(step)      # e^{in phi}, powered up as quadrature_pdf does
+        amplitude = np.zeros((len(self.weights), step.size), dtype=complex)
+        for n, row in enumerate(oscillator._psi_rows(self.modes.shape[1] - 1, x)):
+            amplitude += self.modes[:, n, None] * (row * power)
+            power = power * step
+        square = amplitude.real ** 2 + amplitude.imag ** 2
+        return sum(weight * row for weight, row in zip(self.weights, square))
 
     def draw(self, n, rng):
         """Exact joint draws: propose (bin, x, phi), accept under ``p(x; phi)``.
@@ -256,6 +258,7 @@ class _BinnedEnvelope:
             frac = at - node
             bound = flat[node] * (1.0 - frac) + flat[node + 1] * frac
             height = rng.random(batch) * bound
+            del at, b, node, frac       # only the proposals and their bounds are scored
             dens = np.concatenate([
                 self.density(pc[lo:lo + _PDF_CHUNK], xc[lo:lo + _PDF_CHUNK])
                 for lo in range(0, batch, _PDF_CHUNK)])
@@ -277,9 +280,8 @@ def _tables_for(rho):
     """The sampling tables of a non-Gaussian state, kept for the next call on an equal state."""
     key = (rho.dim, rho.elements.tobytes())
     if key not in _TABLES:
-        table = (_InverseCdf if _is_phase_invariant(rho) else _BinnedEnvelope)(rho)
-        _TABLES.clear()
-        _TABLES[key] = table
+        _TABLES.clear()     # let the last state's tables go before this one's are built
+        _TABLES[key] = (_InverseCdf if _is_phase_invariant(rho) else _BinnedEnvelope)(rho)
     return _TABLES[key]
 
 

@@ -29,7 +29,8 @@ steps per cell through rolling rows and keeps the cell nodes only.  On each
 cell a kernel is the quintic Hermite interpolant of its value, slope and
 curvature at both ends; slope and curvature follow from the ODE, so no
 spline system is solved.  ``_Tables.coefficients`` gives the six Horner
-coefficients per cell of one kernel or of a block of kernels at once.
+coefficients per cell of one kernel or of a block of kernels at once, on all
+cells or on a range of them, with the same bits either way.
 
 Kernels leave the table two ways, which share one locate step (``|x|``
 to its cell and offset).  ``evaluate_pattern`` gives the values of one
@@ -75,19 +76,29 @@ _X_LIMIT = 26.0           # widest table range at which chi stays finite
 _INDEX_LIMIT = 483        # number states up to it sample inside |x| = 26 (_check_sample_extent)
 
 
-def _psi_half(nmax, x):
-    """psi_n(x) for n <= nmax as a (nmax + 1, len(x)) array.
+def _psi_rows(nmax, x):
+    """psi_n(x) for n = 0..nmax, one row at a time, each shaped like ``x``.
 
     Three-term recursion for normalized oscillator eigenfunctions,
-    rescaled to the vacuum-variance-1/4 convention.
+    rescaled to the vacuum-variance-1/4 convention.  Each row feeds the
+    next two, so a caller must not write into the rows it is given.
     """
     y = np.sqrt(2.0) * x
-    out = np.empty((nmax + 1, x.size))
-    out[0] = (2.0 / np.pi) ** 0.25 * np.exp(-(x**2))
+    row = (2.0 / np.pi) ** 0.25 * np.exp(-(x**2))
+    yield row
     if nmax >= 1:
-        out[1] = np.sqrt(2.0) * y * out[0]
+        last, row = row, np.sqrt(2.0) * y * row
+        yield row
     for n in range(2, nmax + 1):
-        out[n] = np.sqrt(2.0 / n) * y * out[n - 1] - np.sqrt((n - 1.0) / n) * out[n - 2]
+        last, row = row, np.sqrt(2.0 / n) * y * row - np.sqrt((n - 1.0) / n) * last
+        yield row
+
+
+def _psi_half(nmax, x):
+    """psi_n(x) for n <= nmax as a (nmax + 1, len(x)) array: the rows of ``_psi_rows``."""
+    out = np.empty((nmax + 1, x.size))
+    for n, row in enumerate(_psi_rows(nmax, x)):
+        out[n] = row
     return out
 
 
@@ -147,8 +158,9 @@ class _Tables:
         self.dx = np.diff(self.x_cell)
         self.stacks = {}
 
-    def kernel_derivatives(self, n, m):
-        """Kernel f_nm, its slope and its curvature on ``x_cell``, all over the anchor.
+    def kernel_derivatives(self, n, m, lo=0, hi=None):
+        """Kernel f_nm, its slope and its curvature at nodes ``lo:hi`` of ``x_cell`` (all by
+        default), all over the anchor.
 
         ``n`` and ``m`` are indices or equal-length index arrays; an array gives one row
         per pair.  Both derivatives follow from the ODE, ``psi'' = Q psi`` and
@@ -157,31 +169,36 @@ class _Tables:
         ``f'' = 16x psi_n chi_m + (Q_n + Q_m) f + 2(Q_n psi_n chi_m' + Q_m psi_n' chi_m)``.
         ``psi_n' = sqrt(n) psi_{n-1} - sqrt(n+1) psi_{n+1}``, with ``psi_0``
         standing in for ``psi_{-1}``, which its zero coefficient cancels.
-        The anchor is ``W_m / 2``, taken at the x = 0 node, so a kernel's bits do not
-        depend on the table's range.
+        The anchor is ``W_m / 2``, taken at the x = 0 node whatever the node range, so a
+        kernel's bits depend neither on the table's range nor on the range asked for.
         """
         n, m = np.asarray(n), np.asarray(m)
         cn, cm = n[..., None], m[..., None]     # per-pair factors, broadcast over the nodes
-        dpsi = np.sqrt(cn) * self.psi[np.maximum(n - 1, 0)] - np.sqrt(cn + 1.0) * self.psi[n + 1]
-        psi, chi, dchi = self.psi[n], self.chi[m], self.dchi[m]
+        nodes = slice(lo, hi)
+        dpsi = (np.sqrt(cn) * self.psi[np.maximum(n - 1, 0), nodes]
+                - np.sqrt(cn + 1.0) * self.psi[n + 1, nodes])
+        psi, chi, dchi = self.psi[n, nodes], self.chi[m, nodes], self.dchi[m, nodes]
         f = dpsi * chi + psi * dchi
         origin = self.psi[:, :1]
         dpsi_m = np.sqrt(cm) * origin[np.maximum(m - 1, 0)] - np.sqrt(cm + 1.0) * origin[m + 1]
-        anchor = 0.5 * (origin[m] * dchi[..., :1] - dpsi_m * chi[..., :1])
+        anchor = 0.5 * (origin[m] * self.dchi[m, :1] - dpsi_m * self.chi[m, :1])
         product = psi * chi
-        x2 = 4.0 * self.x_cell**2
+        x = self.x_cell[nodes]
+        x2 = 4.0 * x**2
         q_n, q_m = x2 - (4.0 * cn + 2.0), x2 - (4.0 * cm + 2.0)
         df = (q_n + q_m) * product + 2.0 * dpsi * dchi
-        ddf = (16.0 * self.x_cell * product + (q_n + q_m) * f
+        ddf = (16.0 * x * product + (q_n + q_m) * f
                + 2.0 * (q_n * psi * dchi + q_m * dpsi * chi))
         return f / anchor, df / anchor, ddf / anchor
 
-    def coefficients(self, n, m):
-        """Kernel f_nm's quintic Hermite coefficients, ``(6, cells)``; ``(pairs, 6, cells)``
-        for index arrays.  Per cell on ``x_cell``, the Horner coefficients in ``x - x_i``,
-        highest power first, that match its value, slope and curvature at both ends."""
-        y, dy, ddy = self.kernel_derivatives(n, m)
-        h = self.dx
+    def coefficients(self, n, m, lo=0, hi=None):
+        """Kernel f_nm's quintic Hermite coefficients on cells ``lo:hi`` (all by default),
+        ``(6, cells)``; ``(pairs, 6, cells)`` for index arrays.  Per cell on ``x_cell``, the
+        Horner coefficients in ``x - x_i``, highest power first, that match its value,
+        slope and curvature at both ends."""
+        hi = self.dx.size if hi is None else hi
+        y, dy, ddy = self.kernel_derivatives(n, m, lo, hi + 1)
+        h = self.dx[lo:hi]
         # what the Taylor quadratic at the left end misses at the right end,
         # in value, slope and curvature, each scaled to units of h^k
         y0, dy0, ddy0 = y[..., :-1], dy[..., :-1], ddy[..., :-1]
@@ -200,10 +217,12 @@ class _Tables:
         256)``.  Row k sits at row ``k % 32`` of row block ``k // 32``; cell c's
         coefficient of ``dt^p`` sits at depth ``c * terms + p``, with 6 terms for the
         quintic and 11 for its square, whose coefficients ``sum_(k+l=p) a_k a_l``
-        come from the 21 distinct products.  Padding is zero.  Each row block's
-        coefficients and squares are formed in ``(rows, cells, terms)`` order and
-        written straight into the stacks.  The blocks are kept and rebuilt when
-        asked for more rows.
+        come from the 21 distinct products.  Padding is zero.  Each row block is
+        formed one span of 256 cells at a time, whose coefficients and squares, in
+        ``(rows, cells, terms)`` order, fill exactly ``terms`` depth blocks (fewer for
+        the last span) and are written straight into the stacks; every cell's values
+        are those of the whole-range build.  The blocks are kept and rebuilt when asked
+        for more rows.
         """
         if self.stacks.get(d, (0,))[0] < rows:
             self.stacks.pop(d, None)    # let the short stacks go before the new ones are built
@@ -213,19 +232,22 @@ class _Tables:
                       for terms in (_TERMS, _SQUARE)]
             for b in range(count):
                 ks = np.arange(b * _ROWS, min((b + 1) * _ROWS, rows))
-                a = self.coefficients(ks, ks + d)[:, ::-1].transpose(0, 2, 1)  # [:, c, k]: dt^k
-                square = np.zeros((len(ks), cells, _SQUARE))
-                for k in range(_TERMS):
-                    square[..., 2 * k] += a[..., k] * a[..., k]
-                    for l in range(k + 1, _TERMS):
-                        square[..., k + l] += 2.0 * (a[..., k] * a[..., l])
-                for stack, c in zip(stacks, (a, square)):
-                    flat = c.reshape(len(ks), -1)
-                    full, rest = divmod(flat.shape[1], _DEPTH)
-                    stack[:full, b, :len(ks)] = \
-                        flat[:, :full * _DEPTH].reshape(len(ks), full, _DEPTH).transpose(1, 0, 2)
-                    if rest:
-                        stack[full, b, :len(ks), :rest] = flat[:, full * _DEPTH:]
+                for lo in range(0, cells, _DEPTH):
+                    hi = min(lo + _DEPTH, cells)
+                    a = self.coefficients(ks, ks + d, lo, hi)[:, ::-1].transpose(0, 2, 1)  # dt^k
+                    square = np.zeros((len(ks), hi - lo, _SQUARE))
+                    for k in range(_TERMS):
+                        square[..., 2 * k] += a[..., k] * a[..., k]
+                        for l in range(k + 1, _TERMS):
+                            square[..., k + l] += 2.0 * (a[..., k] * a[..., l])
+                    for stack, c in zip(stacks, (a, square)):
+                        flat = c.reshape(len(ks), -1)
+                        first = lo // _DEPTH * c.shape[2]   # the span's first depth block
+                        full, rest = divmod(flat.shape[1], _DEPTH)
+                        stack[first:first + full, b, :len(ks)] = flat[:, :full * _DEPTH].reshape(
+                            len(ks), full, _DEPTH).transpose(1, 0, 2)
+                        if rest:
+                            stack[first + full, b, :len(ks), :rest] = flat[:, full * _DEPTH:]
             self.stacks[d] = (rows, *stacks)
         return self.stacks[d][1:]
 

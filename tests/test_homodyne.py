@@ -436,6 +436,26 @@ class TestRejectionProposal:
         assert built == ["_BinnedEnvelope", "_BinnedEnvelope", "_InverseCdf", "_BinnedEnvelope"]
         assert len(homodyne._TABLES) == 1
 
+    def test_last_tables_are_dropped_before_a_new_build(self, monkeypatch):
+        """A new state's tables are built with the last state's already let go."""
+        seen = []
+
+        def watching(kind):
+            class Watching(kind):
+                def __init__(self, rho):
+                    seen.append(dict(homodyne._TABLES))
+                    super().__init__(rho)
+            return Watching
+
+        for kind in (homodyne._BinnedEnvelope, homodyne._InverseCdf):
+            monkeypatch.setattr(homodyne, kind.__name__, watching(kind))
+        monkeypatch.setattr(homodyne, "_TABLES", {})
+        sample_quadratures(even_cat(1.5, 32), 100, rng_from(17, 44))
+        sample_quadratures(make_fock(3, 16), 100, rng_from(17, 45))
+        sample_quadratures(apply_loss(even_cat(1.5, 32), 0.6), 100, rng_from(17, 46))
+        assert seen == [{}, {}, {}]
+        assert len(homodyne._TABLES) == 1
+
     def test_inverse_cdf_draws_are_the_same_from_kept_tables(self, monkeypatch):
         monkeypatch.setattr(homodyne, "_TABLES", {})
         rho = make_fock(3, 32)
@@ -497,6 +517,20 @@ class TestFactoredDensity:
     ], ids=["coherent-stripped", "coherent-damped", "cat-damped"])
     def test_named_states(self, state):
         self.assert_scores_match(state(), 0)
+
+    @pytest.mark.parametrize("state", [
+        lambda: strip_law(make_coherent(0.8 + 0.4j, 32)),
+        damped_cat,
+        lambda: DensityMatrix(6, np.diag([0.4, 0.1, 0.2, 0.05, 0.15, 0.1]).astype(complex)
+                              + 0.02 * (np.eye(6, k=1) + np.eye(6, k=-1))),
+    ], ids=["coherent-stripped", "cat-damped", "mixed"])
+    def test_density_is_pointwise(self, state):
+        """Each point's score has the same bytes alone as among 2,000 others."""
+        rng = rng_from(17, 43)
+        x, phi = rng.normal(0.0, 1.5, 2000), rng.uniform(0.0, np.pi, 2000)
+        table = homodyne._BinnedEnvelope(state())
+        alone = np.concatenate([table.density(phi[k:k + 1], x[k:k + 1]) for k in range(2000)])
+        assert alone.tobytes() == table.density(phi, x).tobytes()
 
     def test_damped_cat_keeps_two_eigenpairs(self):
         rho = damped_cat()
@@ -724,6 +758,15 @@ class TestPatternFunction:
             for t in others:
                 assert np.array_equal(band_row(t, n, m)[:, :want.shape[1]], want), (n, m, t.x_max)
 
+    def test_cell_ranges_keep_the_bits(self):
+        """A kernel block's coefficients on a range of cells, as the contraction blocks are
+        built, have the bits of the same cells in the whole-table call."""
+        t = oscillator._Tables(60, 7.0)
+        ks = np.arange(3, 35)
+        whole = t.coefficients(ks, ks + 2)
+        for lo, hi in [(0, 256), (256, 512), (200, 300), (512, t.dx.size), (699, 700)]:
+            assert t.coefficients(ks, ks + 2, lo, hi).tobytes() == whole[..., lo:hi].tobytes()
+
     def test_blocks_regrown_equal_one_build(self, monkeypatch):
         """Blocks rebuilt for more rows have the bytes of a fresh table's blocks; asked
         again for fewer rows, they are served from the cache without a coefficient."""
@@ -736,7 +779,7 @@ class TestPatternFunction:
         calls = []
         coefficients = oscillator._Tables.coefficients
         monkeypatch.setattr(oscillator._Tables, "coefficients",
-                            lambda self, n, m: calls.append((n, m)) or coefficients(self, n, m))
+                            lambda self, *args: calls.append(args) or coefficients(self, *args))
         again = grown.blocks(d, 40)
         assert calls == []
         assert all(a is b for a, b in zip(again, stacks))

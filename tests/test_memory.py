@@ -2,15 +2,17 @@
 
 Peaks are read with tracemalloc, which counts numpy's buffers, so they do not
 depend on the machine.  Each bound sits between the peak of the layout that
-held whole arrays (the Numerov grid, a batch's located samples, a row block's
-zero-padded copies) and the peak of the streaming one.
+held whole arrays (the Numerov grid, a batch's located samples, a row block over
+every cell, a proposal chunk's complex ``(dim, points)`` table) and the peak of the
+streaming one.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from losscomp import convergence_scan, experiments, homodyne, oscillator
+from losscomp import apply_loss, convergence_scan, experiments, homodyne, make_coherent, oscillator
+from losscomp.fock_core import DensityMatrix
 from losscomp.homodyne import QuadratureData, estimate_element
 
 MIB = 2**20
@@ -32,12 +34,24 @@ def test_table_build_keeps_its_peak():
 
 
 def test_block_build_keeps_its_peak():
-    """One fig1-size block build past the 12.0 MiB of stacks it keeps: 7.6 MiB while each
-    row block was copied through zero-padded flat arrays, under 6 MiB written straight
-    into the stacks."""
+    """One fig1-size block build past the 12.0 MiB of stacks it keeps: 5.8 MiB while each
+    row block was formed over all 700 cells at once, 2.1 MiB formed one 256-cell span at
+    a time."""
     t = oscillator._Tables(104, 7.0)
     peak = traced_peak(t.blocks, 0, 103)
-    assert peak - sum(stack.nbytes for stack in t.blocks(0, 103)) < 6.5 * MIB
+    assert peak - sum(stack.nbytes for stack in t.blocks(0, 103)) < 3.5 * MIB
+
+
+def test_rejection_draw_keeps_its_peak(monkeypatch):
+    """24,000 draws of a damped cat from its kept tables: 9.5 MiB while each chunk of
+    proposals was scored through a complex ``(dim, points)`` table, 3.4 MiB with the
+    oscillator recursion streamed into the kept modes' amplitudes."""
+    even = np.arange(32) % 2 == 0
+    cat = make_coherent(1.5, 32).elements * np.outer(even, even)
+    rho = apply_loss(DensityMatrix(32, cat / np.trace(cat).real), 0.6)
+    monkeypatch.setattr(homodyne, "_TABLES", {})
+    table = homodyne._tables_for(rho)
+    assert traced_peak(table.draw, 24_000, np.random.default_rng(2903)) < 6 * MIB
 
 
 def fig1_run(monkeypatch):
