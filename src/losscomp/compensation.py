@@ -16,6 +16,11 @@ profile ``sqrt(sum_j z^{2j} eps_j^2)`` with ``z = 1 - 1/eta``, which
 strips the combinatorial prefactors and isolates the transition at
 eta = 1/2: below it |z| >= 1 and the sum cannot converge no matter how
 precise the individual coefficients are.
+
+Each view has a batch form over several sources, ``convergence_scans``
+and ``errors_vs_eta``, which computes the weights once and takes every
+source's partial sums in one array pass; the single-source functions are
+its batch of one, and a source's result has the same bits in any batch.
 """
 from __future__ import annotations
 
@@ -71,15 +76,6 @@ def measure_ray(source, n: int, d: int, j_max: int) -> MeasuredRay:
                        source.stderr[lo:lo + j_max + 1])
 
 
-def _finalize_value(value, d):
-    if d == 0:
-        if abs(value.imag) >= 1e-9 * abs(value.real) + 1e-12:
-            raise NumericalSanityError(
-                f"diagonal estimate has imaginary residue {value.imag:.3g}")
-        return complex(value.real, 0.0)
-    return value
-
-
 def _verdict_from_trace(trace):
     errors = [t[2] for t in trace]
     if len(trace) >= 3:
@@ -109,6 +105,41 @@ def truncation_indices(j_list) -> list:
     return j_list
 
 
+def _stacked_rays(sources, n, d, j_max):
+    """Each source's measured ray, as ``(estimate, stderr)`` arrays with one row per source."""
+    rays = [measure_ray(source, n, d, j_max) for source in sources]
+    shape = (len(rays), j_max + 1)
+    return (np.array([ray.estimate for ray in rays]).reshape(shape),
+            np.array([ray.stderr for ray in rays]).reshape(shape))
+
+
+def convergence_scans(sources, n: int, d: int, eta: float, j_list) -> list:
+    """:func:`convergence_scan` of each of several sources, in order.
+
+    The weights are computed once, and every source's partial sums are
+    taken in one ``cumsum`` along its row, which adds in sequence, so each
+    result has the bits of its source's scan alone.  Every source is
+    measured before any is summed; a diagonal scan whose value keeps an
+    imaginary residue raises for the first such source, as it would alone.
+    """
+    j_list = truncation_indices(j_list)
+    estimate, stderr = _stacked_rays(sources, n, d, j_list[-1])
+    weights = inverse_coefficient(n, d, np.arange(j_list[-1] + 1), eta)
+    values = np.cumsum(weights * estimate, axis=1)[:, j_list]
+    errors = np.sqrt(np.cumsum(weights**2 * stderr**2, axis=1)[:, j_list])
+    if d == 0:
+        residue = np.abs(values.imag) >= 1e-9 * np.abs(values.real) + 1e-12
+        if residue.any():  # the flat argmax is the first source's first failing index
+            first = float(values.imag.flat[residue.argmax()])
+            raise NumericalSanityError(f"diagonal estimate has imaginary residue {first:.3g}")
+        values = values.real.astype(complex)
+    results = []
+    for row_values, row_errors in zip(values.tolist(), errors.tolist()):
+        trace = list(zip(j_list, row_values, row_errors))
+        results.append(CompensationResult(trace=trace, verdict=_verdict_from_trace(trace)))
+    return results
+
+
 def convergence_scan(source, n: int, d: int, eta: float, j_list) -> CompensationResult:
     """Evaluate the series at each truncation index and classify the trend.
 
@@ -118,18 +149,26 @@ def convergence_scan(source, n: int, d: int, eta: float, j_list) -> Compensation
     the error has grown more than 3x over the scan; ``marginal``
     otherwise.  A scan that satisfies the convergence gate is never
     reported diverging, however much the error grew in the early,
-    pre-asymptotic part of the scan.
+    pre-asymptotic part of the scan.  The batch of one of
+    :func:`convergence_scans`.
     """
+    return convergence_scans([source], n, d, eta, j_list)[0]
+
+
+def errors_vs_eta(sources, n: int, d: int, eta: float, j_list) -> list:
+    """:func:`error_vs_eta` of each of several sources, in order.
+
+    The weights ``z^{2j}`` are computed once, and each source's partial
+    sums are taken along its row, in sequence, so each list has the bits
+    of its source's alone.
+    """
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("efficiency must lie in (0, 1]")
     j_list = truncation_indices(j_list)
-    ray = measure_ray(source, n, d, j_list[-1])
-    weights = inverse_coefficient(n, d, np.arange(j_list[-1] + 1), eta)
-    value_partial = np.cumsum(weights * ray.estimate)
-    var_partial = np.cumsum(weights**2 * ray.stderr**2)
-    trace = [
-        (j, _finalize_value(complex(value_partial[j]), d), float(np.sqrt(var_partial[j])))
-        for j in j_list
-    ]
-    return CompensationResult(trace=trace, verdict=_verdict_from_trace(trace))
+    _, stderr = _stacked_rays(sources, n, d, j_list[-1])
+    z = 1.0 - 1.0 / eta
+    var_partial = np.cumsum(z ** (2 * np.arange(j_list[-1] + 1)) * stderr**2, axis=1)
+    return np.sqrt(var_partial[:, j_list]).tolist()
 
 
 def error_vs_eta(source, n: int, d: int, eta: float, j_list) -> list:
@@ -138,12 +177,6 @@ def error_vs_eta(source, n: int, d: int, eta: float, j_list) -> list:
     ``z = 1 - 1/eta`` weights the measured errors of ``source`` (anything
     :func:`measure_ray` accepts); ``j_list`` follows
     :func:`truncation_indices`.  Returns the error at each ``j_M`` of
-    ``j_list``, in order.
+    ``j_list``, in order.  The batch of one of :func:`errors_vs_eta`.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("efficiency must lie in (0, 1]")
-    j_list = truncation_indices(j_list)
-    err = measure_ray(source, n, d, j_list[-1]).stderr
-    z = 1.0 - 1.0 / eta
-    var_partial = np.cumsum(z ** (2 * np.arange(err.size)) * err**2)
-    return [float(np.sqrt(var_partial[j])) for j in j_list]
+    return errors_vs_eta([source], n, d, eta, j_list)[0]

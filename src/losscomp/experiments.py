@@ -13,14 +13,17 @@ and units are dealt to the processes in turn.  Each process damps the
 signal for its own units, after the fork: a Gaussian signal's homodyne
 cells are drawn from its damped quadrature law, and only other states
 and photocounting damp the matrix.  It scans each unit as one stream:
-one kernel pass estimates every trial's ray, and a ray's bytes do not
-depend on the other datasets of the stream.  The bytes are the same
+one kernel pass estimates every trial's ray, and one batch scan
+(``compensation.convergence_scans`` or ``errors_vs_eta``) sums every
+trial's series with the weights computed once; neither a ray's bytes nor
+a scan's depend on the other datasets of the unit.  The bytes are the same
 whatever the process count, and so is the exception of a failing run:
 once any cell raises, every child is killed and the process scans every
 cell again, one at a time, so the first failing cell in cell order
 raises.  Tables carry a 12-hex-digit hash of the canonical config
 serialization in every row; reruns with the same config are
-byte-identical.
+byte-identical.  Each table row is formatted by one f-string, with each
+real number written to 9 significant digits.
 
 Outputs per run: a mean table (one row per (eta, truncation index),
 averaged over trials) and a sibling ``*_trials.csv`` with the per-trial
@@ -41,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oscillator
-from .compensation import convergence_scan, error_vs_eta, truncation_indices
+from .compensation import convergence_scans, errors_vs_eta, truncation_indices
 from .direct_detection import sample_counts
 from .fock_core import GaussianQuadratureLaw, StateSpec
 from .homodyne import _grid_for, _sample_law, estimate_rays, sample_quadratures
@@ -298,12 +301,6 @@ def _measurement_source(config, damped, rng):
     return sample_quadratures(damped, config.n_samples, rng)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.9g}"
-
-
 def _trials_path(path: Path) -> Path:
     return path.with_name(path.stem + "_trials" + path.suffix)
 
@@ -324,7 +321,10 @@ def _cells(run, eta_index, trials):
     draws its own dataset; a homodyne run estimates the unit's rays in one
     kernel pass over a stream that draws each trial's samples as it takes
     them, so one trial's are alive at a time, and each cell's scan reads its
-    own ray.  A failing cell's error propagates.
+    own ray.  The unit's rays or counts are scanned as one batch
+    (``scan(sources, target_n, target_d, eta, jm_grid)``), which gives each
+    cell's result with the bits of its scan alone.  A failing cell's error
+    propagates.
     """
     config, signal, grids, scan = run
     n, d, grid = config.target_n, config.target_d, grids[eta_index]
@@ -333,12 +333,11 @@ def _cells(run, eta_index, trials):
         damped = _damped_law(signal.quadrature_law, eta)
     else:
         damped = apply_loss(signal, eta)
-    draws = (_measurement_source(config, damped, _trial_rng(config, eta_index, t))
-             for t in trials)
-    # photocounts are tiny: drawing them all before the scans was measurably faster
-    sources = (estimate_rays(draws, n, d, grid[-1]) if config.detection == "homodyne"
-               else list(draws))
-    return [scan(source, n, d, eta, grid) for source in sources]
+    sources = (_measurement_source(config, damped, _trial_rng(config, eta_index, t))
+               for t in trials)
+    if config.detection == "homodyne":
+        sources = estimate_rays(sources, n, d, grid[-1])
+    return scan(sources, n, d, eta, grid)
 
 
 def _map_cells(run, serial):
@@ -432,10 +431,10 @@ def _scan_cells(config, out, scan):
     and direct-detection units run in-process.  Each unit damps the signal
     in the process that owns it, and each cell draws a fresh dataset from
     its own RNG stream; a homodyne unit's rays are estimated in one kernel
-    pass over the stream of its trials' datasets.
-    ``scan(source, target_n, target_d, eta, jm_grid)`` reads each cell's ray
-    or counts.  Results come back in cell order, so the output does not
-    depend on the process count.
+    pass over the stream of its trials' datasets.  Each unit is scanned as
+    one batch: ``scan(sources, target_n, target_d, eta, jm_grid)`` reads the
+    unit's rays or counts and returns one result per cell.  Results come
+    back in cell order, so the output does not depend on the process count.
     Returns the output path, the signal and, per efficiency, ``(eta, jm_grid,
     [result per trial])``.
     """
@@ -455,16 +454,15 @@ def _scan_cells(config, out, scan):
     return out_path, signal, table
 
 
-def _write_tables(config, out_path, columns, mean_rows, trial_columns, trial_rows):
-    chash = config_hash(config)
+def _write_tables(out_path, columns, mean_rows, trial_columns, trial_rows):
+    """Write the mean and per-trial tables; each row is a whole line, config hash included."""
     trials_path = _trials_path(out_path)
     for path, header, rows in ((out_path, ["eta", "j_M", *columns], mean_rows),
                                (trials_path, ["eta", "trial", "j_M", *trial_columns],
                                 trial_rows)):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join([*header, "config_hash"]) + "\n")
-            for row in rows:
-                fh.write(",".join([*row, chash]) + "\n")
+            fh.writelines(rows)
     return out_path, trials_path
 
 
@@ -474,28 +472,29 @@ def run_scan_table(config: ExperimentConfig, out=None):
     Emits the mean table ``eta,j_M,value,propagated_error,
     empirical_error,theory,config_hash`` plus per-trial rows (with the
     per-trial scan verdict) in the sibling file.  CSV cells hold real
-    parts; off-diagonal targets keep their full complex values in the
-    library API only.
+    parts, written to 9 significant digits; off-diagonal targets keep their
+    full complex values in the library API only.
     """
-    out_path, signal, table = _scan_cells(config, out, convergence_scan)
-    theory = signal.element(config.target_n, config.target_n + config.target_d).real
+    out_path, signal, table = _scan_cells(config, out, convergence_scans)
+    chash = config_hash(config)
+    n, top = config.target_n, config.target_n + config.target_d
+    theory = f"{float(signal.element(n, top).real):.9g}"
     mean_rows, trial_rows = [], []
     for eta, jm_grid, results in table:
+        eta_text = f"{float(eta):.9g}"
         values = np.array([[value.real for _, value, _ in r.trace] for r in results])
         errors = np.array([[error for _, _, error in r.trace] for r in results])
         for trial, result in enumerate(results):
-            for jm, value, error in result.trace:
-                trial_rows.append([
-                    _fmt(eta), _fmt(trial), _fmt(jm), _fmt(value.real),
-                    _fmt(error), result.verdict])
-        spread = (np.std(values, axis=0, ddof=1) if config.trials > 1
-                  else np.full(len(jm_grid), np.nan))
+            trial_rows += [f"{eta_text},{trial},{jm},{value.real:.9g},{error:.9g},"
+                           f"{result.verdict},{chash}\n" for jm, value, error in result.trace]
+        spread = (np.std(values, axis=0, ddof=1).tolist() if config.trials > 1
+                  else [math.nan] * len(jm_grid))
         for k, jm in enumerate(jm_grid):
-            mean_rows.append([
-                _fmt(eta), _fmt(jm), _fmt(values[:, k].mean()),
-                _fmt(errors[:, k].mean()), _fmt(spread[k]), _fmt(theory)])
+            mean_rows.append(f"{eta_text},{jm},{float(values[:, k].mean()):.9g},"
+                             f"{float(errors[:, k].mean()):.9g},{spread[k]:.9g},{theory},"
+                             f"{chash}\n")
     return _write_tables(
-        config, out_path, ["value", "propagated_error", "empirical_error", "theory"],
+        out_path, ["value", "propagated_error", "empirical_error", "theory"],
         mean_rows, ["value", "propagated_error", "verdict"], trial_rows)
 
 
@@ -518,14 +517,16 @@ def run_fig2(config: ExperimentConfig | None = None, out=None):
     dataset per (eta, trial) cell, averaged over trials.
     """
     config = config if config is not None else default_config("fig2")
-    out_path, _, table = _scan_cells(config, out, error_vs_eta)
+    out_path, _, table = _scan_cells(config, out, errors_vs_eta)
+    chash = config_hash(config)
     mean_rows, trial_rows = [], []
     for eta, jm_grid, results in table:
+        eta_text = f"{float(eta):.9g}"
         per_trial = np.array(results)
         for trial, errors in enumerate(results):
-            for jm, error in zip(jm_grid, errors):
-                trial_rows.append([_fmt(eta), _fmt(trial), _fmt(jm), _fmt(error)])
-        for k, jm in enumerate(jm_grid):
-            mean_rows.append([_fmt(eta), _fmt(jm), _fmt(per_trial[:, k].mean())])
-    return _write_tables(config, out_path, ["propagated_error"], mean_rows,
+            trial_rows += [f"{eta_text},{trial},{jm},{error:.9g},{chash}\n"
+                           for jm, error in zip(jm_grid, errors)]
+        mean_rows += [f"{eta_text},{jm},{float(per_trial[:, k].mean()):.9g},{chash}\n"
+                      for k, jm in enumerate(jm_grid)]
+    return _write_tables(out_path, ["propagated_error"], mean_rows,
                          ["propagated_error"], trial_rows)

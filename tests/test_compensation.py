@@ -11,12 +11,15 @@ from losscomp import (
     convergence_scan,
     error_vs_eta,
     estimate_element,
+    inverse_coefficient,
     invert_loss,
+    make_coherent,
     make_thermal,
     measure_ray,
     sample_counts,
     sample_quadratures,
 )
+from losscomp.compensation import convergence_scans, errors_vs_eta
 from losscomp.exceptions import NumericalSanityError
 from losscomp.fock_core import DensityMatrix
 
@@ -81,6 +84,101 @@ class TestCompensatedElement:
         coeffs = ray([0.5 + 0.1j], [0.05])
         with pytest.raises(NumericalSanityError):
             convergence_scan(coeffs, 0, 0, 0.8, [0])
+
+
+def batch_sources(kind, d):
+    """Three different sources of one kind that reach ray ``(1, 1 + d)`` up to j = 12."""
+    states = [apply_loss(signal, 0.7)
+              for signal in (make_thermal(0.8, 24), make_coherent(0.9 + 0.4j, 24),
+                             make_thermal(2.5, 24))]
+    if kind == "density":
+        return states
+    rngs = [rng_from(47, d, k) for k in range(3)]
+    if kind == "counts":
+        return [sample_counts(rho, 3000, rng) for rho, rng in zip(states, rngs)]
+    data = [sample_quadratures(rho, 3000, rng) for rho, rng in zip(states, rngs)]
+    if kind == "quadratures":
+        return data
+    return [estimate_element(x, 0, d, 14) for x in data]   # rays starting one index early
+
+
+def outcome(call):
+    """``repr`` of what ``call()`` returns, or the text of the ValueError it raises."""
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def one_dimensional(scan, source, n, d, eta, j_list):
+    """One source's trace (or error list) with its partial sums taken along a 1-d array."""
+    ray = measure_ray(source, n, d, j_list[-1])
+    j = np.arange(j_list[-1] + 1)
+    if scan is error_vs_eta:
+        return np.sqrt(np.cumsum((1.0 - 1.0 / eta) ** (2 * j) * ray.stderr**2))[j_list].tolist()
+    weights = inverse_coefficient(n, d, j, eta)
+    values = np.cumsum(weights * ray.estimate)[j_list]
+    errors = np.sqrt(np.cumsum(weights**2 * ray.stderr**2))[j_list]
+    return [(jm, complex(v.real, 0.0) if d == 0 else complex(v), float(e))
+            for jm, v, e in zip(j_list, values, errors)]
+
+
+class TestBatchScans:
+    """A batch gives each source's scan alone, bit for bit, whatever the source kind."""
+
+    GRID = [0, 1, 3, 7, 12]
+
+    def together_and_alone(self, scan, batch, sources, d):
+        together = outcome(lambda: batch(sources, 1, d, 0.55, self.GRID))
+        alone = [outcome(lambda s=s: scan(s, 1, d, 0.55, self.GRID)) for s in sources]
+        return together, alone
+
+    @pytest.mark.parametrize("kind", ["quadratures", "counts", "density", "ray"])
+    @pytest.mark.parametrize("d", [0, 1])
+    @pytest.mark.parametrize("scan,batch", [(convergence_scan, convergence_scans),
+                                            (error_vs_eta, errors_vs_eta)])
+    def test_batch_equals_each_source_alone(self, scan, batch, kind, d):
+        sources = batch_sources(kind, d)
+        together, alone = self.together_and_alone(scan, batch, sources, d)
+        if kind == "counts" and d:  # photocounting cannot reach an off-diagonal ray
+            assert {together, *alone} == {
+                "ValueError: photocounting only measures diagonal elements"}
+        else:
+            assert together == "[" + ", ".join(alone) + "]"
+            got = batch(sources, 1, d, 0.55, self.GRID)
+            rows = [r.trace for r in got] if batch is convergence_scans else got
+            assert repr(rows) == repr([one_dimensional(scan, s, 1, d, 0.55, self.GRID)
+                                       for s in sources])
+
+    def test_mixed_batch_equals_each_source_alone(self):
+        sources = [batch_sources(kind, 0)[k]
+                   for k, kind in enumerate(["quadratures", "counts", "density"])]
+        sources.insert(1, batch_sources("ray", 0)[2])
+        for scan, batch in [(convergence_scan, convergence_scans),
+                            (error_vs_eta, errors_vs_eta)]:
+            together, alone = self.together_and_alone(scan, batch, sources, 0)
+            assert together == "[" + ", ".join(alone) + "]"
+
+    def test_empty_batch(self):
+        assert convergence_scans([], 0, 0, 0.6, [1, 2]) == []
+        assert errors_vs_eta([], 0, 0, 0.6, [1, 2]) == []
+
+    def test_first_source_with_a_residue_raises_its_message(self):
+        """The middle source fails at j = 2 and the last at j = 0: the middle one raises,
+        with the message it raises alone."""
+        clean = ray([0.5, 0.2, 0.1], [0.05, 0.05, 0.05])
+        middle = ray([0.5, 0.2, 0.1 + 0.3j], [0.05, 0.05, 0.05])
+        last = ray([0.5 + 0.7j, 0.2, 0.1], [0.05, 0.05, 0.05])
+        messages = []
+        for call in [lambda: convergence_scan(middle, 0, 0, 0.8, [0, 1, 2]),
+                     lambda: convergence_scan(last, 0, 0, 0.8, [0, 1, 2]),
+                     lambda: convergence_scans([clean, middle, last], 0, 0, 0.8, [0, 1, 2])]:
+            with pytest.raises(NumericalSanityError) as raised:
+                call()
+            messages.append(str(raised.value))
+        assert messages == ["diagonal estimate has imaginary residue 0.0187",
+                            "diagonal estimate has imaginary residue 0.7",
+                            "diagonal estimate has imaginary residue 0.0187"]
 
 
 class TestVerdicts:

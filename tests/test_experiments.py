@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from losscomp import apply_loss, cli, convergence_scan, experiments, oscillator
+from losscomp import (apply_loss, cli, compensation, convergence_scan, experiments,
+                      loss_channel, oscillator)
+from losscomp.compensation import convergence_scans
 from losscomp.exceptions import NumericalSanityError
 from losscomp.experiments import (
     ExperimentConfig,
@@ -536,10 +538,9 @@ class TestScanTables:
             source = experiments._measurement_source(
                 config, apply_loss(signal, eta), experiments._trial_rng(config, e, trial))
             result = convergence_scan(source, n, d, eta, config.truncation_grid(eta))
-            rows[cells[k]] = [
-                ",".join([experiments._fmt(eta), str(trial), str(jm), experiments._fmt(value.real),
-                          experiments._fmt(error), result.verdict, chash]) + "\n"
-                for jm, value, error in result.trace]
+            rows[cells[k]] = [f"{eta:.9g},{trial},{jm},{value.real:.9g},{error:.9g},"
+                              f"{result.verdict},{chash}\n"
+                              for jm, value, error in result.trace]
         _, body = trials.read_bytes().split(b"\n", 1)
         assert body == "".join(line for cell in cells for line in rows[cell]).encode()
 
@@ -549,7 +550,7 @@ class TestScanTables:
         scan alone."""
         config = small_fig1(trials=5, target_d=d, jm_list=(1, 2, 5, 30))
         signal, grids = config.validate()
-        run = (config, signal, grids, convergence_scan)
+        run = (config, signal, grids, convergence_scans)
         for e in range(len(grids)):
             unit = experiments._cells(run, e, range(5))
             alone = [experiments._cells(run, e, [t])[0] for t in range(5)]
@@ -573,6 +574,26 @@ class TestScanTables:
             config = replace(config, eta_list=(0.6, 0.5))   # j_M up to 20, then up to 100
         run_scan_table(config, out=tmp_path / "run.csv")
         assert made == built
+
+    @pytest.mark.parametrize("figure", ["fig1", "direct"])
+    def test_unit_computes_its_weights_once(self, figure, monkeypatch):
+        """A unit's trials are scanned as one batch, which computes the inverse-series
+        weights once; a scan per trial computed them once per trial."""
+        config = replace(default_config(figure), n_samples=2000, trials=5)
+        signal, grids = config.validate()
+        etas = []
+        weights = loss_channel.inverse_coefficient
+
+        def counting(n, d, j, eta):
+            etas.append(eta)
+            return weights(n, d, j, eta)
+
+        for module in (loss_channel, compensation, experiments):
+            monkeypatch.setattr(module, "inverse_coefficient", counting)
+        run = (config, signal, grids, convergence_scans)
+        for e in range(2):
+            experiments._cells(run, e, range(config.trials))
+        assert etas == list(config.eta_list[:2])
 
     def test_direct_contrast_runs(self, tmp_path):
         config = replace(default_config("direct"), eta_list=(0.45,),
@@ -1067,6 +1088,24 @@ def test_coherent_fig1_tables_at_seed_7_keep_their_bytes(tmp_path):
     paths = run_fig1(config, out=tmp_path / "fig1.csv")
     got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:12] for p in paths)
     assert got == ("100b53d8d6a3", "a22e1f2855a0")
+
+
+def test_one_trial_direct_tables_keep_their_bytes(tmp_path):
+    """One trial has no spread, so the mean table writes ``nan`` as its empirical error."""
+    config = replace(default_config("direct"), master_seed=7, trials=1)
+    paths = run_direct_contrast(config, out=tmp_path / "direct.csv")
+    assert read_rows(paths[0])[0]["empirical_error"] == "nan"
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:12] for p in paths)
+    assert got == ("b16bd227cd92", "fcf1c0ab8b0c")
+
+
+def test_off_diagonal_fig1_tables_keep_their_bytes(tmp_path):
+    """An off-diagonal target, whose value columns hold the real parts of complex values."""
+    config = small_fig1(state_kind="coherent", state_alpha=0.3 - 0.7j, target_n=0,
+                        target_d=1, trials=3, jm_list=(1, 2, 5, 20), master_seed=7)
+    paths = run_fig1(config, out=tmp_path / "fig1.csv")
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:12] for p in paths)
+    assert got == ("3e365c86880a", "74a9feba3865")
 
 
 def test_nongauss_table_at_seed_7_keeps_its_bytes(tmp_path):

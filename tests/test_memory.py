@@ -11,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from losscomp import apply_loss, convergence_scan, experiments, homodyne, make_coherent, oscillator
+from losscomp import apply_loss, experiments, homodyne, make_coherent, oscillator
+from losscomp.compensation import convergence_scans
 from losscomp.fock_core import DensityMatrix
 from losscomp.homodyne import QuadratureData, estimate_element
 
@@ -63,7 +64,7 @@ def fig1_run(monkeypatch):
     t = oscillator.tables_for(config.target_n + config.target_d + j_top,
                               experiments._check_sample_extent(config, signal))
     t.blocks(config.target_d, config.target_n + j_top + 1)
-    return (config, signal, grids, convergence_scan)
+    return (config, signal, grids, convergence_scans)
 
 
 def test_fig1_unit_keeps_its_peak(monkeypatch):
