@@ -466,6 +466,16 @@ def _write_tables(out_path, columns, mean_rows, trial_columns, trial_rows):
     return out_path, trials_path
 
 
+def _column_means(table):
+    """Each column's mean as a Python float, with the bits of ``table[:, k].mean()``.
+
+    The columns are made rows of a contiguous copy, so each is reduced by numpy's
+    pairwise sum on its own; ``table.mean(axis=0)`` sums down the columns in another
+    order and moves last bits from 8 rows up.
+    """
+    return np.ascontiguousarray(table.T).mean(axis=1).tolist()
+
+
 def run_scan_table(config: ExperimentConfig, out=None):
     """Shared engine behind ``run_fig1`` and ``run_direct_contrast``.
 
@@ -489,10 +499,9 @@ def run_scan_table(config: ExperimentConfig, out=None):
                            f"{result.verdict},{chash}\n" for jm, value, error in result.trace]
         spread = (np.std(values, axis=0, ddof=1).tolist() if config.trials > 1
                   else [math.nan] * len(jm_grid))
-        for k, jm in enumerate(jm_grid):
-            mean_rows.append(f"{eta_text},{jm},{float(values[:, k].mean()):.9g},"
-                             f"{float(errors[:, k].mean()):.9g},{spread[k]:.9g},{theory},"
-                             f"{chash}\n")
+        mean_rows += [f"{eta_text},{jm},{value:.9g},{error:.9g},{sd:.9g},{theory},{chash}\n"
+                      for jm, value, error, sd in zip(jm_grid, _column_means(values),
+                                                      _column_means(errors), spread)]
     return _write_tables(
         out_path, ["value", "propagated_error", "empirical_error", "theory"],
         mean_rows, ["value", "propagated_error", "verdict"], trial_rows)
@@ -526,7 +535,7 @@ def run_fig2(config: ExperimentConfig | None = None, out=None):
         for trial, errors in enumerate(results):
             trial_rows += [f"{eta_text},{trial},{jm},{error:.9g},{chash}\n"
                            for jm, error in zip(jm_grid, errors)]
-        mean_rows += [f"{eta_text},{jm},{float(per_trial[:, k].mean()):.9g},{chash}\n"
-                      for k, jm in enumerate(jm_grid)]
+        mean_rows += [f"{eta_text},{jm},{mean:.9g},{chash}\n"
+                      for jm, mean in zip(jm_grid, _column_means(per_trial))]
     return _write_tables(out_path, ["propagated_error"], mean_rows,
                          ["propagated_error"], trial_rows)

@@ -25,7 +25,10 @@ Other states are sampled from tables on an x grid: a phase-invariant
 state's cumulative density for inverse-CDF draws, and for any other state
 a rejection proposal of ``_BINS`` phase bins, each with its own envelope
 over x, whose proposals are scored through the state's kept eigenpairs
-rather than by ``quadrature_pdf``.  Building them takes longer than one draw
+rather than by ``quadrature_pdf``.  Both tables are built from one streamed
+pass over the state's ray profiles (``_ray_profiles``), which holds the
+oscillator functions on the grid and one real profile at a time, never a
+complex ``(dim, points)`` table.  Building them takes longer than one draw
 of a few thousand samples, and a scan draws many trials from one state, so
 the tables of the last state sampled are kept, keyed by its dimension and
 element bytes, and reused while the next state is equal.  Nothing is built
@@ -136,13 +139,37 @@ def _sorted_interp(u, xp, fp):
     return out
 
 
+def _ray_profiles(rho, grid):
+    """``(d, Re P_d, Im P_d)`` on ``grid`` for each nonzero ray d of ``rho``, one at a time.
+
+    ``P_d(x) = sum_k rho_{k,k+d} psi_k(x) psi_{k+d}(x)``, so ``p(x; phi) = P_0 + 2 Re
+    sum_{d>=1} e^{-id phi} P_d`` for a Hermitian ``rho``.  ``psi`` is evaluated on the
+    grid once; each profile comes from two real products with one ``(dim - d, points)``
+    pair table, let go before the profile is yielded.
+    """
+    psi = oscillator._psi_half(rho.dim - 1, grid)
+    for d in range(rho.dim):
+        ray = np.diagonal(rho.elements, offset=d)
+        if ray.any():
+            pair = psi[: rho.dim - d] * psi[d:]
+            real, imag = ray.real @ pair, ray.imag @ pair
+            del pair
+            yield d, real, imag
+
+
 class _InverseCdf:
-    """A phase-invariant state's density on a grid, as its cumulative mass."""
+    """A phase-invariant state's density on a grid, as its cumulative mass.
+
+    The density is ``p(x; 0) = P_0 + 2 sum_{d>=1} Re P_d``, summed from the streamed ray
+    profiles (``_ray_profiles``); no complex ``(dim, points)`` table is formed.
+    """
 
     def __init__(self, rho):
         self.grid = _grid_for(rho)
-        self.mass = _cumulative_mass(np.maximum(quadrature_pdf(rho, 0.0, self.grid), 0.0),
-                                     self.grid)
+        density = np.zeros(self.grid.size)
+        for d, real, _ in _ray_profiles(rho, self.grid):
+            density += real if d == 0 else 2.0 * real
+        self.mass = _cumulative_mass(np.maximum(density, 0.0), self.grid)
         if abs(self.mass[-1] - rho.trace) > 1e-6:
             raise NumericalSanityError(
                 f"quadrature density integrates to {self.mass[-1]:.3g}, trace is "
@@ -166,6 +193,9 @@ class _BinnedEnvelope:
     = P_0 + 2 Re sum_{d>=1} e^{-id phi} P_d``.  For bin b, centre phi_b and
     half-width delta, ``|e^{-id phi} - e^{-id phi_b}| <= min(d delta, 2)``, so
     ``p(x; phi_b) + sum_{d>=1} 2 |P_d(x)| min(d delta, 2)`` bounds the bin.
+    Each profile is folded into the ``_BINS`` centre densities and into that
+    slack as ``_ray_profiles`` yields it, so the build holds the ``(_BINS,
+    points)`` envelope and no table of profiles.
 
     Proposals are scored through the state's eigenpairs, ``rho = V diag(lam)
     V^H``: with ``R_n = e^{in phi} psi_n(x)``, ``p(x; phi) = sum_r lam_r
@@ -185,20 +215,18 @@ class _BinnedEnvelope:
 
     def __init__(self, rho):
         grid = _grid_for(rho)
-        psi = oscillator._psi_half(rho.dim - 1, grid)
-        profiles = np.zeros((rho.dim, grid.size), dtype=complex)
-        for d, profile in enumerate(profiles):
-            ray = np.diagonal(rho.elements, offset=d)
-            if ray.any():
-                pair = psi[: rho.dim - d] * psi[d:]
-                profile.real, profile.imag = ray.real @ pair, ray.imag @ pair
-        d = np.arange(rho.dim)
-        fold = np.where(d == 0, 1.0, 2.0)
         half_width = np.pi / (2 * _BINS)
         centres = (2 * np.arange(_BINS) + 1) * half_width
-        centre_pdf = (fold * np.exp(-1j * np.outer(centres, d)) @ profiles).real
-        slack = (fold * np.minimum(d * half_width, 2.0)) @ np.abs(profiles)
-        envelope = _HEADROOM * (np.maximum(centre_pdf, 0.0) + slack)
+        centre_pdf = np.zeros((_BINS, grid.size))
+        slack = np.zeros(grid.size)
+        for d, real, imag in _ray_profiles(rho, grid):
+            fold = 2.0 if d else 1.0
+            turn = fold * np.exp(-1j * d * centres)     # fold_d e^{-i d phi_b}
+            centre_pdf += np.stack([turn.real, -turn.imag], axis=1) @ np.stack([real, imag])
+            slack += fold * min(d * half_width, 2.0) * np.hypot(real, imag)
+        envelope = np.maximum(centre_pdf, 0.0, out=centre_pdf)
+        envelope += slack
+        envelope *= _HEADROOM
         mass = _cumulative_mass(envelope, grid)
         mass[1:] += np.cumsum(mass[:-1, -1])[:, None]
         self.rate = rho.trace * _BINS / mass[-1, -1]

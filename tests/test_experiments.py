@@ -1127,6 +1127,17 @@ def test_nongauss_table_at_seed_7_keeps_its_bytes(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "d0e1ade06370"
 
 
+@pytest.mark.parametrize("trials", [2, 9, 17])
+def test_column_means_keep_the_bits_of_each_column_mean(trials):
+    """The mean tables' per-column means, one reduction over a transposed copy, against
+    ``table[:, k].mean()`` column by column; magnitudes span nine decades, so a sum in
+    another order would move last bits."""
+    rng = np.random.default_rng(3300 + trials)
+    table = rng.standard_normal((trials, 60)) * 10.0 ** rng.uniform(-3.0, 6.0, (trials, 60))
+    want = [repr(float(table[:, k].mean())) for k in range(60)]
+    assert [repr(mean) for mean in experiments._column_means(table)] == want
+
+
 class TestCli:
     def test_print_default_config(self, capsys):
         assert cli.main(["fig1", "--print-default-config"]) == 0

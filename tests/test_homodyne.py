@@ -544,6 +544,68 @@ class TestFactoredDensity:
         assert table.weights.size == 16
 
 
+def reference_envelope(rho, grid):
+    """The binned envelope from whole-grid complex tables: every ray profile ``P_d`` at
+    once, the bin-centre densities from one matrix product and the slack from one
+    matrix-vector product."""
+    psi = oscillator._psi_half(rho.dim - 1, grid)
+    profiles = np.zeros((rho.dim, grid.size), dtype=complex)
+    for d, profile in enumerate(profiles):
+        ray = np.diagonal(rho.elements, offset=d)
+        pair = psi[: rho.dim - d] * psi[d:]
+        profile.real, profile.imag = ray.real @ pair, ray.imag @ pair
+    d = np.arange(rho.dim)
+    fold = np.where(d == 0, 1.0, 2.0)
+    half_width = np.pi / (2 * homodyne._BINS)
+    centres = (2 * np.arange(homodyne._BINS) + 1) * half_width
+    centre_pdf = (fold * np.exp(-1j * np.outer(centres, d)) @ profiles).real
+    slack = (fold * np.minimum(d * half_width, 2.0)) @ np.abs(profiles)
+    return homodyne._HEADROOM * (np.maximum(centre_pdf, 0.0) + slack)
+
+
+def faint_coherence_mixture():
+    """A dim-12 Fock mixture whose off-diagonal elements, all below 1e-12, leave it phase
+    invariant."""
+    rng = rng_from(17, 48)
+    weights = rng.random(12)
+    upper = np.triu(4e-13 * (rng.random((12, 12)) + 1j * rng.random((12, 12))), 1)
+    elements = np.diag(weights / weights.sum()) + upper + upper.conj().T
+    return DensityMatrix(12, elements)
+
+
+class TestStreamedTables:
+    """The sampler tables are built from one streamed pass over the ray profiles; the
+    whole-grid formulas are the reference, within 1e-14 of the peak."""
+
+    @pytest.mark.parametrize("state", [
+        damped_cat,
+        lambda: strip_law(make_coherent(0.7 + 0.3j, 32)),
+        lambda: make_fock(3, 32),
+        faint_coherence_mixture,
+    ], ids=["cat-damped", "coherent-stripped", "fock3", "faint-mixture"])
+    def test_envelope_matches_whole_grid_tables(self, state):
+        rho = state()
+        table = homodyne._BinnedEnvelope(rho)
+        want = reference_envelope(rho, table.grid)
+        assert np.max(np.abs(table.envelope - want)) <= 1e-14 * np.max(want)
+
+    @pytest.mark.parametrize("state", [
+        lambda: apply_loss(make_fock(3, 32), 0.6),
+        faint_coherence_mixture,
+    ], ids=["fock3-damped", "faint-mixture"])
+    def test_inverse_cdf_density_is_the_density_at_phase_zero(self, state, monkeypatch):
+        rho = state()
+        assert homodyne._is_phase_invariant(rho)
+        densities, cumulative_mass = [], homodyne._cumulative_mass
+        monkeypatch.setattr(homodyne, "_cumulative_mass",
+                            lambda density, grid: densities.append(density)
+                            or cumulative_mass(density, grid))
+        table = homodyne._InverseCdf(rho)
+        want = np.maximum(quadrature_pdf(rho, 0.0, table.grid), 0.0)
+        assert len(densities) == 1
+        assert np.max(np.abs(densities[0] - want)) <= 1e-14 * np.max(want)
+
+
 class TestPatternFunction:
     # values frozen from the tabulated kernels; the normalization anchors
     # delta_nk are covered by the acceptance checks

@@ -3,7 +3,8 @@
 Peaks are read with tracemalloc, which counts numpy's buffers, so they do not
 depend on the machine.  Each bound sits between the peak of the layout that
 held whole arrays (the Numerov grid, a batch's located samples, a row block over
-every cell, a proposal chunk's complex ``(dim, points)`` table) and the peak of the
+every cell, a proposal chunk's complex ``(dim, points)`` table, the sampler
+tables' complex ray profiles and ``quadrature_pdf`` table) and the peak of the
 streaming one.
 """
 import tracemalloc
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from losscomp import apply_loss, experiments, homodyne, make_coherent, oscillator
+from losscomp import apply_loss, experiments, homodyne, make_coherent, make_fock, oscillator
 from losscomp.compensation import convergence_scans
 from losscomp.fock_core import DensityMatrix
 from losscomp.homodyne import QuadratureData, estimate_element
@@ -43,16 +44,35 @@ def test_block_build_keeps_its_peak():
     assert peak - sum(stack.nbytes for stack in t.blocks(0, 103)) < 3.5 * MIB
 
 
+def damped_cat():
+    """The even cat of alpha 1.5 in dim 32 at efficiency 0.6, as the nongauss workload
+    samples it."""
+    even = np.arange(32) % 2 == 0
+    cat = make_coherent(1.5, 32).elements * np.outer(even, even)
+    return apply_loss(DensityMatrix(32, cat / np.trace(cat).real), 0.6)
+
+
 def test_rejection_draw_keeps_its_peak(monkeypatch):
     """24,000 draws of a damped cat from its kept tables: 9.5 MiB while each chunk of
     proposals was scored through a complex ``(dim, points)`` table, 3.4 MiB with the
     oscillator recursion streamed into the kept modes' amplitudes."""
-    even = np.arange(32) % 2 == 0
-    cat = make_coherent(1.5, 32).elements * np.outer(even, even)
-    rho = apply_loss(DensityMatrix(32, cat / np.trace(cat).real), 0.6)
     monkeypatch.setattr(homodyne, "_TABLES", {})
-    table = homodyne._tables_for(rho)
+    table = homodyne._tables_for(damped_cat())
     assert traced_peak(table.draw, 24_000, np.random.default_rng(2903)) < 6 * MIB
+
+
+def test_rejection_table_build_keeps_its_peak():
+    """The damped cat's binned envelope: 8.24 MiB while its ray profiles and bin-centre
+    products were complex whole-grid tables, 3.2 MiB with each profile folded in as it is
+    formed."""
+    assert traced_peak(homodyne._BinnedEnvelope, damped_cat()) < 5 * MIB
+
+
+def test_inverse_cdf_build_keeps_its_peak():
+    """Damped ``|3>``'s cumulative mass: 6.05 MiB while its density went through
+    ``quadrature_pdf``'s complex ``(dim, points)`` table, 2.1 MiB summed from the streamed
+    ray profiles."""
+    assert traced_peak(homodyne._InverseCdf, apply_loss(make_fock(3, 32), 0.6)) < 3.5 * MIB
 
 
 def fig1_run(monkeypatch):
