@@ -352,7 +352,10 @@ def _map_cells(run, serial):
     children, which inherit ``run`` and the kernel table built so far.  Unit
     ``k`` is process ``k mod W``'s: child ``k`` scans ``units[k::W]`` and
     pickles its results back through a pipe, the parent scans
-    ``units[0::W]`` itself, so ``W = 1`` is the serial loop.  A child whose
+    ``units[0::W]`` itself, so ``W = 1`` is the serial loop.  A child also
+    sends back how far it filled the kernel table's blocks, and the parent fills
+    its own as far as it reads them, so a later run's children, forked from it,
+    find the cells their samples reach already filled.  A child whose
     cell raises exits 1 and sends nothing.  If any cell raises, in a child
     or in the parent, every child is killed and reaped, and then the parent
     scans every cell again, one at a time: the first failing cell in cell
@@ -380,7 +383,7 @@ def _map_cells(run, serial):
                     os.close(read)  # so a write to a dead parent fails instead of blocking
                     part = [_cells(run, *unit) for unit in units[share::workers]]
                     with open(write, "wb") as pipe:
-                        pickle.dump(part, pipe)
+                        pickle.dump((part, oscillator.tables_for(0).extent()), pipe)
                     os._exit(0)
                 finally:  # never return into the parent's stack
                     os._exit(1)
@@ -406,7 +409,8 @@ def _map_cells(run, serial):
                                         "cells' results")
             failed = code != 0
             if not failed:
-                results[share::workers] = pickle.loads(data)
+                results[share::workers], extent = pickle.loads(data)
+                oscillator.tables_for(0).extend(extent)
     finally:
         for pid, pipe in children.items():
             pipe.close()
@@ -423,9 +427,11 @@ def _scan_cells(config, out, scan):
 
     Validates ``config``, checks the output directory, and sizes the kernel
     table for the largest kernel index a homodyne run needs and for its sample
-    reach (:func:`_check_sample_extent`), then builds its ray's contraction
-    blocks, which cover the whole table: built before any fork, they are built
-    once, not once per process.  Then the cells run by units of work,
+    reach (:func:`_check_sample_extent`), then allocates its ray's contraction
+    blocks for the run's largest row count: built and allocated before any fork,
+    the table and the blocks are made once, not once per process, and every unit
+    shares them.  Each process fills the blocks as far as its own samples reach.
+    Then the cells run by units of work,
     one efficiency's trials each (:func:`_map_cells`): homodyne units are dealt in turn to
     this process and forked children, one process per CPU in its affinity,
     and direct-detection units run in-process.  Each unit damps the signal
@@ -446,7 +452,7 @@ def _scan_cells(config, out, scan):
         j_top = max(max(grid) for grid in grids)
         t = oscillator.tables_for(config.target_n + config.target_d + j_top,
                                   _check_sample_extent(config, signal))
-        t.blocks(config.target_d, config.target_n + j_top + 1)
+        t.blocks(config.target_d, config.target_n + j_top + 1, 0)
     results = _map_cells((config, signal, grids, scan), serial=config.detection == "direct")
     trials = config.trials
     table = [(eta, jm_grid, results[k * trials:(k + 1) * trials])

@@ -41,10 +41,12 @@ sums of a kernel and of its square over the points for one ray
 ``f_{n+j, n+d+j}``, j = 0..j_max, and for a stream of datasets.  It reduces
 each dataset to per-cell moments of its offsets as it arrives and contracts
 them, 16 columns at a time, with the ray's coefficients and those of their
-squares, kept over the table's cells as fixed blocks (``_Tables.blocks``,
-the table's one coefficient cache), so a kernel costs its occupied cells,
-not its points.  All kernels of a ray have the parity of ``d``, so an odd
-ray takes the sign into its first sums' weights.
+squares, kept as fixed blocks (``_Tables.blocks``, the table's one coefficient
+cache), so a kernel costs its occupied cells, not its points.  The blocks are
+allocated over the whole table but filled only as far as the cells the points
+have reached so far: a contraction asks for them up to its columns' last
+occupied cell.  All kernels of a ray have the parity of ``d``, so an odd ray
+takes the sign into its first sums' weights.
 
 Each block product is one BLAS ``gemm`` of 32 kernel rows, 256 cell
 coefficients and 16 moment columns.  That is under OpenBLAS's one-thread
@@ -52,10 +54,11 @@ limit (4 x 65,536 multiply-adds), so no product is split over threads, and
 the fixed shape keeps every column's arithmetic the same.  Block products
 are added in cell order over the blocks from the 16 columns' first occupied
 cell to their last; the others are skipped, and a block where a column has
-no points adds exact zeros to it.  So a dataset's sums depend only on its
-own points and weights and on the CPU's BLAS kernel, not on the other
-datasets of the batch, their count, ``j_max``, the table's range or the
-BLAS thread count.
+no points adds exact zeros to it, whether its cells there are filled or still
+zero.  So a dataset's sums depend only on its own points and weights and on the
+CPU's BLAS kernel, not on the other datasets of the batch, their count,
+``j_max``, the table's range, how far its blocks are filled or the BLAS thread
+count.
 """
 from __future__ import annotations
 
@@ -210,46 +213,60 @@ class _Tables:
                          (10.0 * e0 - 4.0 * e1 + 0.5 * e2) / h**3,
                          0.5 * ddy0, dy0, y0], axis=-2)
 
-    def blocks(self, d, rows):
-        """Kernels f_{k,k+d}, k < ``rows``, on the table's cells as contraction blocks.
+    def blocks(self, d, rows, cells=None):
+        """Kernels f_{k,k+d}, k < ``rows``, as contraction blocks filled over cells ``< cells``
+        (all of the table's by default).
 
         Returns ``(quintics, squares)``, each shaped ``(depth blocks, row blocks, 32,
-        256)``.  Row k sits at row ``k % 32`` of row block ``k // 32``; cell c's
-        coefficient of ``dt^p`` sits at depth ``c * terms + p``, with 6 terms for the
-        quintic and 11 for its square, whose coefficients ``sum_(k+l=p) a_k a_l``
-        come from the 21 distinct products.  Padding is zero.  Each row block is
-        formed one span of 256 cells at a time, whose coefficients and squares, in
-        ``(rows, cells, terms)`` order, fill exactly ``terms`` depth blocks (fewer for
-        the last span) and are written straight into the stacks; every cell's values
-        are those of the whole-range build.  The blocks are kept and rebuilt when asked
-        for more rows.
+        256)`` over the whole table.  Row k sits at row ``k % 32`` of row block ``k // 32``;
+        cell c's coefficient of ``dt^p`` sits at depth ``c * terms + p``, with 6 terms for
+        the quintic and 11 for its square, whose coefficients ``sum_(k+l=p) a_k a_l``
+        come from the 21 distinct products.  Padding is zero.  The stacks are allocated
+        zeroed, so the pages of depth blocks no fill has reached stay untouched, and a
+        call fills only the cells past those already filled, for every row the stacks
+        were allocated for, one span of 128 cells at a time across the row blocks, each
+        span's coefficients and squares written at their own depth positions, which need
+        not start or end a depth block.  Every cell has the bits of the whole-table
+        build, however the fills were cut.  The stacks are kept; asked for more rows,
+        they are allocated anew and filled from cell 0.
         """
-        if self.stacks.get(d, (0,))[0] < rows:
-            self.stacks.pop(d, None)    # let the short stacks go before the new ones are built
-            cells = self.dx.size
+        held = self.stacks.get(d)
+        if held is None or held[0] < rows:
+            self.stacks.pop(d, None)    # let the short stacks go before the new ones are made
             count = -(-rows // _ROWS)
-            stacks = [np.zeros((-(-cells * terms // _DEPTH), count, _ROWS, _DEPTH))
-                      for terms in (_TERMS, _SQUARE)]
-            for b in range(count):
+            held = self.stacks[d] = [rows, 0] + [
+                np.zeros((-(-self.dx.size * terms // _DEPTH), count, _ROWS, _DEPTH))
+                for terms in (_TERMS, _SQUARE)]
+        rows, filled, *stacks = held
+        cells = self.dx.size if cells is None else cells
+        for lo in range(filled, cells, _DEPTH // 2):
+            hi = min(lo + _DEPTH // 2, cells)
+            for b in range(stacks[0].shape[1]):
                 ks = np.arange(b * _ROWS, min((b + 1) * _ROWS, rows))
-                for lo in range(0, cells, _DEPTH):
-                    hi = min(lo + _DEPTH, cells)
-                    a = self.coefficients(ks, ks + d, lo, hi)[:, ::-1].transpose(0, 2, 1)  # dt^k
-                    square = np.zeros((len(ks), hi - lo, _SQUARE))
-                    for k in range(_TERMS):
-                        square[..., 2 * k] += a[..., k] * a[..., k]
-                        for l in range(k + 1, _TERMS):
-                            square[..., k + l] += 2.0 * (a[..., k] * a[..., l])
-                    for stack, c in zip(stacks, (a, square)):
-                        flat = c.reshape(len(ks), -1)
-                        first = lo // _DEPTH * c.shape[2]   # the span's first depth block
-                        full, rest = divmod(flat.shape[1], _DEPTH)
-                        stack[first:first + full, b, :len(ks)] = flat[:, :full * _DEPTH].reshape(
-                            len(ks), full, _DEPTH).transpose(1, 0, 2)
-                        if rest:
-                            stack[first + full, b, :len(ks), :rest] = flat[:, full * _DEPTH:]
-            self.stacks[d] = (rows, *stacks)
-        return self.stacks[d][1:]
+                a = self.coefficients(ks, ks + d, lo, hi)[:, ::-1].transpose(0, 2, 1)  # dt^k
+                square = np.zeros((len(ks), hi - lo, _SQUARE))
+                for k in range(_TERMS):
+                    square[..., 2 * k] += a[..., k] * a[..., k]
+                    for l in range(k + 1, _TERMS):
+                        square[..., k + l] += 2.0 * (a[..., k] * a[..., l])
+                for stack, c in zip(stacks, (a, square)):
+                    flat = c.reshape(len(ks), -1)
+                    start, stop = lo * c.shape[2], hi * c.shape[2]  # the span's depth positions
+                    for first in range(start - start % _DEPTH, stop, _DEPTH):
+                        at, to = max(first, start), min(first + _DEPTH, stop)
+                        stack[first // _DEPTH, b, :len(ks), at - first:to - first] = (
+                            flat[:, at - start:to - start])
+        held[1] = max(filled, cells)
+        return tuple(stacks)
+
+    def extent(self):
+        """How far each band's blocks are filled, for :meth:`extend` in another process."""
+        return {d: (rows, filled) for d, (rows, filled, *_) in self.stacks.items()}
+
+    def extend(self, extent):
+        """Fill the blocks at least as far as ``extent``, read from a copy of this table."""
+        for d, (rows, filled) in extent.items():
+            self.blocks(d, rows, min(filled, self.dx.size))
 
 
 _TABLES: _Tables | None = None
@@ -321,10 +338,11 @@ def pattern_sums(n, d, j_max, datasets):
     its square's coefficients dotted with ``sum w^2 dt^p``.  Every kernel of the
     ray has the parity of ``d``: for odd ``d`` the first sums take ``-w`` at
     ``x < 0``.  Each dataset is reduced to its columns' moments as it arrives,
-    and each 16 columns are contracted with the ray's row blocks once they are
-    in, in fixed-shape products added in cell order from the first occupied
-    block to the last, so a column's bits depend on its own points and weights
-    only (see the module docstring).
+    one power of ``dt`` at a time over all its weight rows, and each 16 columns
+    are contracted with the ray's row blocks once they are in, filled up to the
+    16 columns' last occupied cell, in fixed-shape products added in cell order
+    from the first occupied block to the last, so a column's bits depend on its
+    own points and weights only (see the module docstring).
     """
     if n < 0 or d < 0 or j_max < 0:
         raise ValueError("ray indices n, d and j_max must be nonnegative")
@@ -340,7 +358,7 @@ def pattern_sums(n, d, j_max, datasets):
         if occupied:
             low = min(c[0] for c in occupied)
             high = max(len(c[1]) for c in occupied)
-            stacks = tables_for(top).blocks(d, n + j_max + 1)
+            stacks = tables_for(top).blocks(d, n + j_max + 1, high)
             for part, (stack, terms) in enumerate(zip(stacks, (_TERMS, _SQUARE))):
                 # moments up to the depth block of the group's last occupied cell
                 m = np.zeros((-(-high * terms // _DEPTH) * _DEPTH, _COLUMNS))
@@ -360,23 +378,25 @@ def pattern_sums(n, d, j_max, datasets):
         xa = np.asarray(x, dtype=float)
         _, idx, dt, negative = _locate(top, xa)
         cells = int(idx.max(initial=-1)) + 1
-        columns = []
+        first = int(idx.min(initial=cells))
+        weighted = []   # (first-sum weights v, second-sum weights w^2) per row; None for ones
         for w in [None] if weights is None else np.reshape(weights, (-1, xa.size)):
             v = w
             if d % 2:
                 v = np.where(negative, -1.0, 1.0) if w is None else np.where(negative, -w, w)
-            w2 = None if w is None else w * w
-            # sum v dt^p and sum w^2 dt^p over each cell c, at row c
-            s, sq = np.empty((cells, _TERMS)), np.empty((cells, _SQUARE))
-            power = np.ones(dt.size)
-            for p in range(_SQUARE):
-                if p:
-                    power = power * dt
+            weighted.append((v, None if w is None else w * w))
+        # sum v dt^p and sum w^2 dt^p over each cell c, at row c
+        columns = [(first, np.empty((cells, _TERMS)), np.empty((cells, _SQUARE)))
+                   for _ in weighted]
+        power = np.ones(dt.size)
+        for p in range(_SQUARE):
+            if p:
+                np.multiply(power, dt, out=power)
+            for (v, w2), (_, s, sq) in zip(weighted, columns):
                 sq[:, p] = np.bincount(idx, power if w2 is None else w2 * power, minlength=cells)
                 if p < _TERMS:
                     s[:, p] = sq[:, p] if v is None else np.bincount(idx, v * power,
                                                                       minlength=cells)
-            columns.append((int(idx.min(initial=cells)), s, sq))
         return columns
 
     # map holds no dataset between pulls, so only the one being reduced is alive

@@ -1035,11 +1035,55 @@ class TestWorkers:
         config = small_fig1(jm_list=(1, 2, 5, 20, 60))
         first = [p.read_bytes() for p in run_fig1(config, out=tmp_path / "first.csv")]
 
-        def no_kernels(self, n, m):
-            raise AssertionError(f"kernel ({n}, {m}) built on a warm run")
+        def no_kernels(self, *args):
+            raise AssertionError(f"kernel {args} built on a warm run")
 
         monkeypatch.setattr(oscillator._Tables, "kernel_derivatives", no_kernels)
         assert [p.read_bytes() for p in run_fig1(config, out=tmp_path / "second.csv")] == first
+
+    def test_parent_fills_its_blocks_as_far_as_the_children(self, tmp_path, monkeypatch):
+        """Each process fills the kernel blocks as far as its own samples reach.  With the
+        efficiencies reversed, the widest law is the child's and its samples pass the
+        parent's cells; the run writes the one-process bytes, the parent's blocks end filled
+        as far as the one-process run's, and a second run fills no cell in any process."""
+        config = replace(default_config("fig1"), n_samples=4000, trials=2)
+        config = replace(config, eta_list=config.eta_list[::-1])
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+        serial = [p.read_bytes() for p in run_fig1(config, out=tmp_path / "serial.csv")]
+        filled = oscillator._TABLES.extent()
+
+        cells, locate = tmp_path / "cells", oscillator._locate
+
+        def logging_locate(*args):
+            located = locate(*args)
+            with open(cells, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {located[1].max(initial=-1)}\n")
+            return located
+
+        monkeypatch.setattr(oscillator, "_locate", logging_locate)
+        monkeypatch.setattr(oscillator, "_TABLES", None)
+        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+        assert [p.read_bytes() for p in run_fig1(config, out=tmp_path / "two.csv")] == serial
+        reach = {}
+        for pid, cell in map(str.split, cells.read_text().splitlines()):
+            reach[pid] = max(reach.get(pid, -1), int(cell))
+        parent = reach.pop(str(os.getpid()))
+        assert len(reach) == 1 and max(reach.values()) > parent
+        assert oscillator._TABLES.extent() == filled
+
+        built, derivatives = tmp_path / "built", oscillator._Tables.kernel_derivatives
+
+        def logging_derivatives(self, *args):
+            with open(built, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return derivatives(self, *args)
+
+        monkeypatch.setattr(oscillator._Tables, "kernel_derivatives", logging_derivatives)
+        built.touch()
+        assert [p.read_bytes() for p in run_fig1(config, out=tmp_path / "again.csv")] == serial
+        assert built.read_text() == ""
+        assert_no_children()
 
 
 @pytest.mark.parametrize("figure", ["fig1", "fig2"])

@@ -846,6 +846,19 @@ class TestPatternFunction:
         assert calls == []
         assert all(a is b for a, b in zip(again, stacks))
 
+    @pytest.mark.parametrize("rows", [40, 103])
+    def test_blocks_filled_in_pieces_equal_one_build(self, rows):
+        """Blocks filled over cell ranges cut inside a span and inside a depth block, and
+        blocks regrown for more rows after a partial fill, have a one-shot build's bytes."""
+        one, pieces, regrown = (oscillator._Tables(106, 7.0) for _ in range(3))
+        for d in range(4):
+            whole = [s.tobytes() for s in one.blocks(d, rows)]
+            for cells in (1, 43, 128, 130, 431, None):
+                stacks = pieces.blocks(d, rows, cells)
+            assert [s.tobytes() for s in stacks] == whole
+            regrown.blocks(d, 20, 130)
+            assert [s.tobytes() for s in regrown.blocks(d, rows)] == whole
+
     def test_bands_keep_their_bytes(self):
         """sha256 prefix of fig1's table at full precision: the bands ``f_{k,k+d}``,
         d = 0..3, up to index 103 over |x| <= 7, and band 0's contraction blocks."""

@@ -36,12 +36,12 @@ def test_table_build_keeps_its_peak():
 
 
 def test_block_build_keeps_its_peak():
-    """One fig1-size block build past the 12.0 MiB of stacks it keeps: 5.8 MiB while each
-    row block was formed over all 700 cells at once, 2.1 MiB formed one 256-cell span at
-    a time."""
+    """One fig1-size block build past the 12.0 MiB of stacks it allocates: 5.8 MiB while
+    each row block was formed over all 700 cells at once, 2.1 MiB formed one 256-cell span
+    at a time, 1.07 MiB one 128-cell span at a time."""
     t = oscillator._Tables(104, 7.0)
     peak = traced_peak(t.blocks, 0, 103)
-    assert peak - sum(stack.nbytes for stack in t.blocks(0, 103)) < 3.5 * MIB
+    assert peak - sum(stack.nbytes for stack in t.blocks(0, 103)) < 1.5 * MIB
 
 
 def damped_cat():
@@ -76,14 +76,15 @@ def test_inverse_cdf_build_keeps_its_peak():
 
 
 def fig1_run(monkeypatch):
-    """The fig1 default run as ``_scan_cells`` prepares it: its table and blocks built."""
+    """The fig1 default run as ``_scan_cells`` prepares it: its table built and its blocks
+    allocated, each unit filling them as far as its samples reach."""
     monkeypatch.setattr(oscillator, "_TABLES", None)
     config = experiments.default_config("fig1")
     signal, grids = config.validate()
     j_top = max(max(grid) for grid in grids)
     t = oscillator.tables_for(config.target_n + config.target_d + j_top,
                               experiments._check_sample_extent(config, signal))
-    t.blocks(config.target_d, config.target_n + j_top + 1)
+    t.blocks(config.target_d, config.target_n + j_top + 1, 0)
     return (config, signal, grids, convergence_scans)
 
 
@@ -94,6 +95,26 @@ def test_fig1_unit_keeps_its_peak(monkeypatch):
     trials = range(run[0].trials)
     experiments._cells(run, 0, trials)
     assert traced_peak(experiments._cells, run, 0, trials) < 4 * MIB
+
+
+def test_fig1_run_fills_the_blocks_its_samples_reach(monkeypatch, tmp_path):
+    """A serial default fig1 run fills its ray's blocks up to its last occupied cell, short
+    of the 700 cells that its table holds out to its 1e-6 tail reach, |x| = 7."""
+    monkeypatch.setattr(oscillator, "_TABLES", None)
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+    last, locate = [], oscillator._locate
+
+    def logging_locate(*args):
+        located = locate(*args)
+        last.append(int(located[1].max(initial=-1)))
+        return located
+
+    monkeypatch.setattr(oscillator, "_locate", logging_locate)
+    config = experiments.default_config("fig1")
+    experiments.run_fig1(config, out=tmp_path / "fig1.csv")
+    rows = config.target_n + max(config.truncation_grid(eta)[-1] for eta in config.eta_list) + 1
+    assert oscillator._TABLES.extent() == {config.target_d: (rows, max(last) + 1)}
+    assert max(last) + 1 < oscillator._TABLES.dx.size == 700
 
 
 def datasets(count):
