@@ -32,7 +32,11 @@ complex ``(dim, points)`` table.  Building them takes longer than one draw
 of a few thousand samples, and a scan draws many trials from one state, so
 the tables of the last state sampled are kept, keyed by its dimension and
 element bytes, and reused while the next state is equal.  Nothing is built
-at import.
+at import.  A rejection draw holds its batch's proposals, their bounds and
+heights, its outputs and one ``_PDF_CHUNK`` density evaluation: the
+proposals are located against one bin's node numbers at a time, never a node
+array over the whole table, and each chunk is accepted as soon as it is
+scored.
 """
 from __future__ import annotations
 
@@ -249,9 +253,10 @@ class _BinnedEnvelope:
         """``p(x; phi)`` at equal-length arrays of phases and points, from the kept eigenpairs."""
         step = np.exp(1j * phi)
         power = np.ones_like(step)      # e^{in phi}, powered up as quadrature_pdf does
+        term = np.empty_like(step)      # R_n, one row at a time
         amplitude = np.zeros((len(self.weights), step.size), dtype=complex)
         for n, row in enumerate(oscillator._psi_rows(self.modes.shape[1] - 1, x)):
-            amplitude += self.modes[:, n, None] * (row * power)
+            amplitude += self.modes[:, n, None] * np.multiply(row, power, out=term)
             power = power * step
         square = amplitude.real ** 2 + amplitude.imag ** 2
         return sum(weight * row for weight, row in zip(self.weights, square))
@@ -261,13 +266,15 @@ class _BinnedEnvelope:
 
         Each batch is sized from ``rate`` to fill what is left, with three
         binomial deviations to spare, and holds at most four proposals per
-        missing sample, so a loose envelope costs passes, not memory.  The
-        density is evaluated ``_PDF_CHUNK`` proposals at a time.  A proposal
-        whose density exceeds its envelope raises, since the draws would be
-        biased.
+        missing sample, so a loose envelope costs passes, not memory.  A
+        proposal's position in the bins' concatenated grids is looked up one
+        bin's node numbers at a time (``_positions``), and the batch is then
+        only the proposals, their bounds and heights: the density is evaluated
+        ``_PDF_CHUNK`` proposals at a time and each chunk is accepted as soon
+        as it is scored.  A proposal whose density exceeds its envelope raises
+        once its whole batch is scored, since the draws would be biased.
         """
         points, flat = self.grid.size, self.envelope.ravel()
-        nodes = np.arange(flat.size, dtype=float)
         step = (self.grid[-1] - self.grid[0]) / (points - 1)
         xs_out = np.empty(n)
         phi_out = np.empty(n)
@@ -277,31 +284,65 @@ class _BinnedEnvelope:
                 break
             left = n - filled
             batch = min(int(np.ceil((left + 3.0 * np.sqrt(left)) / self.rate)), 4 * left + 512)
-            # position in the bins' concatenated grids
-            at = _sorted_interp(rng.random(batch) * self.mass[-1], self.mass, nodes)
+            at = self._positions(rng.random(batch) * self.mass[-1])
             b = at // points
-            xc = self.grid[0] + (at - b * points) * step
-            pc = np.minimum((b + rng.random(batch)) * (np.pi / _BINS), np.nextafter(np.pi, 0.0))
+            pc = rng.random(batch)
+            pc += b
+            pc *= np.pi / _BINS
+            np.minimum(pc, np.nextafter(np.pi, 0.0), out=pc)
+            b *= points
+            xc = np.subtract(at, b, out=b)  # at - b points, in b's buffer
+            xc *= step
+            xc += self.grid[0]
             node = np.minimum(at.astype(np.int64), flat.size - 2)
-            frac = at - node
-            bound = flat[node] * (1.0 - frac) + flat[node + 1] * frac
-            height = rng.random(batch) * bound
-            del at, b, node, frac       # only the proposals and their bounds are scored
-            dens = np.concatenate([
-                self.density(pc[lo:lo + _PDF_CHUNK], xc[lo:lo + _PDF_CHUNK])
-                for lo in range(0, batch, _PDF_CHUNK)])
-            if np.any(dens > bound):
+            frac = np.subtract(at, node, out=at)    # in at's buffer
+            bound = flat[node]              # flat[node] (1 - frac) + flat[node + 1] frac
+            node += 1
+            upper = flat[node]
+            upper *= frac
+            bound *= np.subtract(1.0, frac, out=frac)
+            bound += upper
+            del at, frac, node, upper       # only the proposals and their bounds are scored
+            height = rng.random(batch)
+            height *= bound
+            violations = 0
+            for lo in range(0, batch, _PDF_CHUNK):
+                chunk = slice(lo, lo + _PDF_CHUNK)
+                dens = self.density(pc[chunk], xc[chunk])
+                violations += np.count_nonzero(dens > bound[chunk])
+                keep = np.nonzero(height[chunk] <= np.maximum(dens, 0.0, out=dens))[0]
+                del dens
+                keep = keep[:n - filled] + lo
+                xs_out[filled:filled + keep.size] = xc[keep]
+                phi_out[filled:filled + keep.size] = pc[keep]
+                filled += keep.size
+            if violations:
                 raise NumericalSanityError(
                     f"quadrature density exceeds its rejection envelope at "
-                    f"{np.count_nonzero(dens > bound)} of {batch} proposals; "
-                    "the draws would be biased")
-            keep = np.nonzero(height <= np.maximum(dens, 0.0))[0][:left]
-            xs_out[filled:filled + keep.size] = xc[keep]
-            phi_out[filled:filled + keep.size] = pc[keep]
-            filled += keep.size
+                    f"{violations} of {batch} proposals; the draws would be biased")
         if filled < n:
             raise NumericalSanityError("rejection sampling failed to converge")
         return xs_out, phi_out
+
+    def _positions(self, u):
+        """``np.interp(u, mass, node numbers)`` in the order of ``u``, one bin at a time.
+
+        ``u`` is looked up in sorted order, the run of it from one bin's first
+        mass up to the next bin's against that bin's masses and node numbers
+        alone.  Each bin's first mass equals the previous bin's last, so every
+        value of the run lies between two of its own bin's nodes, and each
+        position has the bits of one lookup in the whole table.
+        """
+        points = self.grid.size
+        order = np.argsort(u)
+        u = u[order]
+        cuts = np.searchsorted(u, self.mass[points::points])
+        for first, lo, hi in zip(range(0, self.mass.size, points), [0, *cuts], [*cuts, u.size]):
+            u[lo:hi] = np.interp(u[lo:hi], self.mass[first:first + points],
+                                 np.arange(first, first + points, dtype=float))
+        at = np.empty_like(u)
+        at[order] = u
+        return at
 
 
 def _tables_for(rho):

@@ -544,6 +544,105 @@ class TestFactoredDensity:
         assert table.weights.size == 16
 
 
+def reference_draw(table, n, rng):
+    """The rejection draw with batch-wide arrays: one sorted lookup in the whole node table,
+    every chunk's scores joined before any is tested, and the batch's first ``left``
+    acceptances kept."""
+    points, flat = table.grid.size, table.envelope.ravel()
+    nodes = np.arange(flat.size, dtype=float)
+    step = (table.grid[-1] - table.grid[0]) / (points - 1)
+    xs_out, phi_out, filled = np.empty(n), np.empty(n), 0
+    for _ in range(200):
+        if filled == n:
+            break
+        left = n - filled
+        batch = min(int(np.ceil((left + 3.0 * np.sqrt(left)) / table.rate)), 4 * left + 512)
+        at = homodyne._sorted_interp(rng.random(batch) * table.mass[-1], table.mass, nodes)
+        b = at // points
+        xc = table.grid[0] + (at - b * points) * step
+        pc = np.minimum((b + rng.random(batch)) * (np.pi / homodyne._BINS),
+                        np.nextafter(np.pi, 0.0))
+        node = np.minimum(at.astype(np.int64), flat.size - 2)
+        frac = at - node
+        bound = flat[node] * (1.0 - frac) + flat[node + 1] * frac
+        height = rng.random(batch) * bound
+        dens = np.concatenate([
+            table.density(pc[lo:lo + homodyne._PDF_CHUNK], xc[lo:lo + homodyne._PDF_CHUNK])
+            for lo in range(0, batch, homodyne._PDF_CHUNK)])
+        if np.any(dens > bound):
+            raise NumericalSanityError(
+                f"quadrature density exceeds its rejection envelope at "
+                f"{np.count_nonzero(dens > bound)} of {batch} proposals; "
+                "the draws would be biased")
+        keep = np.nonzero(height <= np.maximum(dens, 0.0))[0][:left]
+        xs_out[filled:filled + keep.size] = xc[keep]
+        phi_out[filled:filled + keep.size] = pc[keep]
+        filled += keep.size
+    if filled < n:
+        raise NumericalSanityError("rejection sampling failed to converge")
+    return xs_out, phi_out
+
+
+def banded_mixture():
+    """The dim-6 mixed state with a tridiagonal band of ``test_density_is_pointwise``."""
+    return DensityMatrix(6, np.diag([0.4, 0.1, 0.2, 0.05, 0.15, 0.1]).astype(complex)
+                         + 0.02 * (np.eye(6, k=1) + np.eye(6, k=-1)))
+
+
+class TestChunkedDraw:
+    """The draw looks proposals up one bin's nodes at a time and accepts each density chunk
+    as it is scored; the batch-wide draw is the reference, to the byte."""
+
+    @pytest.mark.parametrize("state, n", [
+        (damped_cat, 24_000),
+        (lambda: strip_law(make_coherent(5.0, 96)), 3000),
+        (banded_mixture, 5000),
+    ], ids=["cat-damped", "coherent-stripped", "mixed"])
+    def test_draws_equal_the_batch_wide_draw(self, state, n, monkeypatch):
+        """Three seeds at the default chunk and at 1,000 points.  The damped cat's mass is
+        flat over the many nodes where its envelope underflows; coherent alpha 5 accepts
+        under a quarter of its proposals, so its batches stop at ``4 left + 512``."""
+        table = homodyne._BinnedEnvelope(state())
+        for chunk in (homodyne._PDF_CHUNK, 1000):
+            monkeypatch.setattr(homodyne, "_PDF_CHUNK", chunk)
+            for seed in range(3):
+                x, phi = table.draw(n, rng_from(17, 49, seed))
+                want_x, want_phi = reference_draw(table, n, rng_from(17, 49, seed))
+                assert x.tobytes() == want_x.tobytes()
+                assert phi.tobytes() == want_phi.tobytes()
+
+    def test_positions_equal_one_lookup_in_the_whole_table(self):
+        """On a small table with an empty bin, flat runs and steps up to every bin's last
+        node, each bin's lookup returns the whole table's ``np.interp`` bits: at random
+        masses, at every node's mass and midway between each two."""
+        rng = rng_from(17, 50)
+        envelope = rng.random((5, 7))
+        envelope[1] = 0.0
+        envelope[2, :3] = 0.0
+        envelope[3, -2:] = 0.0
+        grid = np.linspace(-1.0, 1.0, 7)
+        mass = homodyne._cumulative_mass(envelope, grid)
+        mass[1:] += np.cumsum(mass[:-1, -1])[:, None]
+        mass = mass.ravel()
+        u = np.concatenate([rng.random(300) * mass[-1], mass, (mass[1:] + mass[:-1]) / 2])
+        got = homodyne._BinnedEnvelope._positions(SimpleNamespace(grid=grid, mass=mass), u)
+        assert got.tobytes() == np.interp(u, mass, np.arange(mass.size, dtype=float)).tobytes()
+
+    def test_envelope_violations_are_counted_over_the_whole_batch(self, monkeypatch):
+        """A 5,000-sample draw under a too-small envelope, scored 1,000 points at a time,
+        raises with the batch-wide draw's count of violating proposals."""
+        monkeypatch.setattr(homodyne, "_TABLES", {})
+        monkeypatch.setattr(homodyne, "_HEADROOM", 0.9)
+        monkeypatch.setattr(homodyne, "_PDF_CHUNK", 1000)
+        rho = even_cat(1.5, 32)
+        with pytest.raises(NumericalSanityError) as chunked:
+            sample_quadratures(rho, 5000, rng_from(17, 37))
+        with pytest.raises(NumericalSanityError) as whole:
+            reference_draw(homodyne._tables_for(rho), 5000, rng_from(17, 37))
+        assert str(chunked.value) == str(whole.value)
+        assert re.search(r"at \d+ of \d+ proposals", str(chunked.value))
+
+
 def reference_envelope(rho, grid):
     """The binned envelope from whole-grid complex tables: every ray profile ``P_d`` at
     once, the bin-centre densities from one matrix product and the slack from one
