@@ -16,7 +16,7 @@ from .experiments import (ExperimentConfig, config_hash, default_config,
 from .fock_core import (DensityMatrix, GaussianQuadratureLaw, StateSpec,
                         make_coherent, make_fock, make_thermal)
 from .homodyne import (MeasuredRay, QuadratureData, error_saturation_profile,
-                       estimate_element, quadrature_pdf, sample_quadratures)
+                       estimate_element, sample_quadratures)
 from .loss_channel import (InversionResult, analytic_threshold, apply_loss,
                            decay_ratio, inverse_coefficient, invert_loss)
 from .oscillator import evaluate_pattern
@@ -33,7 +33,7 @@ __all__ = [
     "DensityMatrix", "GaussianQuadratureLaw", "StateSpec", "make_coherent",
     "make_fock", "make_thermal",
     "MeasuredRay", "QuadratureData", "error_saturation_profile",
-    "estimate_element", "quadrature_pdf", "sample_quadratures",
+    "estimate_element", "sample_quadratures",
     "InversionResult", "analytic_threshold", "apply_loss", "decay_ratio",
     "inverse_coefficient", "invert_loss", "evaluate_pattern",
     "__version__",

@@ -1,26 +1,13 @@
 """Loss compensation from measured data, with error propagation.
 
-The series value is ``sum_j A_j(n, d, eta) c_j`` over the measured ray
-``c_j ~ <n+j|rho_meas|n+d+j>``.  Because the weights A_j alternate in
-sign and grow combinatorially once 1 - 1/eta leaves the unit disc, the
-statistical error of the truncated sum is the observable that decides
-whether compensation is meaningful; everything here exists to put a
-number on it.
-
-Two error views are provided.  ``convergence_scan`` propagates the
-actual weights, ``sqrt(sum_j A_j^2 eps_j^2)``, which is what an
-experimenter quotes for a specific target element; the series truncated
-at one index is the last point of a scan over ``[j_max]``.
-``error_vs_eta`` instead reports, at one efficiency, the normalized
-profile ``sqrt(sum_j z^{2j} eps_j^2)`` with ``z = 1 - 1/eta``, which
-strips the combinatorial prefactors and isolates the transition at
-eta = 1/2: below it |z| >= 1 and the sum cannot converge no matter how
-precise the individual coefficients are.
-
-Each view has a batch form over several sources, ``convergence_scans``
-and ``errors_vs_eta``, which computes the weights once and takes every
-source's partial sums in one array pass; the single-source functions are
-its batch of one, and a source's result has the same bits in any batch.
+The series value is ``sum_j A_j(n, d, eta) c_j`` over the measured ray ``c_j ~
+<n+j|rho_meas|n+d+j>``.  The weights alternate in sign and grow combinatorially
+once 1 - 1/eta leaves the unit disc, so the statistical error of the truncated
+sum decides whether compensation is meaningful: ``convergence_scan`` propagates
+the weights, ``sqrt(sum_j A_j^2 eps_j^2)``, and ``error_vs_eta`` gives the
+normalized profile ``sqrt(sum_j z^{2j} eps_j^2)``, ``z = 1 - 1/eta``, which cannot
+converge once eta <= 1/2.  A source's result has the same bits alone as in the
+batch forms ``convergence_scans`` and ``errors_vs_eta``.
 """
 from __future__ import annotations
 

@@ -1,33 +1,15 @@
 """Seeded experiment harness: figure tables as CSV, nothing interactive.
 
-Each run is fully determined by an :class:`ExperimentConfig`.  The RNG
-splitting rule is ``default_rng(SeedSequence((master_seed, eta_index,
-trial)))`` per (efficiency, trial) cell, so cells are independent and
-any execution order gives identical output.  A homodyne run therefore
-shares its cells among the process and forked children, one process per
-CPU it may run on (``taskset -c 0`` gives a one-CPU, serial run); a
-direct-detection run, whose cells take microseconds, stays in-process.
-The unit of work is one efficiency's trials (a run with fewer
-efficiencies than processes splits each into contiguous trial blocks),
-and units are dealt to the processes in turn.  Each process damps the
-signal for its own units, after the fork: a Gaussian signal's homodyne
-cells are drawn from its damped quadrature law, and only other states
-and photocounting damp the matrix.  It scans each unit as one stream:
-one kernel pass estimates every trial's ray, and one batch scan
-(``compensation.convergence_scans`` or ``errors_vs_eta``) sums every
-trial's series with the weights computed once; neither a ray's bytes nor
-a scan's depend on the other datasets of the unit.  The bytes are the same
-whatever the process count, and so is the exception of a failing run:
-once any cell raises, every child is killed and the process scans every
-cell again, one at a time, so the first failing cell in cell order
-raises.  Tables carry a 12-hex-digit hash of the canonical config
-serialization in every row; reruns with the same config are
-byte-identical.  Each table row is formatted by one f-string, with each
-real number written to 9 significant digits.
-
-Outputs per run: a mean table (one row per (eta, truncation index),
-averaged over trials) and a sibling ``*_trials.csv`` with the per-trial
-rows that the averages came from.
+Each run is fully determined by an :class:`ExperimentConfig`.  Each (efficiency,
+trial) cell draws from ``default_rng(SeedSequence((master_seed, eta_index,
+trial)))``, and neither a ray's bytes nor a scan's depend on the other cells, so
+a run's bytes do not depend on the order of its cells or on how many processes
+share them (:func:`_map_cells`), and a failing run raises its first failing
+cell's error.  A run writes a mean table, one row per (eta, truncation index)
+averaged over trials, and a sibling ``*_trials.csv`` of the per-trial rows.
+Every row carries a 12-hex-digit hash of the canonical config serialization and
+writes each real number to 9 significant digits; reruns with the same config are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -52,10 +34,8 @@ from .loss_channel import _DIM_LIMIT, _damped_law, apply_loss, inverse_coefficie
 
 DEFAULT_MASTER_SEED = 235711
 
-# sanity ceiling on N * max(j_M).  A ray's kernel pass costs its kernel rows
-# times its occupied table cells plus a few passes over its N samples, so
-# this product no longer tracks runtime; it rejects configs far past the
-# defaults, which sit 20-60x below it (fig1 2.4e6, fig2 8e5)
+# sanity ceiling on N * max(j_M): a config far past the defaults, which sit 20-60x
+# below it (fig1 2.4e6, fig2 8e5), is rejected up front rather than left to run
 _BUDGET = 5 * 10**7
 # a homodyne process holds about 41 B per sample whatever j_M is (tracemalloc, one warm
 # fig1 unit of ten trials: 4.5 MiB at N = 10^5, 39.7 MiB at 10^6): 10^7 samples is 0.4 GiB
@@ -176,14 +156,14 @@ _KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a re
 def _check_sample_extent(config, signal):
     """A homodyne run's sample reach: an ``|x|`` its samples stay inside, at most 26.
 
-    A Gaussian-law state's samples at efficiency eta are normal with the damped
-    law's variance and a mean no farther from 0 than the damped amplitude's
-    modulus; the reach is the smallest whole ``|x|`` past which their expected
-    count over all cells, an erfc sum, is at most ``_PAST_LIMIT_BOUND``.  A run
-    whose reach would pass the kernel table's limit is rejected.  Other states
-    are drawn on a grid whose half-width for the signal bounds that of every
-    damped state; the reach is that, capped at the limit, past which a number
-    state's mass is negligible while its index fits the table (1.8e-67 at 483).
+    A Gaussian-law state's samples at efficiency eta are normal with the damped law's
+    variance and a mean no farther from 0 than the damped amplitude's modulus; the reach
+    is the smallest whole ``|x|`` past which their expected count over all cells, an erfc
+    sum, is at most ``_PAST_LIMIT_BOUND``, and a run whose reach would pass the kernel
+    table's limit is rejected.  Other states are drawn on a grid whose half-width for the
+    signal bounds that of every damped state; the reach is that, capped at the limit,
+    past which a number state's mass is negligible while its index fits the table
+    (1.8e-67 at 483).
     """
     limit = oscillator._X_LIMIT
     if signal.quadrature_law is None:
@@ -316,15 +296,12 @@ def _cpus():
 def _cells(run, eta_index, trials):
     """Results of the cells ``(eta_index, trial)`` of one unit of work, in order.
 
-    The unit damps the signal once: a homodyne run of a Gaussian signal takes
-    its damped quadrature law, any other run the damped matrix.  Each trial
-    draws its own dataset; a homodyne run estimates the unit's rays in one
-    kernel pass over a stream that draws each trial's samples as it takes
-    them, so one trial's are alive at a time, and each cell's scan reads its
-    own ray.  The unit's rays or counts are scanned as one batch
-    (``scan(sources, target_n, target_d, eta, jm_grid)``), which gives each
-    cell's result with the bits of its scan alone.  A failing cell's error
-    propagates.
+    The unit damps the signal once, in the process that owns it: a homodyne run of a
+    Gaussian signal takes its damped quadrature law, any other run the damped matrix.
+    Each trial draws its own dataset as the stream is read, so a homodyne unit's rays
+    come from one kernel pass with one trial's samples alive at a time.  The unit is
+    scanned as one batch (``scan(sources, target_n, target_d, eta, jm_grid)``), which
+    gives each cell the bits of its scan alone.  A failing cell's error propagates.
     """
     config, signal, grids, scan = run
     n, d, grid = config.target_n, config.target_d, grids[eta_index]
@@ -343,26 +320,20 @@ def _cells(run, eta_index, trials):
 def _map_cells(run, serial):
     """The results of every (eta, trial) cell, in cell order, shared among ``W`` processes.
 
-    ``W`` is one per CPU the process may run on, and 1 when ``serial`` is
-    set, where ``fork`` does not exist, or while other threads run, whose
-    held locks a forked child would inherit.  The unit of work is one
-    efficiency's trials; a run with fewer efficiencies ``E`` than processes
-    splits each efficiency's trials into ``ceil(W / E)`` contiguous blocks,
-    and ``W`` is at most the number of units.  The parent forks ``W - 1``
-    children, which inherit ``run`` and the kernel table built so far.  Unit
-    ``k`` is process ``k mod W``'s: child ``k`` scans ``units[k::W]`` and
-    pickles its results back through a pipe, the parent scans
-    ``units[0::W]`` itself, so ``W = 1`` is the serial loop.  A child also
-    sends back how far it filled the kernel table's blocks, and the parent fills
-    its own as far as it reads them, so a later run's children, forked from it,
-    find the cells their samples reach already filled.  A child whose
-    cell raises exits 1 and sends nothing.  If any cell raises, in a child
-    or in the parent, every child is killed and reaped, and then the parent
-    scans every cell again, one at a time: the first failing cell in cell
-    order raises, as at ``W = 1``, and a cell that fails only in a child
-    costs time, not the run.  A child killed by a signal raises
-    ``ChildProcessError`` naming it.  Every child is killed and reaped
-    before the call returns or raises.
+    ``W`` is one per CPU the process may run on, and 1 when ``serial`` is set, where
+    ``fork`` does not exist, or while other threads run, whose held locks a forked
+    child would inherit.  The unit of work is one efficiency's trials; a run with
+    fewer efficiencies ``E`` than processes splits each efficiency's trials into
+    ``ceil(W / E)`` contiguous blocks, and ``W`` is at most the number of units.  The
+    parent forks ``W - 1`` children, which inherit ``run`` and the kernel table; unit
+    ``k`` is process ``k mod W``'s, so ``W = 1`` is the serial loop.  A child pickles
+    its results back through a pipe with how far it filled the table's blocks, and
+    the parent fills its own as far, so a later run's children find those cells
+    filled.  A child whose cell raises exits 1 and sends nothing.  If any cell
+    raises, every child is killed and reaped, and the parent scans every cell again,
+    one at a time, so the first failing cell in cell order raises, as at ``W = 1``.
+    A child killed by a signal raises ``ChildProcessError`` naming it.  No child
+    outlives the call.
     """
     config, _, grids, _ = run
     workers = (1 if serial or not hasattr(os, "fork") or threading.active_count() > 1
@@ -425,24 +396,12 @@ def _map_cells(run, serial):
 def _scan_cells(config, out, scan):
     """The (eta, trial) cell loop behind every figure table.
 
-    Validates ``config``, checks the output directory, and sizes the kernel
-    table for the largest kernel index a homodyne run needs and for its sample
-    reach (:func:`_check_sample_extent`), then allocates its ray's contraction
-    blocks for the run's largest row count: built and allocated before any fork,
-    the table and the blocks are made once, not once per process, and every unit
-    shares them.  Each process fills the blocks as far as its own samples reach.
-    Then the cells run by units of work,
-    one efficiency's trials each (:func:`_map_cells`): homodyne units are dealt in turn to
-    this process and forked children, one process per CPU in its affinity,
-    and direct-detection units run in-process.  Each unit damps the signal
-    in the process that owns it, and each cell draws a fresh dataset from
-    its own RNG stream; a homodyne unit's rays are estimated in one kernel
-    pass over the stream of its trials' datasets.  Each unit is scanned as
-    one batch: ``scan(sources, target_n, target_d, eta, jm_grid)`` reads the
-    unit's rays or counts and returns one result per cell.  Results come
-    back in cell order, so the output does not depend on the process count.
-    Returns the output path, the signal and, per efficiency, ``(eta, jm_grid,
-    [result per trial])``.
+    Validates ``config`` and checks the output directory.  A homodyne run's kernel
+    table is sized for its largest kernel index and its sample reach
+    (:func:`_check_sample_extent`), and its ray's contraction blocks are allocated
+    for its largest row count, before any fork, so every process shares one table.
+    The cells run by units of work (:func:`_map_cells`).  Returns the output path,
+    the signal and, per efficiency, ``(eta, jm_grid, [result per trial])``.
     """
     signal, grids = config.validate()
     out_path = Path(out) if out is not None else Path(config.output_path)
@@ -485,11 +444,10 @@ def _column_means(table):
 def run_scan_table(config: ExperimentConfig, out=None):
     """Shared engine behind ``run_fig1`` and ``run_direct_contrast``.
 
-    Emits the mean table ``eta,j_M,value,propagated_error,
-    empirical_error,theory,config_hash`` plus per-trial rows (with the
-    per-trial scan verdict) in the sibling file.  CSV cells hold real
-    parts, written to 9 significant digits; off-diagonal targets keep their
-    full complex values in the library API only.
+    Emits the mean table ``eta,j_M,value,propagated_error,empirical_error,theory,
+    config_hash`` plus per-trial rows (with the per-trial scan verdict) in the sibling
+    file.  CSV cells hold real parts; off-diagonal targets keep their full complex
+    values in the library API only.
     """
     out_path, signal, table = _scan_cells(config, out, convergence_scans)
     chash = config_hash(config)

@@ -6,37 +6,9 @@ e^{-i phi})/2`` with vacuum variance 1/4, and the distribution at phase
 
     p(x; phi) = sum_{n,m} <n|rho|m> e^{i(n-m) phi} psi_n(x) psi_m(x).
 
-Matrix elements are estimated from samples by phase-weighted kernel
-averages; ``estimate_element`` is unbiased for every state, which is
-the contract the kernel construction in :mod:`losscomp.oscillator` is
-anchored to.  It is the batch of one of ``estimate_rays``, which reads
-each kernel's sums over the samples of several datasets from one
-``oscillator.pattern_sums`` pass and never evaluates a kernel at a
-sample.  A dataset's ray has the same bytes alone or in any batch, at
-any BLAS thread count; its last bits come from the CPU's BLAS kernel.
-A state with an exact Gaussian quadrature law is sampled from the law
-alone, by one law sampler that ``sample_quadratures`` calls for such a
-state and that takes a law without its matrix: a scan hands it the
-damped law of a Gaussian signal and never damps the matrix, with the
-same draws.  It adds the phase mean only for a nonzero amplitude; for a
-thermal law it is +-0, so skipping it keeps every draw's bits.
-
-Other states are sampled from tables on an x grid: a phase-invariant
-state's cumulative density for inverse-CDF draws, and for any other state
-a rejection proposal of ``_BINS`` phase bins, each with its own envelope
-over x, whose proposals are scored through the state's kept eigenpairs
-rather than by ``quadrature_pdf``.  Both tables are built from one streamed
-pass over the state's ray profiles (``_ray_profiles``), which holds the
-oscillator functions on the grid and one real profile at a time, never a
-complex ``(dim, points)`` table.  Building them takes longer than one draw
-of a few thousand samples, and a scan draws many trials from one state, so
-the tables of the last state sampled are kept, keyed by its dimension and
-element bytes, and reused while the next state is equal.  Nothing is built
-at import.  A rejection draw holds its batch's proposals, their bounds and
-heights, its outputs and one ``_PDF_CHUNK`` density evaluation: the
-proposals are located against one bin's node numbers at a time, never a node
-array over the whole table, and each chunk is accepted as soon as it is
-scored.
+Ray estimates are unbiased for every state, and a dataset's ray has the same
+bytes alone or in any batch, at any BLAS thread count; its last bits come from
+the CPU's BLAS kernel.  A draw depends only on the state and the generator.
 """
 from __future__ import annotations
 
@@ -85,28 +57,6 @@ class MeasuredRay:
         self.stderr = np.asarray(self.stderr, dtype=float)
         if self.estimate.shape != self.stderr.shape or self.estimate.ndim != 1:
             raise ValueError("estimate and stderr must be 1-d arrays of equal length")
-
-
-def quadrature_pdf(rho: DensityMatrix, phi, x) -> np.ndarray:
-    """Quadrature density ``p(x; phi)`` for the given state.
-
-    ``phi`` is one phase or one per point of ``x``; scalar ``phi`` and
-    ``x`` give a float, anything else an array.
-    """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    step = np.exp(1j * np.atleast_1d(np.asarray(phi, dtype=float)))
-    rotated = np.empty((rho.dim, max(xa.size, step.size)), dtype=complex)  # e^{in phi} psi_n
-    rotated[:] = oscillator._psi_half(rho.dim - 1, xa)
-    # e^{i n phi} as e^{i (n-1) phi} e^{i phi}, so it is 1 exactly at phi = 0.  Each
-    # power is a new array: numpy 2.4 rounded an in-place one-element product
-    # differently from the same product in a longer array, which split
-    # scalar-phase calls from per-point ones.
-    power = np.ones_like(step)
-    for row in rotated[1:]:
-        power = power * step
-        row *= power
-    dens = np.einsum("nx,nx->x", rotated, rho.elements @ rotated.conj()).real
-    return dens if np.ndim(x) or np.ndim(phi) else float(dens[0])
 
 
 def _is_phase_invariant(rho):
@@ -188,32 +138,21 @@ class _InverseCdf:
 class _BinnedEnvelope:
     """Rejection proposal: ``_BINS`` phase bins, each with an x envelope on one grid.
 
-    ``envelope[b]`` bounds ``p(x; phi)`` for every phi in bin b; ``mass`` is
-    the bins' cumulative envelope masses laid end to end, so one inverse-CDF
-    lookup picks the bin with probability proportional to its mass and x
-    within it.  ``rate`` is the acceptance rate, trace over mean bin mass.
+    With the ray profiles ``P_d`` of ``_ray_profiles``, bin b of centre phi_b and
+    half-width delta has ``|e^{-id phi} - e^{-id phi_b}| <= min(d delta, 2)``, so
+    ``max(p(x; phi_b), 0) + sum_{d>=1} 2 |P_d(x)| min(d delta, 2)`` bounds it;
+    ``envelope[b]`` is that times ``_HEADROOM``, each profile folded in as it is
+    yielded.  ``mass`` lays the bins' cumulative envelope masses end to end, so one
+    inverse-CDF lookup picks a bin in proportion to its mass and x within it; ``rate``
+    is the acceptance rate, trace over mean bin mass.
 
-    With ray profiles ``P_d = sum_k rho_{k,k+d} psi_k psi_{k+d}``, ``p(x; phi)
-    = P_0 + 2 Re sum_{d>=1} e^{-id phi} P_d``.  For bin b, centre phi_b and
-    half-width delta, ``|e^{-id phi} - e^{-id phi_b}| <= min(d delta, 2)``, so
-    ``p(x; phi_b) + sum_{d>=1} 2 |P_d(x)| min(d delta, 2)`` bounds the bin.
-    Each profile is folded into the ``_BINS`` centre densities and into that
-    slack as ``_ray_profiles`` yields it, so the build holds the ``(_BINS,
-    points)`` envelope and no table of profiles.
-
-    Proposals are scored through the state's eigenpairs, ``rho = V diag(lam)
-    V^H``: with ``R_n = e^{in phi} psi_n(x)``, ``p(x; phi) = sum_r lam_r
-    |sum_n V_nr R_n|^2``, so ``density`` costs O(rank dim) per point where
-    ``quadrature_pdf`` costs O(dim^2).  It streams the oscillator recursion
-    (``oscillator._psi_rows``), adding each ``R_n`` into the amplitudes as it
-    comes, so it holds ``(rank, points)`` amplitudes and one row, never a
-    ``(dim, points)`` table, and it sums the weighted squares mode by mode, so
-    a point's score has the same bytes whatever points are scored with it.  The
-    pairs of smallest ``|lam|`` are dropped while their ``|lam|`` sum to at most
-    machine epsilon times the trace; since ``|sum_n V_nr R_n|^2 <= sum_n
-    psi_n(x)^2``, that moves ``p`` by less than the rounding the quadratic form
-    carries.  A state whose negative
-    eigenvalues sum below ``-1e-6`` of its trace raises: its ``p`` is not a
+    Proposals are scored through the state's eigenpairs, ``rho = V diag(lam) V^H``:
+    with ``R_n = e^{in phi} psi_n(x)``, ``p(x; phi) = sum_r lam_r |sum_n V_nr R_n|^2``,
+    O(rank dim) per point where the tests' reference density costs O(dim^2).  The pairs
+    of smallest ``|lam|`` are dropped while their ``|lam|`` sum to at most machine
+    epsilon times the trace; since ``|sum_n V_nr R_n|^2 <= sum_n psi_n(x)^2``, that
+    moves ``p`` by less than the rounding the quadratic form carries.  A state whose
+    negative eigenvalues sum below ``-1e-6`` of its trace raises: its ``p`` is not a
     probability law.
     """
 
@@ -250,9 +189,17 @@ class _BinnedEnvelope:
         self.weights, self.modes = values[kept], vectors[:, kept].T
 
     def density(self, phi, x):
-        """``p(x; phi)`` at equal-length arrays of phases and points, from the kept eigenpairs."""
+        """``p(x; phi)`` at equal-length arrays of phases and points, from the kept eigenpairs.
+
+        Each oscillator row is added into the modes' amplitudes as it comes, and the
+        weighted squares are summed mode by mode, so a point's score has the same bytes
+        whatever points are scored with it.  The tests' reference density shares the
+        phase powers' rule: ``e^{in phi}`` is the fresh product ``e^{i(n-1) phi} e^{i
+        phi}``, so it is 1 exactly at ``phi = 0``, never an in-place one, which numpy 2.4
+        rounded differently in a one-element array than in a longer one.
+        """
         step = np.exp(1j * phi)
-        power = np.ones_like(step)      # e^{in phi}, powered up as quadrature_pdf does
+        power = np.ones_like(step)
         term = np.empty_like(step)      # R_n, one row at a time
         amplitude = np.zeros((len(self.weights), step.size), dtype=complex)
         for n, row in enumerate(oscillator._psi_rows(self.modes.shape[1] - 1, x)):
@@ -264,15 +211,12 @@ class _BinnedEnvelope:
     def draw(self, n, rng):
         """Exact joint draws: propose (bin, x, phi), accept under ``p(x; phi)``.
 
-        Each batch is sized from ``rate`` to fill what is left, with three
-        binomial deviations to spare, and holds at most four proposals per
-        missing sample, so a loose envelope costs passes, not memory.  A
-        proposal's position in the bins' concatenated grids is looked up one
-        bin's node numbers at a time (``_positions``), and the batch is then
-        only the proposals, their bounds and heights: the density is evaluated
-        ``_PDF_CHUNK`` proposals at a time and each chunk is accepted as soon
-        as it is scored.  A proposal whose density exceeds its envelope raises
-        once its whole batch is scored, since the draws would be biased.
+        Each batch is sized from ``rate`` to fill what is left, with three binomial
+        deviations to spare, and holds at most four proposals per missing sample, so
+        a loose envelope costs passes, not memory.  Its proposals are scored
+        ``_PDF_CHUNK`` at a time, each chunk accepted as soon as it is scored.  A
+        proposal whose density exceeds its envelope raises once its whole batch is
+        scored, since the draws would be biased.
         """
         points, flat = self.grid.size, self.envelope.ravel()
         step = (self.grid[-1] - self.grid[0]) / (points - 1)
@@ -346,7 +290,11 @@ class _BinnedEnvelope:
 
 
 def _tables_for(rho):
-    """The sampling tables of a non-Gaussian state, kept for the next call on an equal state."""
+    """The sampling tables of a non-Gaussian state, kept for the next call on an equal state.
+
+    A build costs more than a draw of a few thousand samples, and a scan draws
+    many trials from one state.
+    """
     key = (rho.dim, rho.elements.tobytes())
     if key not in _TABLES:
         _TABLES.clear()     # let the last state's tables go before this one's are built
@@ -357,13 +305,12 @@ def _tables_for(rho):
 def sample_quadratures(rho: DensityMatrix, n: int, rng: np.random.Generator) -> QuadratureData:
     """Draw ``n`` i.i.d. homodyne samples from the state.
 
-    Phases are uniform on [0, pi); x follows ``p(x; phi)``.  States
-    carrying an exact Gaussian quadrature law (thermal, coherent, and
-    their loss-damped images) are sampled in closed form; other
-    phase-invariant states go through a tabulated inverse CDF; anything
-    else goes through rejection from a phase-binned envelope.  The last
-    two build their tables once per state (the last one is kept).
-    Deterministic given the generator state.
+    Phases are uniform on [0, pi); x follows ``p(x; phi)``.  A state carrying an
+    exact Gaussian quadrature law (thermal, coherent, and their loss-damped images)
+    is sampled from the law alone (``_sample_law``, which a scan hands a Gaussian
+    signal's damped law, with the damped matrix's draws); another phase-invariant
+    state by inverse CDF (``_InverseCdf``); any other by rejection
+    (``_BinnedEnvelope``).
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -377,7 +324,7 @@ def _sample_law(law, n, rng):
     """``n`` homodyne samples of the Gaussian quadrature law ``law``: uniform phases, normal x."""
     phi = rng.uniform(0.0, np.pi, n)
     x = np.sqrt(law.variance) * rng.standard_normal(n)
-    if law.mean_amplitude:
+    if law.mean_amplitude:      # a thermal law's is +-0, so skipping it keeps the bits
         x = np.real(law.mean_amplitude * np.exp(1j * phi)) + x
     return QuadratureData(x=x, phi=phi)
 
@@ -389,9 +336,8 @@ def estimate_rays(datasets, n: int, d: int, j_max: int = 0) -> list:
     standard error is the larger componentwise sample deviation divided
     by sqrt(N).  Both come from the sums of the summands and of their
     squares, which ``oscillator.pattern_sums`` forms in one pass.  ``datasets``
-    is any iterable, read once, one dataset at a time.  A dataset's ray has the
-    same bytes in any batch.  A ray with ``d > 0`` rejects a dataset holding a
-    non-finite phase.
+    is any iterable, read once, one dataset at a time.  A ray with ``d > 0``
+    rejects a dataset holding a non-finite phase.
     """
     sizes = []
 
@@ -443,6 +389,8 @@ def error_saturation_profile(samples: QuadratureData, j_list, n0: int, d: int):
     efficiency.
     """
     j_list = _indices(j_list)
+    if not j_list:
+        raise ValueError("the truncation index list j_list is empty")
     lo = min(j_list)
     ray = estimate_element(samples, n0 + lo, d, max(j_list) - lo)
     return [(j, ray.stderr[j - lo] * np.sqrt(len(samples))) for j in j_list]

@@ -6,14 +6,10 @@ The forward map damps a signal state ``rho_sig`` into the measured
     <n|rho_meas|n+d> = sum_j sqrt(C(n+j,j) C(n+d+j,j))
                        * eta^((2n+d)/2) * (1-eta)^j * <n+j|rho_sig|n+d+j>
 
-The inversion reads the same formula at the reciprocal argument: the
-inverse series coefficient is the forward coefficient evaluated at
-``1/eta``, which makes the duality between the two maps exact in
-floating point.  The factorial ratios are the binomials ``C(n+j, j)`` and
-``C(n+d+j, j)``: exact integers, each rounded to float once and kept in
-one table that only grows.  A transform evaluates the factors that do not
-depend on the ray offset ``d`` once per call, on one (n, j) grid that every
-ray slices, so its memory stays O(dim^2).
+The inverse series coefficient is the forward coefficient at ``1/eta``, both
+from one table of exact integer binomials, each rounded to float once, so the
+duality between the two maps is exact in floating point and a weight's bits do
+not depend on how far the table has grown.
 """
 from __future__ import annotations
 

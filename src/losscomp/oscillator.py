@@ -1,64 +1,21 @@
 """Oscillator wavefunction tables and tomography kernels.
 
-Everything here lives in the convention where the quadrature is
-``x = (a + a^dag)/2`` (vacuum variance 1/4), in which the number-state
-wavefunctions ``psi_n`` satisfy ``psi'' = (4x^2 - 4n - 2) psi``.
-
-The tomography kernel for the element ``<n|rho|m>`` is
+Convention: the quadrature is ``x = (a + a^dag)/2`` (vacuum variance 1/4), in
+which the number-state wavefunctions ``psi_n`` satisfy ``psi'' = (4x^2 - 4n - 2)
+psi``.  The tomography kernel for the element ``<n|rho|m>`` is
 
     f_nm(x) = d/dx [ psi_n(x) * chi_m(x) ]
 
-with ``chi_m`` the irregular (non-normalizable) second solution of the
-same equation, fixed uniquely by giving it the parity opposite to
-``psi_m``.  ``chi_m`` is integrated outward from the origin with a
-Numerov scheme.  Each kernel is scaled by the unbiasedness anchor
-``integral psi_n psi_m f_nm dx = 1``, whose value is ``W_m / 2``, half the
-Wronskian ``psi_m chi_m' - psi_m' chi_m`` of the pair, read at x = 0.
+with ``chi_m`` the irregular solution of the same equation whose parity is
+opposite to ``psi_m``, integrated outward from the origin by Numerov.  Each
+kernel is scaled by the unbiasedness anchor ``integral psi_n psi_m f_nm dx = 1``,
+whose value is ``W_m / 2``, half the Wronskian ``psi_m chi_m' - psi_m' chi_m`` of
+the pair, read at x = 0.
 
-One table is cached at module level and rebuilt larger on demand.  Its
-range follows the points it is asked for, not the index: the smallest whole
-``|x| >= 1`` that holds them, up to ``|x| = 26``, past which ``chi_0``
-overflows.  A kernel's values come from the start values at the origin and
-the steps out to each node, and its anchor from the origin, so a kernel has
-the same bits in every table that holds it.
-
-The table holds ``psi``, ``chi`` and ``chi'`` on one grid, the spline's cell
-nodes ``_CELL`` apart on the half line ``x >= 0`` (no separate tabulation
-step), and the splines built from them.  Numerov takes ``_FINE_SUB`` (10)
-steps per cell through rolling rows and keeps the cell nodes only.  On each
-cell a kernel is the quintic Hermite interpolant of its value, slope and
-curvature at both ends; slope and curvature follow from the ODE, so no
-spline system is solved.  ``_Tables.coefficients`` gives the six Horner
-coefficients per cell of one kernel or of a block of kernels at once, on all
-cells or on a range of them, with the same bits either way.
-
-Kernels leave the table two ways, which share one locate step (``|x|``
-to its cell and offset).  ``evaluate_pattern`` gives the values of one
-kernel: it gathers that kernel's coefficients, formed per call and not
-kept, at the points and negates them at ``x < 0`` when ``n + m`` is odd, so
-the parity ``(-1)^(n+m)`` is exact.  ``pattern_sums`` gives the weighted
-sums of a kernel and of its square over the points for one ray
-``f_{n+j, n+d+j}``, j = 0..j_max, and for a stream of datasets.  It reduces
-each dataset to per-cell moments of its offsets as it arrives and contracts
-them, 16 columns at a time, with the ray's coefficients and those of their
-squares, kept as fixed blocks (``_Tables.blocks``, the table's one coefficient
-cache), so a kernel costs its occupied cells, not its points.  The blocks are
-allocated over the whole table but filled only as far as the cells the points
-have reached so far: a contraction asks for them up to its columns' last
-occupied cell.  All kernels of a ray have the parity of ``d``, so an odd ray
-takes the sign into its first sums' weights.
-
-Each block product is one BLAS ``gemm`` of 32 kernel rows, 256 cell
-coefficients and 16 moment columns.  That is under OpenBLAS's one-thread
-limit (4 x 65,536 multiply-adds), so no product is split over threads, and
-the fixed shape keeps every column's arithmetic the same.  Block products
-are added in cell order over the blocks from the 16 columns' first occupied
-cell to their last; the others are skipped, and a block where a column has
-no points adds exact zeros to it, whether its cells there are filled or still
-zero.  So a dataset's sums depend only on its own points and weights and on the
-CPU's BLAS kernel, not on the other datasets of the batch, their count,
-``j_max``, the table's range, how far its blocks are filled or the BLAS thread
-count.
+A kernel's values come from the start values at the origin and the steps out to
+each node, and its anchor from the origin, so it has the same bits in every table
+that holds it.  A dataset's sums from ``pattern_sums`` depend only on its own
+points and weights and on the CPU's BLAS kernel.
 """
 from __future__ import annotations
 
@@ -151,6 +108,9 @@ def _chi_half(mmax, x):
 
 
 class _Tables:
+    """``psi``, ``chi`` and ``chi'`` on the spline's cell nodes ``x_cell``, ``_CELL`` apart on
+    ``x >= 0`` up to ``x_max``, with each band's contraction blocks in ``stacks``."""
+
     def __init__(self, max_index, reach):
         self.max_index = max_index
         self.x_max = max(1.0, float(np.ceil(reach)))
@@ -217,18 +177,13 @@ class _Tables:
         """Kernels f_{k,k+d}, k < ``rows``, as contraction blocks filled over cells ``< cells``
         (all of the table's by default).
 
-        Returns ``(quintics, squares)``, each shaped ``(depth blocks, row blocks, 32,
-        256)`` over the whole table.  Row k sits at row ``k % 32`` of row block ``k // 32``;
-        cell c's coefficient of ``dt^p`` sits at depth ``c * terms + p``, with 6 terms for
-        the quintic and 11 for its square, whose coefficients ``sum_(k+l=p) a_k a_l``
-        come from the 21 distinct products.  Padding is zero.  The stacks are allocated
-        zeroed, so the pages of depth blocks no fill has reached stay untouched, and a
-        call fills only the cells past those already filled, for every row the stacks
-        were allocated for, one span of 128 cells at a time across the row blocks, each
-        span's coefficients and squares written at their own depth positions, which need
-        not start or end a depth block.  Every cell has the bits of the whole-table
-        build, however the fills were cut.  The stacks are kept; asked for more rows,
-        they are allocated anew and filled from cell 0.
+        Returns ``(quintics, squares)``, each ``(depth blocks, row blocks, 32, 256)`` over
+        the whole table, zero-padded: row k at row ``k % 32`` of row block ``k // 32``, cell
+        c's coefficient of ``dt^p`` at depth ``c * terms + p``, with 6 terms for the quintic
+        and 11 for its square, ``sum_(k+l=p) a_k a_l``.  The stacks are allocated zeroed and
+        kept, and made anew only for more rows.  A call fills the cells past those already
+        filled, 128 at a time, so pages no fill has reached stay untouched, and every cell
+        has the bits of the whole-table build however the fills were cut.
         """
         held = self.stacks.get(d)
         if held is None or held[0] < rows:
@@ -329,20 +284,22 @@ def evaluate_pattern(n, m, x) -> np.ndarray:
 def pattern_sums(n, d, j_max, datasets):
     """Sums ``sum_s w_s f(x_s)`` and ``sum_s (w_s f(x_s))^2`` of each kernel ``f_{n+j, n+d+j}``.
 
-    ``j`` runs over 0..j_max, one ray.  ``datasets`` is an iterable of pairs
-    ``(x, weights)``: points of any shape and one row of per-point weights ``w``
-    per sum wanted, or ``None`` for one row of ones.  Each weight row is one
-    column of ``s1`` and ``s2``, which are shaped ``(j_max + 1, columns)``.
-    A kernel is a quintic in ``dt = |x| - x_i`` on each cell, so its sums are its
-    coefficients ``a_k`` dotted with the cells' moments ``S_k = sum w dt^k``, and
-    its square's coefficients dotted with ``sum w^2 dt^p``.  Every kernel of the
-    ray has the parity of ``d``: for odd ``d`` the first sums take ``-w`` at
-    ``x < 0``.  Each dataset is reduced to its columns' moments as it arrives,
-    one power of ``dt`` at a time over all its weight rows, and each 16 columns
-    are contracted with the ray's row blocks once they are in, filled up to the
-    16 columns' last occupied cell, in fixed-shape products added in cell order
-    from the first occupied block to the last, so a column's bits depend on its
-    own points and weights only (see the module docstring).
+    ``j`` runs over 0..j_max, one ray.  ``datasets`` is an iterable of pairs ``(x,
+    weights)``: points of any shape and one row of per-point weights ``w`` per sum
+    wanted, or ``None`` for one row of ones.  Each weight row is one column of ``s1``
+    and ``s2``, shaped ``(j_max + 1, columns)``.  A kernel is a quintic in ``dt = |x| -
+    x_i`` on each cell, so its sums are its coefficients dotted with the cells' moments
+    ``sum w dt^k``, and its square's with ``sum w^2 dt^p``: it costs its occupied cells,
+    not its points.  A ray's kernels have the parity of ``d``, so for odd ``d`` the
+    first sums take ``-w`` at ``x < 0``.  Each dataset is reduced to its columns'
+    moments as it arrives, and each 16 columns are contracted with the ray's blocks
+    (``_Tables.blocks``), filled up to their last occupied cell, one BLAS ``gemm`` of
+    32 rows, 256 cell coefficients and 16 columns per block: under OpenBLAS's
+    one-thread limit (4 x 65,536 multiply-adds), so no product is split over threads.
+    Products are added in cell order from the columns' first occupied block to their
+    last, and a block where a column has no points adds exact zeros to it.  So a
+    column's bits depend on its own points and weights only, not on the other datasets,
+    ``j_max``, the table's range, how far the blocks are filled or the BLAS thread count.
     """
     if n < 0 or d < 0 or j_max < 0:
         raise ValueError("ray indices n, d and j_max must be nonnegative")

@@ -1,4 +1,4 @@
-"""Homodyne statistics: pdf, samplers, pattern kernels, and estimators."""
+"""Homodyne statistics: the reference pdf, samplers, pattern kernels, and estimators."""
 import hashlib
 import os
 import re
@@ -23,13 +23,13 @@ from losscomp import (
     make_coherent,
     make_fock,
     make_thermal,
-    quadrature_pdf,
     sample_quadratures,
 )
 from losscomp import acceptance, homodyne, oscillator
 from losscomp.exceptions import ExtrapolationError, NumericalSanityError
 from losscomp.fock_core import DensityMatrix
 from losscomp.loss_channel import _damped_law
+from reference import quadrature_pdf
 
 
 def rng_from(*key):
@@ -1410,6 +1410,13 @@ class TestErrorSaturation:
         data = sample_quadratures(make_thermal(1.0, 32), 500, rng_from(17, 18))
         with pytest.raises(ValueError, match=f"^truncation index {re.escape(bad)} is not an "
                                              "integer$"):
+            error_saturation_profile(data, j_list, 1, 0)
+
+    @pytest.mark.parametrize("j_list", [[], (), np.array([], dtype=int)])
+    def test_profile_rejects_an_empty_index_list(self, j_list):
+        """One line naming the list, not ``min()``'s empty-sequence error."""
+        data = sample_quadratures(make_thermal(1.0, 32), 500, rng_from(17, 18))
+        with pytest.raises(ValueError, match="^the truncation index list j_list is empty$"):
             error_saturation_profile(data, j_list, 1, 0)
 
     def test_profile_keeps_unsorted_and_numpy_indices(self):

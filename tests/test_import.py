@@ -1,6 +1,8 @@
-"""Import cost: ``import losscomp`` loads only what the pipeline runs, and no dead helper."""
+"""Import cost and dead code: ``import losscomp`` loads only what the pipeline runs, no
+helper or public name goes unused, and each module docstring keeps to its contract."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,14 +62,44 @@ def test_import_builds_no_tables():
     assert fresh(code) == "True (1, 1)\n"
 
 
+PACKAGE = Path(losscomp.__file__).parent
+
+
+def read_names(paths):
+    """The names and attributes read (an AST load) anywhere in ``paths``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_name_is_used():
+    """Each name in ``losscomp.__all__`` is read by a package module other than
+    ``__init__.py``, or named by a script in ``demos/`` or ``bench/``; a dunder is metadata."""
+    used = read_names(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    folders = [PACKAGE.parents[1] / name for name in ("demos", "bench")]
+    assert all(folder.is_dir() for folder in folders)
+    scripts = "\n".join(path.read_text() for folder in folders for path in folder.glob("*.py"))
+    unused = [name for name in losscomp.__all__ if not name.startswith("__")
+              and name not in used and not re.search(rf"\b{name}\b", scripts)]
+    assert unused == []
+
+
+def test_module_docstrings_keep_to_twenty_lines():
+    """A module docstring keeps to its contract, the convention and what a result's bits
+    depend on, in at most 20 lines; the mechanisms are told where they are implemented."""
+    lengths = {path.name: node.end_lineno - node.lineno + 1
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.parse(path.read_text()).body[:1]
+               if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+               and isinstance(node.value.value, str)}
+    assert {name: lines for name, lines in lengths.items() if lines > 20} == {}
+
+
 def test_every_private_helper_is_used_by_the_package():
     """Each module-level private function, class or constant, and each non-dunder method
     of a module-level class, is read from the package itself; an assignment is no read."""
-    trees = {path.name: ast.parse(path.read_text())
-             for path in Path(losscomp.__file__).parent.glob("*.py")}
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    used = read_names(PACKAGE.glob("*.py"))
     unused = [f"{name}::{node.name}" for name, tree in sorted(trees.items()) for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
               and node.name.startswith("_") and not node.name.startswith("__")]

@@ -4,7 +4,8 @@ Peaks are read with tracemalloc, which counts numpy's buffers, so they do not
 depend on the machine.  Each bound sits between the peak of the layout that
 held whole arrays (the Numerov grid, a batch's located samples, a row block over
 every cell, a proposal chunk's complex ``(dim, points)`` table, the sampler
-tables' complex ray profiles and ``quadrature_pdf`` table, the rejection draw's
+tables' complex ray profiles and the full-matrix density table that the tests'
+reference density (``reference.quadrature_pdf``) forms, the rejection draw's
 whole-table node array and batch-wide scores) and the peak of the streaming one.
 """
 import tracemalloc
@@ -80,9 +81,9 @@ def test_rejection_table_build_keeps_its_peak():
 
 
 def test_inverse_cdf_build_keeps_its_peak():
-    """Damped ``|3>``'s cumulative mass: 6.05 MiB while its density went through
-    ``quadrature_pdf``'s complex ``(dim, points)`` table, 2.1 MiB summed from the streamed
-    ray profiles."""
+    """Damped ``|3>``'s cumulative mass: 6.05 MiB while its density went through the
+    complex ``(dim, points)`` table that the tests' reference density
+    (``reference.quadrature_pdf``) forms, 2.1 MiB summed from the streamed ray profiles."""
     assert traced_peak(homodyne._InverseCdf, apply_loss(make_fock(3, 32), 0.6)) < 3.5 * MIB
 
 
