@@ -19,6 +19,8 @@ points and weights and on the CPU's BLAS kernel.
 """
 from __future__ import annotations
 
+import math
+import mmap
 import operator
 
 import numpy as np
@@ -107,6 +109,21 @@ def _chi_half(mmax, x):
     return np.ascontiguousarray(chi.T), np.ascontiguousarray(dchi.T)
 
 
+def _zeroed(shape):
+    """A zeroed float array of ``shape`` over a private anonymous mapping of its own.
+
+    numpy asks for transparent huge pages on its buffers of 4 MiB or more, so a stack
+    filled part way would be resident in 2 MiB runs; nothing advises this mapping, so only
+    the pages written are resident, and a read of the others maps the kernel's zero page.
+    The mapping is private, not Python's default ``MAP_SHARED``, under which a read
+    allocates a page and a forked child's writes would reach its parent's stacks.
+    """
+    if not hasattr(mmap, "MAP_PRIVATE"):    # Windows: no mapping flags, and no fork
+        return np.zeros(shape)
+    buffer = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buffer).reshape(shape)
+
+
 class _Tables:
     """``psi``, ``chi`` and ``chi'`` on the spline's cell nodes ``x_cell``, ``_CELL`` apart on
     ``x >= 0`` up to ``x_max``, with each band's contraction blocks in ``stacks``."""
@@ -180,17 +197,18 @@ class _Tables:
         Returns ``(quintics, squares)``, each ``(depth blocks, row blocks, 32, 256)`` over
         the whole table, zero-padded: row k at row ``k % 32`` of row block ``k // 32``, cell
         c's coefficient of ``dt^p`` at depth ``c * terms + p``, with 6 terms for the quintic
-        and 11 for its square, ``sum_(k+l=p) a_k a_l``.  The stacks are allocated zeroed and
-        kept, and made anew only for more rows.  A call fills the cells past those already
-        filled, 128 at a time, so pages no fill has reached stay untouched, and every cell
-        has the bits of the whole-table build however the fills were cut.
+        and 11 for its square, ``sum_(k+l=p) a_k a_l``.  The stacks are kept, and made anew
+        only for more rows, each over a private mapping (``_zeroed``) in which only the pages
+        a fill has written are resident: at most 64 KiB per row block for each depth block
+        the fill reaches.  A call fills the cells past those already filled, 128 at a time,
+        and every cell has the bits of the whole-table build however the fills were cut.
         """
         held = self.stacks.get(d)
         if held is None or held[0] < rows:
             self.stacks.pop(d, None)    # let the short stacks go before the new ones are made
             count = -(-rows // _ROWS)
             held = self.stacks[d] = [rows, 0] + [
-                np.zeros((-(-self.dx.size * terms // _DEPTH), count, _ROWS, _DEPTH))
+                _zeroed((-(-self.dx.size * terms // _DEPTH), count, _ROWS, _DEPTH))
                 for terms in (_TERMS, _SQUARE)]
         rows, filled, *stacks = held
         cells = self.dx.size if cells is None else cells

@@ -958,6 +958,27 @@ class TestPatternFunction:
             regrown.blocks(d, 20, 130)
             assert [s.tobytes() for s in regrown.blocks(d, rows)] == whole
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_blocks_are_private_to_a_process(self):
+        """A forked child's fill leaves its parent's stacks and extent as they were, until
+        the parent extends its own blocks as far."""
+        t = oscillator._Tables(104, 7.0)
+        before = [s.tobytes() for s in t.blocks(0, 103, 200)]
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                t.blocks(0, 103, 434)
+                code = 0
+            finally:
+                os._exit(code)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert [s.tobytes() for s in t.blocks(0, 103, 200)] == before
+        assert t.extent() == {0: (103, 200)}
+        t.extend({0: (103, 434)})
+        assert t.extent() == {0: (103, 434)}
+        assert [s.tobytes() for s in t.blocks(0, 103, 200)] != before
+
     def test_bands_keep_their_bytes(self):
         """sha256 prefix of fig1's table at full precision: the bands ``f_{k,k+d}``,
         d = 0..3, up to index 103 over |x| <= 7, and band 0's contraction blocks."""

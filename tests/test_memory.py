@@ -1,13 +1,17 @@
 """Memory bounds of the homodyne pipeline, and the streaming kernel pass behind them.
 
 Peaks are read with tracemalloc, which counts numpy's buffers, so they do not
-depend on the machine.  Each bound sits between the peak of the layout that
+depend on the machine.  It does not see the kernel table's contraction stacks, which
+are mappings of their own: the pages resident in them are bounded by the fill's reach
+instead (``test_block_fill_keeps_its_pages_to_its_reach``).  Each bound sits between the peak of the layout that
 held whole arrays (the Numerov grid, a batch's located samples, a row block over
 every cell, a proposal chunk's complex ``(dim, points)`` table, the sampler
 tables' complex ray profiles and the full-matrix density table that the tests'
 reference density (``reference.quadrature_pdf``) forms, the rejection draw's
 whole-table node array and batch-wide scores) and the peak of the streaming one.
 """
+import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -37,12 +41,55 @@ def test_table_build_keeps_its_peak():
 
 
 def test_block_build_keeps_its_peak():
-    """One fig1-size block build past the 12.0 MiB of stacks it allocates: 5.8 MiB while
+    """One fig1-size block fill, its 12.0 MiB of stacks allocated first: 5.8 MiB while
     each row block was formed over all 700 cells at once, 2.1 MiB formed one 256-cell span
     at a time, 1.07 MiB one 128-cell span at a time."""
     t = oscillator._Tables(104, 7.0)
-    peak = traced_peak(t.blocks, 0, 103)
-    assert peak - sum(stack.nbytes for stack in t.blocks(0, 103)) < 1.5 * MIB
+    t.blocks(0, 103, 0)
+    assert traced_peak(t.blocks, 0, 103) < 1.5 * MIB
+
+
+def resident_bytes(arrays):
+    """Bytes of the pages of ``arrays`` that are resident, and the ``AnonHugePages`` of the
+    mappings that hold them.
+
+    The kernel merges neighbouring anonymous mappings, so a mapping's ``Rss`` in
+    ``/proc/self/smaps`` may count other buffers' pages; the present bits of
+    ``/proc/self/pagemap`` count the arrays' own, and a page read but never written, which
+    maps the kernel's zero page, counts too.
+    """
+    page = os.sysconf("SC_PAGE_SIZE")
+    spans = [(a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays]
+    resident = huge = 0
+    with open("/proc/self/pagemap", "rb") as pagemap:
+        for lo, hi in spans:
+            pagemap.seek(lo // page * 8)
+            entries = np.frombuffer(pagemap.read(8 * (-(-hi // page) - lo // page)), np.uint64)
+            resident += page * np.count_nonzero(entries >> np.uint64(63))
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            head = re.match(r"([0-9a-f]+)-([0-9a-f]+) ", line)
+            if head:
+                start, end = int(head[1], 16), int(head[2], 16)
+                held = any(start < hi and lo < end for lo, hi in spans)
+            elif held and line.startswith("AnonHugePages:"):
+                huge += 1024 * int(line.split()[1])
+    return resident, huge
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="no /proc/self/smaps")
+def test_block_fill_keeps_its_pages_to_its_reach():
+    """A fig1-size table's stacks filled to the 434 cells that a one-CPU default fig1 run
+    reaches hold no huge page and no resident page past the depth blocks the fill reached:
+    9.5 MiB while numpy allocated them with 2 MiB huge pages, about 6.1 MiB now, against
+    the 12.0 MiB of the stacks."""
+    t = oscillator._Tables(104, 7.0)
+    stacks = t.blocks(0, 103, 434)
+    reached = sum(-(-434 * terms // oscillator._DEPTH) * stack[0].nbytes
+                  for stack, terms in zip(stacks, (oscillator._TERMS, oscillator._SQUARE)))
+    resident, huge = resident_bytes(stacks)
+    assert huge == 0
+    assert 0 < resident <= reached < sum(stack.nbytes for stack in stacks)
 
 
 def damped_cat():
